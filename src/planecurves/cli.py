@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 from pathlib import Path
 from typing import Optional
 
@@ -144,16 +145,43 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
     )
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _checked_primes(values, source: str) -> tuple[int, ...]:
+    """Moduli for modular mode: distinct primes p with 2^20 < p < 2^31."""
+    primes = []
+    for v in values:
+        if type(v) is not int:
+            raise SpecFileError(f"{source}: {v!r} is not an integer")
+        if not (1 << 20) < v < (1 << 31):
+            raise SpecFileError(f"{source}: {v} is outside 2^20 < p < 2^31")
+        if not _is_prime(v):
+            raise SpecFileError(f"{source}: {v} is not prime")
+        if v in primes:
+            raise SpecFileError(f"{source}: {v} is repeated")
+        primes.append(v)
+    return tuple(primes)
+
+
 def resolve_mode(data: dict, args) -> RankMode:
     primes: tuple[int, ...] = ()
     kind = "rational"
     options = data.get("options") or {}
     if options.get("field") == "modp":
         kind = "modular"
-        primes = tuple(options.get("primes", ()))
+        listed = options.get("primes", [])
+        if not isinstance(listed, list):
+            raise SpecFileError("options.primes must be a list of integers")
+        primes = _checked_primes(listed, "options.primes")
     if getattr(args, "modp", None):
         kind = "modular"
-        primes = tuple(int(p) for p in args.modp.split(","))
+        try:
+            values = [int(t) for t in args.modp.split(",")]
+        except ValueError:
+            raise SpecFileError(f"--modp: {args.modp!r} is not a comma-separated list of integers") from None
+        primes = _checked_primes(values, "--modp")
     if kind == "modular" and not primes:
         raise SpecFileError("modular mode needs primes (options.primes or --modp)")
     return RankMode(kind, primes) if kind == "modular" else RATIONAL

@@ -1,16 +1,18 @@
 """Matrix builders for the graded multiplication maps used everywhere.
 
-All matrices are assembled column by column, columns indexed slot-major in
-monomial_basis order, so pivoting and fixtures are reproducible.
+Each matrix is written straight into one integer ndarray.  Columns are indexed
+slot-major in monomial_basis order, rows block-major in monomial_basis order,
+so pivoting and fixtures are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from .linalg import ExactMatrix
+import numpy as np
+
+from .linalg import ExactMatrix, int_dtype
 from .polynomials import Polynomial, monomial_basis
 
 
@@ -40,16 +42,35 @@ def integer_scaled(p: Polynomial) -> dict[tuple[int, int, int], int]:
     return ints
 
 
-@lru_cache(maxsize=None)
-def _basis_index(d: int) -> dict[tuple[int, int, int], int]:
-    return {m: i for i, m in enumerate(monomial_basis(d))}
+def _monomial_index(b, c):
+    """Position of x^a y^b z^c in monomial_basis(a + b + c), for any a."""
+    e = b + c
+    return e * (e + 1) // 2 + c
 
 
-def _shift_column(gen: dict, u: tuple[int, int, int], index: dict, nrows: int) -> list[int]:
-    col = [0] * nrows
-    for m, c in gen.items():
-        col[index[(m[0] + u[0], m[1] + u[1], m[2] + u[2])]] = c
-    return col
+def _assemble(blocks: list[tuple[dict, int, int]], m: int, shape: tuple[int, int]) -> ExactMatrix:
+    """Matrix in which each (gen, row0, col0) block maps the degree-m monomial
+    u (column col0 + its index) to gen * u (rows row0 + monomial index).
+
+    Built straight into one ndarray: int64 when every coefficient fits,
+    object (Python ints) otherwise.
+    """
+    arr = np.zeros(shape, dtype=int_dtype(c for gen, _, _ in blocks for c in gen.values()))
+    basis = np.array(monomial_basis(m), dtype=np.int64).reshape(-1, 3)
+    cols = np.arange(len(basis))
+    for gen, row0, col0 in blocks:
+        for (_, b, c), coeff in gen.items():
+            arr[row0 + _monomial_index(basis[:, 1] + b, basis[:, 2] + c), col0 + cols] = coeff
+    return ExactMatrix(arr)
+
+
+def _cleared(gens: list[Polynomial]) -> list[dict]:
+    """Term maps of gens times one common denominator (kernel-preserving)."""
+    lcm = 1
+    for g in gens:
+        for c in g.terms.values():
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    return [{mon: int(c * lcm) for mon, c in g.terms.items()} for g in gens]
 
 
 def multiplication_matrix(
@@ -60,7 +81,8 @@ def multiplication_matrix(
     All generators must be homogeneous of one degree d.  With
     scale_generators each generator is rescaled to primitive integers (a
     column scaling: rank-preserving but kernel-distorting); pass False when
-    the kernel itself is wanted.
+    the kernel itself is wanted, and all generators are cleared by one common
+    denominator instead.
     """
     degs = {g.degree() for g in gens if not g.is_zero()}
     if len(degs) != 1:
@@ -68,16 +90,11 @@ def multiplication_matrix(
     d = degs.pop()
     if m < 0:
         return ExactMatrix([], ncols=0)
-    target = m + d
-    nrows = s_dim(target)
-    index = _basis_index(target)
-    domain = monomial_basis(m)
-    cols = []
-    for g in gens:
-        gi = integer_scaled(g) if scale_generators else dict(g.terms)
-        for u in domain:
-            cols.append(_shift_column(gi, u, index, nrows))
-    return ExactMatrix.from_columns(cols, nrows, assume_int=scale_generators)
+    ints = [integer_scaled(g) for g in gens] if scale_generators else _cleared(gens)
+    width = s_dim(m)
+    return _assemble(
+        [(g, 0, i * width) for i, g in enumerate(ints)], m, (s_dim(m + d), len(gens) * width)
+    )
 
 
 def jacobian_partials(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -108,43 +125,29 @@ def cross_matrix(f: Polynomial, m: int) -> ExactMatrix:
     if m < 0:
         return ExactMatrix([], ncols=0)
     fx, fy, fz = _integer_partials(f)
-    N = f.degree()
-    target = m + N - 1
-    block = s_dim(target)
-    index = _basis_index(target)
-    domain = monomial_basis(m)
-    zero: dict = {}
+    block = s_dim(m + f.degree() - 1)
+    width = s_dim(m)
+    neg = lambda g: {k: -v for k, v in g.items()}
     # (a,0,0) -> (0, a f_z, -a f_y); (0,b,0) -> (-b f_z, 0, b f_x);
     # (0,0,c) -> (c f_y, -c f_x, 0)   [components on dy^dz, dz^dx, dx^dy]
-    neg = lambda g: {k: -v for k, v in g.items()}
     slot_images = [
-        (zero, fz, neg(fy)),
-        (neg(fz), zero, fx),
-        (fy, neg(fx), zero),
+        (None, fz, neg(fy)),
+        (neg(fz), None, fx),
+        (fy, neg(fx), None),
     ]
-    cols = []
-    for images in slot_images:
-        for u in domain:
-            col = []
-            for g in images:
-                col.extend(_shift_column(g, u, index, block))
-            cols.append(col)
-    return ExactMatrix.from_columns(cols, 3 * block, assume_int=True)
+    blocks = [
+        (g, t * block, s * width)
+        for s, images in enumerate(slot_images)
+        for t, g in enumerate(images)
+        if g is not None
+    ]
+    return _assemble(blocks, m, (3 * block, 3 * width))
 
 
 def gradient_column_matrix(f: Polynomial, m: int) -> ExactMatrix:
     """Matrix of S_m -> S_{m+N-1}^3, g -> g * (f_x, f_y, f_z)."""
     if m < 0:
         return ExactMatrix([], ncols=0)
-    parts = _integer_partials(f)
-    N = f.degree()
-    target = m + N - 1
-    block = s_dim(target)
-    index = _basis_index(target)
-    cols = []
-    for u in monomial_basis(m):
-        col = []
-        for g in parts:
-            col.extend(_shift_column(g, u, index, block))
-        cols.append(col)
-    return ExactMatrix.from_columns(cols, 3 * block, assume_int=True)
+    block = s_dim(m + f.degree() - 1)
+    blocks = [(g, t * block, 0) for t, g in enumerate(_integer_partials(f))]
+    return _assemble(blocks, m, (3 * block, s_dim(m)))

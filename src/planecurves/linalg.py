@@ -1,9 +1,15 @@
 """Exact rank and kernel computations for graded linear maps.
 
-Default mode is exact integer elimination (fraction-free, with per-row content
-stripping) over Q; rational input is cleared to integers row by row, which
-leaves the rank unchanged.  Modular mode reduces mod word-sized primes and is
-cross-checked against the rational result on any disagreement.
+Ranks and kernels over Q come from one certified engine.  It eliminates once
+modulo a prime p < 2^26 and lifts the normalized kernel of the pivot block
+p-adically (Dixon), then accepts the rank r only after every lifted vector v
+satisfies A·v = 0 exactly: the pivot block, nonsingular mod p, gives
+r <= rank_Q, and the ncols - r verified kernel vectors give rank_Q <= r.  A
+prime that fails the check is unlucky and the next one is tried; fraction-free
+integer elimination (`_rank_integer`) is the last resort.
+
+Modular mode (`modular_rank_with_check`) is the uncertified opt-in path: it
+trusts a rank on which all given primes agree.
 
 Pivoting is "first nonzero in column order" throughout, for determinism.
 """
@@ -11,11 +17,17 @@ Pivoting is "first nonzero in column order" throughout, for determinism.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from math import gcd, isqrt
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+# The three largest primes below 2^26: a product of two residues summed over
+# up to 2^11 terms still fits in int64, so updates mod p can stay lazy.
+PRIMES = (67108859, 67108837, 67108819)
+
+_INT64_LIMIT = 1 << 63
+_CHUNK = 128  # rows per step of the elimination and the check: bounds temporaries
 
 
 class LinalgError(RuntimeError):
@@ -40,48 +52,54 @@ def _row_to_int(row: Sequence) -> list[int]:
     return ints
 
 
+def int_dtype(values: Iterable[int]):
+    """int64 if every value fits, else object (Python ints)."""
+    return np.int64 if all(-_INT64_LIMIT < v < _INT64_LIMIT for v in values) else object
+
+
 class ExactMatrix:
-    """Dense matrix with integer entries (rationals are cleared on input)."""
+    """Dense integer matrix held as one 2-D ndarray (rationals are cleared on input).
 
-    __slots__ = ("nrows", "ncols", "rows")
+    `array` is int64 when every entry fits and object (Python ints) otherwise;
+    `rows` is the same matrix as lists of Python ints.
+    """
 
-    def __init__(
-        self,
-        rows: Iterable[Sequence],
-        ncols: Optional[int] = None,
-        assume_int: bool = False,
-    ):
+    __slots__ = ("nrows", "ncols", "array")
+
+    def __init__(self, rows: Iterable[Sequence] | np.ndarray, ncols: Optional[int] = None):
+        if isinstance(rows, np.ndarray):
+            self.array = rows
+            self.nrows, self.ncols = rows.shape
+            return
         cleaned = []
         for row in rows:
             row = list(row)
-            if assume_int or all(type(v) is int for v in row):
+            if all(type(v) is int for v in row):
                 cleaned.append(row)
             elif any(isinstance(v, Fraction) and v.denominator != 1 for v in row):
                 cleaned.append(_row_to_int(row))
             else:
                 cleaned.append([int(v) for v in row])
-        self.rows = cleaned
         if cleaned:
             widths = {len(r) for r in cleaned}
             if len(widths) != 1:
                 raise ValueError("ragged rows")
-            self.ncols = widths.pop()
-            if ncols is not None and ncols != self.ncols:
+            width = widths.pop()
+            if ncols is not None and ncols != width:
                 raise ValueError("ncols mismatch")
         else:
-            self.ncols = 0 if ncols is None else ncols
-        self.nrows = len(cleaned)
+            width = 0 if ncols is None else ncols
+        self.array = np.zeros((len(cleaned), width), dtype=int_dtype(v for r in cleaned for v in r))
+        if cleaned and width:
+            self.array[:, :] = cleaned
+        self.nrows, self.ncols = self.array.shape
 
-    @staticmethod
-    def from_columns(
-        columns: Sequence[Sequence], nrows: int, assume_int: bool = False
-    ) -> "ExactMatrix":
-        rows = [[col[i] for col in columns] for i in range(nrows)]
-        return ExactMatrix(rows, ncols=len(columns), assume_int=assume_int)
+    @property
+    def rows(self) -> list[list[int]]:
+        return self.array.tolist()
 
     def transpose(self) -> "ExactMatrix":
-        rows = [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return ExactMatrix(rows, ncols=self.nrows)
+        return ExactMatrix(self.array.T)
 
     def rank(self) -> int:
         return rank(self)
@@ -138,10 +156,400 @@ def _rank_integer(rows: list[list[int]], ncols: int) -> int:
     return rank
 
 
+# -- elimination over GF(p) -------------------------------------------------
+
+
+def _bits(a: np.ndarray) -> int:
+    """Bit length of the largest absolute entry."""
+    if a.size == 0:
+        return 0
+    if a.dtype == object:
+        return max(abs(int(v)) for v in a.flat).bit_length()
+    return max(int(a.max()), -int(a.min())).bit_length()
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Residues in [0, p) as a fresh int64 array."""
+    return np.remainder(a, p, order="C").astype(np.int64, copy=False)
+
+
+def _lazy_budget(p: int) -> int:
+    """Rank-one updates of residues mod p that an int64 entry absorbs exactly."""
+    return (_INT64_LIMIT - p) // ((p - 1) * (p - 1))
+
+
+def _dot(a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
+    """Exact a @ b of int64 arrays whose products and partial sums all lie
+    below 2^bits <= 2^62 in absolute value.
+
+    Through float64 BLAS when bits <= 53: every partial sum is then an
+    exactly representable integer, in any summation order.  Rows of `a` are
+    converted in chunks, which bounds the temporaries.
+    """
+    if bits > 53:
+        return a @ b
+    bf = b.astype(np.float64)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, a.shape[0], _CHUNK):
+        out[lo:lo + _CHUNK] = a[lo:lo + _CHUNK].astype(np.float64, copy=False) @ bf
+    return out
+
+
+def _eliminate(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """PLU factorization of `a` over GF(p), in place; p < 2^31.
+
+    `a` is int64 with entries in [0, p).  Returns the pivot columns and the
+    row order: afterwards row i holds input row order[i]; for i < rank it
+    holds U from its pivot on and the multipliers of L in the earlier pivot
+    columns.  Updates are lazy: an entry is reduced when it enters a pivot
+    row or column, or after the most rank-one updates int64 absorbs.
+    """
+    nrows, ncols = a.shape
+    order = np.arange(nrows)
+    pivots: list[int] = []
+    budget = left = _lazy_budget(p)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        col = a[r:, c] % p
+        a[r:, c] = col
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            a[[r, i]] = a[[i, r]]
+            order[[r, i]] = order[[i, r]]
+        a[r, c + 1:] %= p
+        below = r + nz[1:]
+        if below.size:
+            mult = a[below, c] * pow(int(a[r, c]), -1, p) % p
+            a[below, c] = mult
+            # in row chunks, which bounds the temporaries
+            for lo in range(0, below.size, _CHUNK):
+                rows = below[lo:lo + _CHUNK]
+                a[rows, c + 1:] -= np.outer(mult[lo:lo + _CHUNK], a[r, c + 1:])
+        pivots.append(c)
+        r += 1
+        left -= 1
+        if left == 0:
+            a[r:, c + 1:] %= p
+            left = budget
+    return pivots, order
+
+
+def _lu_solver(lu: np.ndarray, p: int):
+    """Solver of L U x = y (mod p), `lu` packing unit-lower L and upper U.
+
+    Blocked by 64 columns: the triangular diagonal blocks are inverted once,
+    so each solve is a sequence of block products, each taken with the
+    right-hand side split into two 13-bit limbs so that `_dot` stays exact in
+    float64.  Needs p < 2^26.
+    """
+    r = lu.shape[0]
+    step, shift = 64, 13
+    bits = p.bit_length() + shift + step.bit_length()
+    blocks = [(j0, min(j0 + step, r)) for j0 in range(0, r, step)]
+
+    def times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+        hi = _dot(a, z >> shift, bits) % p
+        return ((hi << shift) + _dot(a, z & ((1 << shift) - 1), bits)) % p
+
+    def inverse(t: np.ndarray, lower: bool) -> np.ndarray:
+        """Inverse mod p of a triangular block (unit diagonal when lower) by
+        substitution on the identity, with at most 63 lazy updates per row."""
+        n = t.shape[0]
+        x = np.eye(n, dtype=np.int64)
+        for j in range(n) if lower else range(n - 1, -1, -1):
+            x[j] = x[j] % p if lower else x[j] % p * pow(int(t[j, j]), -1, p) % p
+            rest = slice(j + 1, n) if lower else slice(0, j)
+            x[rest] -= t[rest, j, None] * x[j]
+        return x % p
+
+    linv = [inverse(lu[j0:j1, j0:j1], True) for j0, j1 in blocks]
+    uinv = [inverse(lu[j0:j1, j0:j1], False) for j0, j1 in blocks]
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        z = y % p
+        for (j0, j1), inv in zip(blocks, linv):
+            z[j0:j1] = times(inv, z[j0:j1])
+            z[j1:] = (z[j1:] - times(lu[j1:, j0:j1], z[j0:j1])) % p
+        for (j0, j1), inv in zip(reversed(blocks), reversed(uinv)):
+            z[j0:j1] = times(inv, z[j0:j1])
+            z[:j0] = (z[:j0] - times(lu[:j0, j0:j1], z[j0:j1])) % p
+        return z
+
+    return solve
+
+
+# -- lifting and the exact check --------------------------------------------
+
+
+def _ratrecon(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
+    """a/b = u (mod m) with |a|, b <= bound (Wang's reconstruction), or None."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _reconstruct(u: np.ndarray, m: int, den: int = 1) -> Optional[tuple[np.ndarray, int]]:
+    """Integer numerators w and one denominator d with w/d = u (mod m), or None.
+
+    Bounds are |w_i|, d <= sqrt(m/2).  The denominator starts at `den` and is
+    grown one reconstructed entry at a time, so most entries cost one
+    multiplication.
+    """
+    bound = isqrt(m >> 1)
+    half = m >> 1
+    while True:
+        w = u * den % m
+        w = np.where(w > half, w - m, w)
+        big = np.flatnonzero(np.abs(w) > bound)
+        if big.size == 0:
+            return w, den
+        pair = _ratrecon(int(w[big[0]]), m, bound)
+        if pair is None:
+            return None
+        den *= pair[1]
+        if den > bound:
+            return None
+
+
+def _limb_products(b: np.ndarray, z: np.ndarray):
+    """(s, products): b @ z_t for the signed s-bit limbs z_t of z, low limb
+    first, with s chosen up front from the bits of int64 `b` so that every
+    product is exact in `_dot`; products is None when no s >= 8 exists or
+    `b` holds Python ints."""
+    head = 0 if b.dtype == object else _bits(b) + b.shape[1].bit_length()
+    s = 53 - head if head <= 45 else 61 - head
+    if b.dtype == object or s < 8:
+        return s, None
+
+    def products():
+        neg = z < 0
+        mag = np.where(neg, -z, z)
+        sign = np.where(neg, -1, 1).astype(np.int64)
+        while True:
+            yield _dot(b, (mag & ((1 << s) - 1)).astype(np.int64) * sign, head + s)
+            mag = mag >> s
+            if not mag.any():
+                return
+
+    return s, products()
+
+
+def _product(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Exact b @ z as Python ints."""
+    s, products = _limb_products(b, z)
+    if products is None:
+        return np.dot(b.astype(object), z.astype(object))
+    return sum(c.astype(object) << (s * t) for t, c in enumerate(products))
+
+
+def _divmod_product(a: np.ndarray, z: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R) with a @ z = p Q + R and 0 <= R < p, for int64 a with
+    bits(a) + bits(ncols) <= 53 and z in [0, 2^26).
+
+    The limb products are folded in from the top limb, V <- V 2^s + P_t, with
+    V carried as (Q, R): Q stays below 2^55, and z has a second limb only
+    when s < 26, so R 2^s + P_t stays below 2^62 and nothing leaves int64.
+    """
+    s, products = _limb_products(a, z)
+    q = rem = 0
+    for prod in reversed(list(products)):
+        w = (rem << s) + prod
+        q = (q << s) + w // p
+        rem = w % p
+    return q, rem
+
+
+def _nonzero_entries(b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Boolean mask of the nonzero entries of the exact product b @ z.
+
+    The limb products are combined by carrying: b @ z = 0 exactly iff every
+    carried partial sum is divisible by 2^s and the last carry is 0.
+    """
+    s, products = _limb_products(b, z)
+    if products is None:
+        return np.dot(b.astype(object), z.astype(object)) != 0
+    mask = (1 << s) - 1
+    carry = np.zeros((b.shape[0], z.shape[1]), dtype=np.int64)
+    bad = np.zeros(carry.shape, dtype=bool)
+    for c in products:
+        c += carry
+        bad |= (c & mask) != 0
+        carry = c >> s
+    return bad | (carry != 0)
+
+
+class KernelLift(NamedTuple):
+    """A certified right kernel of B: v_P = num[:, j] / den[j] on the pivot
+    columns P, 1 on free column free[j], 0 on the other free columns."""
+
+    rank: int
+    pivots: list[int]
+    free: list[int]
+    num: np.ndarray
+    den: list[int]
+
+    def is_rref(self) -> bool:
+        """True iff every v_j vanishes on the pivot columns after free[j].
+
+        Then the pivot columns mod p are the pivot columns over Q, and the
+        vectors are the kernel basis read off the RREF over Q.
+        """
+        later = np.array(self.pivots, dtype=int)[:, None] > np.array(self.free, dtype=int)[None, :]
+        return not (later & (self.num != 0)).any()
+
+    def basis(self, ncols: int) -> list[list[Fraction]]:
+        out = []
+        for j, col in enumerate(self.free):
+            v = [Fraction(0)] * ncols
+            v[col] = Fraction(1)
+            for i, pc in enumerate(self.pivots):
+                v[pc] = Fraction(int(self.num[i, j]), self.den[j])
+            out.append(v)
+        return out
+
+
+def _hadamard_bits(a: np.ndarray, b: np.ndarray) -> int:
+    """Upper bound on log2 of the product of the Euclidean row norms of [a | b]."""
+    if a.dtype == object:
+        return sum((sum(v * v for v in row).bit_length() + 1) // 2 for row in np.hstack([a, b]))
+    squares = np.ones(a.shape[0])
+    for part in (a, b):
+        f = part.astype(np.float64)
+        squares += np.einsum("ij,ij->i", f, f)
+    return int(np.ceil(np.log2(squares) / 2 + 1).sum())
+
+
+def lift_kernel(b: np.ndarray, p: int) -> Optional[KernelLift]:
+    """Certified rank and right kernel of integer matrix b via prime p < 2^26.
+
+    One PLU mod p gives the rank r, the pivot columns P and pivot rows Q.
+    The kernel normalized on the free columns solves M x = y with
+    M = b[Q, P] and y = -b[Q, free]; x is lifted p-adically (Dixon),
+    reconstructed as rationals, and accepted per column once b v = 0
+    exactly.  A candidate wrong on a row of Q is premature and lifting
+    continues; one right on Q but wrong elsewhere proves rank_Q > r, so the
+    prime is unlucky and the result is None.  None also when the lift passes
+    the Hadamard bound, past which a lucky prime always reconstructs.
+    """
+    if p >= 1 << 26:
+        raise ValueError("the lift needs a prime below 2^26")
+    nrows, ncols = b.shape
+    lu = _mod(b, p)
+    pivots, order = _eliminate(lu, p)
+    r = len(pivots)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    k = len(free)
+    num = np.zeros((r, k), dtype=object)
+    den = [1] * k
+    if k == 0:
+        return KernelLift(r, pivots, free, num, den)
+    rows_q = order[:r]
+    in_q = np.zeros(nrows, dtype=bool)
+    in_q[rows_q] = True
+    pending = list(range(k))
+
+    def verified(cols: list[int]) -> Optional[list[int]]:
+        """Columns whose candidate failed on Q; None if one failed only off Q."""
+        z = np.zeros((ncols, len(cols)), dtype=object)
+        for t, j in enumerate(cols):
+            z[pivots, t] = num[:, j]
+            z[free[j], t] = den[j]
+        bad = _nonzero_entries(b, z)
+        retry = []
+        for t, j in enumerate(cols):
+            if bad[in_q, t].any():
+                retry.append(j)
+            elif bad[:, t].any():
+                return None
+        return retry
+
+    if r == 0:
+        return KernelLift(0, pivots, free, num, den) if verified(pending) == [] else None
+
+    lu = lu[:r, pivots]
+    m = b[np.ix_(rows_q, pivots)]
+    res = -b[np.ix_(rows_q, free)]
+    # the residual stays below 2^(bits(b) + bits(r) + 1) in absolute value
+    fast = b.dtype != object and _bits(b) + r.bit_length() <= 53
+    if not fast:
+        res = res.astype(object)
+    # Columns are reconstructed only once the probe, a combination of all
+    # entries with row and column weights in 1..64, reconstructs to the same
+    # fraction at two successive moduli.  The weights are hashed from the
+    # indices: periodic ones cancel against the structure of graded maps and
+    # let the probe settle long before the columns.  With H the Hadamard bound of
+    # [M | y], a lucky prime reconstructs every column once the modulus
+    # passes 2 H^2 and the probe once it passes 2^(13 + bits(r) + bits(k)) H^2
+    # (the columns share the denominator det M); one step more makes the
+    # probe stable.
+    limit = 2 * _hadamard_bits(m, res) + 14 + r.bit_length() + k.bit_length() + p.bit_length()
+    solve = _lu_solver(lu, p)
+    acc = np.zeros((r, k), dtype=object)
+    row_weights = 1 + (np.arange(r, dtype=np.int64) * 2654435761 >> 16) % 64
+    col_weights = [1 + (j * 2654435761 >> 16) % 64 for j in range(k)]
+    mixed, probe, modulus, hint = 0, None, 1, 1
+    while pending:
+        if modulus.bit_length() > limit:
+            return None
+        digit = solve(_mod(res, p))
+        acc += digit.astype(object) * modulus
+        mixed += modulus * sum(w * v for w, v in zip(col_weights, (row_weights @ digit).tolist()))
+        if fast:
+            q, rem = _divmod_product(m, digit, p)
+            res = (res - rem) // p - q
+        else:
+            res = (res - _product(m, digit)) // p
+        modulus *= p
+        guess = _ratrecon(mixed, modulus, isqrt(modulus >> 1))
+        stable, probe = guess is not None and guess == probe, guess
+        if not stable:
+            continue
+        ready = []
+        for j in pending:
+            # the columns share the denominator det M: start from the last one
+            got = _reconstruct(acc[:, j], modulus, hint)
+            if got is None and hint > 1:
+                got = _reconstruct(acc[:, j], modulus)
+            if got is not None:
+                num[:, j], den[j] = got
+                hint = den[j]
+                ready.append(j)
+        if ready:
+            retry = verified(ready)
+            if retry is None:
+                return None
+            done = set(ready) - set(retry)
+            pending = [j for j in pending if j not in done]
+    return KernelLift(r, pivots, free, num, den)
+
+
+# -- public entry points ----------------------------------------------------
+
+
 def rank(m: ExactMatrix) -> int:
-    """Exact rank over Q."""
+    """Certified exact rank over Q.
+
+    The engine runs on the short side (A, or A^T when A is wide), whose
+    kernel is the smaller one: k_right - k_left = ncols - nrows.
+    """
     if m.nrows == 0 or m.ncols == 0:
         return 0
+    b = m.array if m.ncols <= m.nrows else m.array.T
+    for p in PRIMES:
+        lift = lift_kernel(b, p)
+        if lift is not None:
+            return lift.rank
     return _rank_integer(m.rows, m.ncols)
 
 
@@ -149,75 +557,12 @@ def kernel_dim(m: ExactMatrix) -> int:
     return m.ncols - rank(m)
 
 
-_FLOAT_SAFE = float(1 << 52)
-
-
-def _rank_mod_p_float(rows: list[list[int]], ncols: int, p: int) -> int:
-    """GF(p) rank for small p (< 2^21) via float64 with lazy reduction.
-
-    Products stay below 2^42 so many outer-product updates can accumulate
-    exactly in float64 before a single fmod sweep; this is the fast path the
-    property suites lean on.
-    """
-    mat = np.array([[v % p for v in row] for row in rows], dtype=np.float64)
-    nrows = mat.shape[0]
-    r = 0
-    slack = float(p) * p
-    budget = _FLOAT_SAFE
-    for col in range(ncols):
-        if r == nrows:
-            break
-        colv = np.fmod(mat[r:, col], p)
-        mat[r:, col] = colv
-        nz = np.nonzero(colv)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        mat[r, col:] = np.fmod(mat[r, col:], p)
-        inv = pow(int(mat[r, col]) % p, -1, p)
-        mat[r, col:] = np.fmod(mat[r, col:] * inv, p)
-        below = mat[r + 1 :, col]
-        sel = np.nonzero(below)[0]
-        if sel.size:
-            mat[r + 1 + sel, col:] -= np.outer(below[sel], mat[r, col:])
-        r += 1
-        budget -= slack
-        if budget < slack:
-            mat[r:, col:] = np.fmod(mat[r:, col:], p)
-            budget = _FLOAT_SAFE
-    return r
-
-
-def _rank_mod_p(rows: list[list[int]], ncols: int, p: int) -> int:
-    """Row reduction over GF(p); p must fit products in int64 (p < 2^31)."""
+def _rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank over GF(p); p must fit products in int64 (p < 2^31)."""
     if p >= 1 << 31:
         raise ValueError("prime too large for the int64 kernel")
-    if p < 1 << 21:
-        return _rank_mod_p_float(rows, ncols, p)
-    mat = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    nrows = mat.shape[0]
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(mat[r:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        inv = pow(int(mat[r, col]), -1, p)
-        mat[r, col:] = (mat[r, col:] * inv) % p
-        below = mat[r + 1 :, col]
-        sel = np.nonzero(below)[0]
-        if sel.size:
-            mat[r + 1 + sel, col:] = (
-                mat[r + 1 + sel, col:] - np.outer(below[sel], mat[r, col:])
-            ) % p
-        r += 1
-    return r
+    pivots, _ = _eliminate(_mod(a, p), p)
+    return len(pivots)
 
 
 def modular_rank_with_check(m: ExactMatrix, primes: Sequence[int]) -> int:
@@ -233,7 +578,7 @@ def modular_rank_with_check(m: ExactMatrix, primes: Sequence[int]) -> int:
         raise ValueError("primes must exceed 2^20")
     if m.nrows == 0 or m.ncols == 0:
         return 0
-    ranks = [_rank_mod_p(m.rows, m.ncols, p) for p in primes]
+    ranks = [_rank_mod_p(m.array, p) for p in primes]
     best = max(ranks)
     if all(r == best for r in ranks):
         return best
@@ -275,18 +620,17 @@ def kernel_basis(m: ExactMatrix) -> list[list[Fraction]]:
     """Exact basis of the right kernel, one vector per free column.
 
     Deterministic: free columns in increasing order, each basis vector has a 1
-    in its free coordinate.
+    in its free coordinate and 0 in the others -- the basis read off the RREF
+    over Q.  A prime whose pivot columns differ from those over Q is rejected
+    like an unlucky one; the last resort is `rref_fraction`.
     """
     if m.ncols == 0:
         return []
-    if m.nrows == 0:
-        basis = []
-        for j in range(m.ncols):
-            v = [Fraction(0)] * m.ncols
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    rref, pivots = rref_fraction([[Fraction(v) for v in row] for row in m.rows], m.ncols)
+    for p in PRIMES:
+        lift = lift_kernel(m.array, p)
+        if lift is not None and lift.is_rref():
+            return lift.basis(m.ncols)
+    rref, pivots = rref_fraction(m.rows, m.ncols)
     pivot_set = set(pivots)
     basis = []
     for j in range(m.ncols):

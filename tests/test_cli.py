@@ -122,6 +122,26 @@ class TestExitCodes:
         spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
         assert main(["report", str(spec), "--quiet"]) == EXIT_MULTIPLICITY
 
+    @pytest.mark.parametrize(
+        "modp",
+        ["abc", "2000000", "4294967311", "97", "1060937,1060937"],
+        ids=["not-integer", "composite", "too-large", "too-small", "repeated"],
+    )
+    def test_invalid_modp(self, generic4_spec, capsys, modp):
+        assert main(["hilbert", str(generic4_spec), "--modp", modp]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --modp") and err.count("\n") == 1
+
+    def test_invalid_options_primes(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            "badprimes",
+            {"factors": ["x", "y", "z"], "options": {"field": "modp", "primes": ["x"]}},
+        )
+        assert main(["hilbert", str(spec)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: options.primes") and err.count("\n") == 1
+
 
 class TestVerifyCorpus:
     SMALL = ["generic4", "nodal4", "smooth4", "triangle_cubic"]

@@ -2,14 +2,24 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecurves import ExactMatrix, kernel_basis, kernel_dim, modular_rank_with_check, rank
-from planecurves.linalg import EchelonAccumulator, rref_fraction
+from planecurves import linalg
+from planecurves.linalg import (
+    PRIMES,
+    EchelonAccumulator,
+    _nonzero_entries,
+    _rank_integer,
+    lift_kernel,
+    rref_fraction,
+)
 
 P1 = 1060937
 P2 = 536969711
@@ -110,6 +120,15 @@ class TestModular:
             m = ExactMatrix(rows)
             assert modular_rank_with_check(m, (P1, P2)) == rank(m)
 
+    def test_lazy_reduction_with_large_prime(self):
+        # p near 2^30 leaves room for 8 lazy updates between reductions
+        rng = random.Random(5)
+        left = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(40)]
+        right = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(24)]
+        rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)] for lr in left]
+        m = ExactMatrix(rows)
+        assert modular_rank_with_check(m, (1073741789,)) == rank(m) == 24
+
     def test_float_path_agrees(self):
         rng = random.Random(11)
         for _ in range(20):
@@ -151,3 +170,181 @@ class TestEchelonAccumulator:
         acc.add([1, 0, 0])
         residue = acc.reduce([5, 0, 7])
         assert residue == [Fraction(0), Fraction(0), Fraction(7)]
+
+
+# -- the certified engine against independent oracles -----------------------
+
+SMALL = st.integers(min_value=-20, max_value=20)
+# entries at and past the int64-safe range of the lift and of the check
+HUGE = st.one_of(
+    SMALL,
+    st.integers(min_value=1 << 30, max_value=1 << 66),
+    st.integers(min_value=-(1 << 66), max_value=-(1 << 30)),
+)
+
+
+@st.composite
+def int64_rows(draw, max_dim=6):
+    """Entries below 2^bits for one bits <= 59, times at most 9, so still
+    int64; some columns and then some rows are small multiples of earlier
+    ones, so both kernels are usually nonzero."""
+    bits = draw(st.integers(min_value=1, max_value=59))
+    entry = st.integers(min_value=-(1 << bits), max_value=1 << bits)
+    small = st.integers(min_value=-3, max_value=3)
+    nrows = draw(st.integers(min_value=2, max_value=max_dim))
+    ncols = draw(st.integers(min_value=2, max_value=max_dim))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for j in range(1, ncols):
+        if draw(st.booleans()):
+            src, k = draw(st.integers(min_value=0, max_value=j - 1)), draw(small)
+            for row in rows:
+                row[j] = k * row[src]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            src, k = draw(st.integers(min_value=0, max_value=i - 1)), draw(small)
+            rows[i] = [k * v for v in rows[src]]
+    return rows
+
+
+@st.composite
+def structured_rows(draw, entries=SMALL, max_dim=9):
+    """Tall or wide, rank-deficient (a product through a thinner inner
+    dimension), with some rows zeroed."""
+    nrows = draw(st.integers(min_value=1, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    inner = draw(st.integers(min_value=1, max_value=max(nrows, ncols)))
+    left = [[draw(entries) for _ in range(inner)] for _ in range(nrows)]
+    right = [[draw(entries) for _ in range(ncols)] for _ in range(inner)]
+    zeroed = draw(st.sets(st.integers(min_value=0, max_value=nrows - 1), max_size=nrows // 2))
+    rows = []
+    for i, lrow in enumerate(left):
+        if i in zeroed:
+            rows.append([0] * ncols)
+        else:
+            rows.append([sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)])
+    return rows
+
+
+def rref_kernel(rows, ncols):
+    """Kernel basis read off the Fraction RREF: one vector per free column."""
+    rref, pivots = rref_fraction([[Fraction(v) for v in row] for row in rows], ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][j]
+        basis.append(v)
+    return basis
+
+
+class TestCertifiedEngine:
+    @given(structured_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_matches_integer_elimination(self, rows):
+        m = ExactMatrix(rows)
+        expected = _rank_integer(rows, m.ncols)
+        assert rank(m) == expected
+        lift = lift_kernel(m.array, PRIMES[0])
+        assert lift is not None and lift.rank == expected
+
+    @given(structured_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_rref(self, rows):
+        assert kernel_basis(ExactMatrix(rows)) == rref_kernel(rows, len(rows[0]))
+
+    @given(st.one_of(structured_rows(entries=HUGE, max_dim=6), int64_rows()))
+    @settings(max_examples=120, deadline=None)
+    def test_huge_entries_rank(self, rows):
+        """Entries past 2^30 take the guarded (Python int) path of the lift
+        and the check: the first prime certifies, without any fallback."""
+        m = ExactMatrix(rows)
+        expected = _rank_integer(rows, m.ncols)
+        assert rank(m) == expected
+        short = m.array if m.ncols <= m.nrows else m.array.T
+        lift = lift_kernel(short, PRIMES[0])
+        assert lift is not None and lift.rank == expected
+
+    @given(st.one_of(structured_rows(entries=HUGE, max_dim=6), int64_rows()))
+    @settings(max_examples=80, deadline=None)
+    def test_huge_entries_kernel(self, rows):
+        assert kernel_basis(ExactMatrix(rows)) == rref_kernel(rows, len(rows[0]))
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[PRIMES[0]]], 1),
+            ([[1, 0], [0, PRIMES[0]]], 2),
+            ([[1, 1], [1, 1 + PRIMES[0]]], 2),  # det = p
+            ([[2, 1], [3, (3 + PRIMES[0]) // 2]], 2),  # det = p, no unit pivot
+        ],
+    )
+    def test_unlucky_first_prime(self, rows, expected):
+        """Rank drops modulo the engine's first prime; the check rejects it."""
+        assert lift_kernel(ExactMatrix(rows).array, PRIMES[0]) is None
+        assert rank(ExactMatrix(rows)) == expected
+        assert rank(ExactMatrix(rows).transpose()) == expected
+        assert kernel_basis(ExactMatrix(rows)) == rref_kernel(rows, len(rows[0]))
+
+    def test_pivot_columns_differ_mod_p(self):
+        """Rank is right mod p but the pivot moves from column 0 to column 1,
+        so the lifted kernel (1, -p) is not the RREF one (-1/p, 1)."""
+        rows = [[PRIMES[0], 1]]
+        lift = lift_kernel(ExactMatrix(rows).array, PRIMES[0])
+        assert lift.rank == 1 and not lift.is_rref()
+        assert kernel_basis(ExactMatrix(rows)) == [[Fraction(-1, PRIMES[0]), Fraction(1)]]
+
+    def test_every_prime_unlucky_reaches_integer_fallback(self, monkeypatch):
+        calls = []
+
+        def spy(rows, ncols):
+            calls.append(rows)
+            return _rank_integer(rows, ncols)
+
+        monkeypatch.setattr(linalg, "_rank_integer", spy)
+        m = ExactMatrix([[prod(PRIMES)]])
+        assert rank(m) == 1
+        assert calls == [[[prod(PRIMES)]]]
+        assert kernel_basis(m) == []
+
+    def test_int64_limits(self):
+        big = (1 << 62) - 1
+        cases = [
+            [[big, big - 1], [big - 1, big - 2]],  # det = -1
+            [[1 << 40, 1 << 41], [3 << 40, 3 << 41]],  # rank 1
+            [[1 << 70, 1], [1 << 71, 2]],  # past int64: object entries
+        ]
+        for rows in cases:
+            m = ExactMatrix(rows)
+            assert rank(m) == _rank_integer(rows, 2)
+            assert kernel_basis(m) == rref_kernel(rows, 2)
+        assert ExactMatrix(cases[0]).array.dtype == np.int64
+        assert ExactMatrix(cases[2]).array.dtype == object
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exact_check(self, data):
+        """The limb-split product test agrees with Python ints.  Column 0 of z
+        is orthogonal to row 0 of b pair by pair of coordinates, so every
+        limb product is large while the sum is 0; column 1 is random."""
+        bits = data.draw(st.integers(min_value=1, max_value=62))
+        nrows = data.draw(st.integers(min_value=1, max_value=5))
+        ncols = data.draw(st.integers(min_value=2, max_value=24))
+        top = (1 << bits) - 1
+        entry = st.one_of(st.just(top), st.just(-top), st.integers(min_value=-top, max_value=top))
+        rows = [[data.draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+        big = st.integers(min_value=-(1 << 300), max_value=1 << 300)
+        z = np.zeros((ncols, 2), dtype=object)
+        for i in range(0, ncols - 1, 2):
+            t = data.draw(big)
+            z[i, 0], z[i + 1, 0] = -rows[0][i + 1] * t, rows[0][i] * t
+        z[:, 1] = [data.draw(big) for _ in range(ncols)]
+        exact = np.dot(np.array(rows, dtype=object), z) != 0
+        assert not exact[0, 0]
+        assert np.array_equal(_nonzero_entries(np.array(rows, dtype=np.int64), z), exact)
+
+    def test_lift_needs_small_prime(self):
+        with pytest.raises(ValueError):
+            lift_kernel(ExactMatrix([[1]]).array, 67108879)  # the first prime past 2^26
