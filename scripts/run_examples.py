@@ -14,27 +14,27 @@ import sys
 import time
 from pathlib import Path
 
-from planecurves import hilbert_series, spectral_table, theorem2_report
+from planecurves import Strand, hilbert_series, spectral_table, theorem2_report
 from planecurves.cli import build_from_spec, resolve_profile
-from planecurves.milnor import RATIONAL, RankMode
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--modp", action="store_true", help="modular rank mode")
-    args = parser.parse_args()
-    mode = RankMode(kind="modular", primes=(1060937, 536969711)) if args.modp else RATIONAL
+    args = parser.parse_args(argv)
+    primes = (1060937, 536969711) if args.modp else ()
 
     for spec_path in sorted(CORPUS.glob("*.curve")):
         data = json.loads(spec_path.read_text())
         curve = build_from_spec(data)
         profile = resolve_profile(curve, data)
         t0 = time.time()
-        h = hilbert_series(curve.f, mode=mode)
-        table = spectral_table(curve.f, mode)
-        report = theorem2_report(curve.f, profile, mode)
+        strand = Strand(curve.f, primes)
+        h = hilbert_series(strand)
+        table = spectral_table(strand)
+        report = theorem2_report(strand, profile)
         elapsed = time.time() - t0
         print(f"== {spec_path.stem}  (N={curve.N}, r={curve.r}, {elapsed:.1f}s)")
         print(f"   HP(M(f)) = {h.series_str()}")

@@ -3,6 +3,7 @@ points: Milnor algebra Hilbert series, Jacobian syzygies, Koszul cohomology,
 and the Hodge-theoretic dimensions of the complement."""
 
 from .geometry import (
+    Check,
     Component,
     GeometryError,
     MultiplicityError,
@@ -33,10 +34,9 @@ from .koszul import (
 )
 from .linalg import ExactMatrix, LinalgError, kernel_basis, kernel_dim, modular_rank_with_check, rank
 from .milnor import (
-    RATIONAL,
     HilbertFunction,
     NonStabilizationError,
-    RankMode,
+    Strand,
     hilbert_series,
     milnor_dim,
     smooth_reference_dim,

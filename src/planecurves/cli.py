@@ -1,8 +1,8 @@
 """Command-line front end: .curve spec files in, text/JSON reports out.
 
 Exit codes: 0 ok, 1 theorem-guaranteed bound failure or internal error,
-2 parse error, 3 non-stabilization, 4 profile/tau mismatch, 5 multiplicity
->= 4 in an arrangement.
+2 parse error or malformed spec, 3 non-stabilization, 4 profile/tau mismatch,
+5 multiplicity >= 4 in an arrangement.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .geometry import (
+    Check,
     Component,
     GeometryError,
     MultiplicityError,
@@ -27,7 +28,7 @@ from .geometry import (
 from .hodge import ed_poly_str, hodge_deligne_U, mixed_hodge_numbers, theorem2_report
 from .koszul import spectral_table
 from .linalg import LinalgError
-from .milnor import RATIONAL, NonStabilizationError, RankMode, hilbert_series
+from .milnor import NonStabilizationError, Strand, hilbert_series
 from .polynomials import (
     Curve,
     CurveError,
@@ -60,31 +61,51 @@ def load_spec(path: Path) -> dict:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict) or "factors" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
         raise SpecFileError(f"{path}: spec must be an object with a 'factors' list")
+    for key in ("options", "profile"):
+        if data.get(key) is not None and not isinstance(data[key], dict):
+            raise SpecFileError(f"{path}: {key} must be an object")
     return data
+
+
+def _int_field(entry: dict, key: str, where: str, default: Optional[int] = None) -> Optional[int]:
+    """entry[key] as an integer >= 0, or default when it is absent or null."""
+    value = entry.get(key)
+    if value is None:
+        return default
+    if type(value) is not int or value < 0:
+        raise SpecFileError(f"{where}.{key} must be an integer >= 0, got {value!r}")
+    return value
 
 
 def build_from_spec(data: dict) -> Curve:
     factors = []
-    for entry in data["factors"]:
+    for j, entry in enumerate(data["factors"]):
         if isinstance(entry, str):
             factors.append(CurveFactor(text=entry))
+        elif isinstance(entry, dict) and isinstance(entry.get("poly"), str):
+            factors.append(CurveFactor(text=entry["poly"], genus=_int_field(entry, "genus", f"factors[{j}]")))
         else:
-            factors.append(CurveFactor(text=entry["poly"], genus=entry.get("genus")))
+            raise SpecFileError(f"factors[{j}] must be a string or an object with a 'poly' string")
     profile = data.get("profile") or {}
     spec = CurveSpec(
         factors=tuple(factors),
         declared_n=profile.get("n"),
         declared_t=profile.get("t"),
     )
-    return build_curve(spec)
+    curve = build_curve(spec)
+    if curve.N < 3:
+        raise SpecFileError(f"the curve has degree {curve.N}; need degree >= 3")
+    return curve
 
 
-def _component_from_entry(entry: dict, factor: Optional[CurveFactor], degree: int) -> Component:
-    nodes = entry.get("nodes", 0)
-    triples = entry.get("triples", 0)
-    genus = entry.get("genus")
+def _component_from_entry(
+    entry: dict, factor: Optional[CurveFactor], degree: int, where: str = "profile.components"
+) -> Component:
+    nodes = _int_field(entry, "nodes", where, 0)
+    triples = _int_field(entry, "triples", where, 0)
+    genus = _int_field(entry, "genus", where)
     if genus is None and factor is not None:
         genus = factor.genus
     if genus is None:
@@ -106,7 +127,7 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
         computed = analyze_arrangement(list(curve.factor_polys))
         if declared is not None:
             for key, got in (("n", computed.n), ("t", computed.t)):
-                want = declared.get(key)
+                want = _int_field(declared, key, "profile")
                 if want is not None and want != got:
                     raise GeometryError(
                         f"declared {key}={want} but the arrangement has {key}={got}"
@@ -117,16 +138,17 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
             "a profile with declared singularity counts is required unless all "
             "factors are linear"
         )
-    n = declared.get("n", 0)
-    t = declared.get("t", 0)
-    s = declared.get("s", 0)
+    n, t, s = (_int_field(declared, key, "profile", 0) for key in ("n", "t", "s"))
     entries = declared.get("components")
     components = []
     if entries is not None:
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise SpecFileError("profile.components must be a list of objects")
         aligned = len(entries) == len(curve.factor_polys)
         for j, entry in enumerate(entries):
             factor = curve.spec.factors[j] if aligned else None
-            degree = entry.get("degree")
+            where = f"profile.components[{j}]"
+            degree = _int_field(entry, "degree", where)
             if degree is None:
                 if not aligned:
                     raise SpecFileError(
@@ -134,12 +156,12 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
                         "not align one-to-one with the factors"
                     )
                 degree = curve.factor_degrees[j]
-            components.append(_component_from_entry(entry, factor, degree))
+            components.append(_component_from_entry(entry, factor, degree, where))
     else:
         for j, factor in enumerate(curve.spec.factors):
             components.append(_component_from_entry({}, factor, curve.factor_degrees[j]))
     interior = sum(c.triples for c in components)
-    t_prime = declared.get("t_prime", t - interior - s)
+    t_prime = _int_field(declared, "t_prime", "profile", t - interior - s)
     return SingularityProfile(
         components=tuple(components), n=n, t=t, s=s, t_prime=t_prime
     )
@@ -165,35 +187,41 @@ def _checked_primes(values, source: str) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def resolve_mode(data: dict, args) -> RankMode:
+def resolve_strand(curve: Curve, data: dict, args) -> Strand:
+    """The curve's Strand: exact, or modular on the primes of --modp or options.primes."""
     primes: tuple[int, ...] = ()
-    kind = "rational"
+    modular = False
     options = data.get("options") or {}
     if options.get("field") == "modp":
-        kind = "modular"
+        modular = True
         listed = options.get("primes", [])
         if not isinstance(listed, list):
             raise SpecFileError("options.primes must be a list of integers")
         primes = _checked_primes(listed, "options.primes")
     if getattr(args, "modp", None):
-        kind = "modular"
+        modular = True
         try:
             values = [int(t) for t in args.modp.split(",")]
         except ValueError:
             raise SpecFileError(f"--modp: {args.modp!r} is not a comma-separated list of integers") from None
         primes = _checked_primes(values, "--modp")
-    if kind == "modular" and not primes:
+    if modular and not primes:
         raise SpecFileError("modular mode needs primes (options.primes or --modp)")
-    return RankMode(kind, primes) if kind == "modular" else RATIONAL
+    return Strand(curve.f, primes)
+
+
+def resolve_k_max(data: dict, args) -> Optional[int]:
+    """--k-max, else options.k_max: the last degree to report, an integer >= 0."""
+    k_max = getattr(args, "k_max", None)
+    if k_max is not None:
+        if k_max < 0:
+            raise SpecFileError(f"--k-max must be an integer >= 0, got {k_max}")
+        return k_max
+    return _int_field(data.get("options") or {}, "k_max", "options")
 
 
 def hilbert_payload(curve: Curve, data: dict, args) -> dict:
-    options = data.get("options") or {}
-    k_max = getattr(args, "k_max", None)
-    if k_max is None:
-        k_max = options.get("k_max")
-    mode = resolve_mode(data, args)
-    h = hilbert_series(curve.f, k_max=k_max, mode=mode)
+    h = hilbert_series(resolve_strand(curve, data, args), k_max=resolve_k_max(data, args))
     payload = {"name": data.get("name"), "N": curve.N, "r": curve.r}
     payload.update(h.to_json())
     payload["series"] = h.series_str()
@@ -201,44 +229,33 @@ def hilbert_payload(curve: Curve, data: dict, args) -> dict:
 
 
 def report_payload(curve: Curve, data: dict, args) -> dict:
-    mode = resolve_mode(data, args)
-    h = hilbert_series(curve.f, k_max=(data.get("options") or {}).get("k_max"), mode=mode)
+    strand = resolve_strand(curve, data, args)
+    h = hilbert_series(strand, k_max=resolve_k_max(data, args))
     profile = resolve_profile(curve, data)
-    validation = validate_profile(curve.f, profile, mode)
+    validation = validate_profile(strand, profile)
     if not validation.ok:
         raise ProfileMismatch(validation)
     hodge = mixed_hodge_numbers(profile)
-    table = spectral_table(curve.f, mode)
-    thm2 = theorem2_report(curve.f, profile, mode)
+    table = spectral_table(strand)
+    thm2 = theorem2_report(strand, profile)
     ed = hodge.ed_polynomial
     g = (profile.N - 1) * (profile.N - 2) // 2
     audits = [
-        {
-            "name": "ED polynomial u-coefficient == gr1",
-            "lhs": ed.get((1, 0), 0),
-            "rhs": hodge.gr1,
-        },
-        {
-            "name": "ED polynomial v-coefficient + constant == gr2",
-            "lhs": ed.get((0, 1), 0) + ed.get((0, 0), 0),
-            "rhs": hodge.gr2,
-        },
-        {
-            "name": "b2 == gr1 + gr2",
-            "lhs": hodge.b2,
-            "rhs": hodge.gr1 + hodge.gr2,
-        },
-        {
-            "name": "sum g_j - t == g - tau + r - 1",
-            "lhs": profile.sum_genus - profile.t,
-            "rhs": g - h.stable_value + profile.r - 1,
-        },
+        Check("ED polynomial u-coefficient == gr1", ed.get((1, 0), 0), hodge.gr1),
+        Check(
+            "ED polynomial v-coefficient + constant == gr2",
+            ed.get((0, 1), 0) + ed.get((0, 0), 0),
+            hodge.gr2,
+        ),
+        Check("b2 == gr1 + gr2", hodge.b2, hodge.gr1 + hodge.gr2),
+        Check(
+            "sum g_j - t == g - tau + r - 1",
+            profile.sum_genus - profile.t,
+            g - h.stable_value + profile.r - 1,
+        ),
     ]
     if profile.points:
-        lhs, rhs = bezout_audit(profile)
-        audits.append({"name": "Bezout pair count", "lhs": lhs, "rhs": rhs})
-    for a in audits:
-        a["passed"] = a["lhs"] == a["rhs"]
+        audits.append(Check("Bezout pair count", *bezout_audit(profile)))
     return {
         "name": data.get("name"),
         "curve": {
@@ -253,7 +270,7 @@ def report_payload(curve: Curve, data: dict, args) -> dict:
         "spectral_table": {"entries": table.to_json(), "e2_21": table.e2_21},
         "theorem2": thm2.to_json(),
         "validation": validation.to_json(),
-        "audits": audits,
+        "audits": [a.to_json() for a in audits],
     }
 
 

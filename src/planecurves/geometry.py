@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .milnor import RATIONAL, RankMode, tau
+from .milnor import Strand, tau
 from .polynomials import Polynomial
 
 
@@ -215,7 +215,9 @@ def bezout_audit(profile: SingularityProfile) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ValidationCheck:
+class Check:
+    """A named identity lhs == rhs between two integers of the report."""
+
     name: str
     lhs: int
     rhs: int
@@ -230,7 +232,7 @@ class ValidationCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    checks: tuple[ValidationCheck, ...]
+    checks: tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
@@ -240,21 +242,20 @@ class ValidationReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
 
-def validate_profile(
-    f: Polynomial, profile: SingularityProfile, mode: RankMode = RATIONAL
-) -> ValidationReport:
+def validate_profile(f: Polynomial | Strand, profile: SingularityProfile) -> ValidationReport:
     """Cross-check declared geometry against the computed invariants.
 
     Failures are report entries, never exceptions.
     """
+    strand = Strand.of(f)
     checks = [
-        ValidationCheck("tau == n + 4t", tau(f, mode), profile.tau_expected),
-        ValidationCheck("N == sum of component degrees", f.degree(), profile.N),
+        Check("tau == n + 4t", tau(strand), profile.tau_expected),
+        Check("N == sum of component degrees", strand.N, profile.N),
     ]
     for j, c in enumerate(profile.components):
         pa = (c.degree - 1) * (c.degree - 2) // 2
         checks.append(
-            ValidationCheck(
+            Check(
                 f"component {j}: g + n_j + 3 t_j == p_a",
                 c.genus + c.nodes + 3 * c.triples,
                 pa,

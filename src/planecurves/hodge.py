@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .geometry import GeometryError, SingularityProfile
+from .geometry import Check, GeometryError, SingularityProfile
 from .koszul import er_dim
-from .milnor import RATIONAL, RankMode, milnor_dim, tau
+from .milnor import Strand, milnor_dim, tau
 from .polynomials import Polynomial
 
 EDPolynomial = dict[tuple[int, int], int]
@@ -138,27 +138,13 @@ class BoundCheck:
 
 
 @dataclass(frozen=True)
-class Identity:
-    name: str
-    lhs: int
-    rhs: int
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "passed": self.passed}
-
-
-@dataclass(frozen=True)
 class Theorem2Report:
     """Both bound statements, the F^2 = P^2 flag, and the audit identities."""
 
     part_a: BoundCheck
     part_b: BoundCheck
     f2_equals_p2: bool
-    identities: tuple[Identity, ...]
+    identities: tuple[Check, ...]
 
     @property
     def bounds_ok(self) -> bool:
@@ -174,30 +160,29 @@ class Theorem2Report:
         }
 
 
-def theorem2_report(
-    f: Polynomial, profile: SingularityProfile, mode: RankMode = RATIONAL
-) -> Theorem2Report:
+def theorem2_report(f: Polynomial | Strand, profile: SingularityProfile) -> Theorem2Report:
     """Bounds on dim M(f)_{2N-3} - tau and dim ER(f)_{N-2}, with audits."""
-    N = f.degree()
+    strand = Strand.of(f)
+    N = strand.N
     r = profile.r
     t = profile.t
     g_sum = profile.sum_genus
     g = (N - 1) * (N - 2) // 2
-    tau_c = tau(f, mode)
-    m_2n3 = milnor_dim(f, 2 * N - 3, mode)
-    er_n2 = er_dim(f, N - 2, mode)
+    tau_c = tau(strand)
+    m_2n3 = milnor_dim(strand, 2 * N - 3)
+    er_n2 = er_dim(strand, N - 2)
 
     part_a = BoundCheck(lower=0, value=m_2n3 - tau_c, upper=g_sum)
     part_b = BoundCheck(lower=max(r - 1 + t - g_sum, r - 1), value=er_n2, upper=r - 1 + t)
 
     b2_census = g + g_sum - t
     identities = [
-        Identity("dim ER(f)_{N-2} == dim M(f)_{2N-3} - (N-1)(N-2)/2", er_n2, m_2n3 - g),
-        Identity("b2 census == 2g - tau + r - 1", b2_census, 2 * g - tau_c + r - 1),
+        Check("dim ER(f)_{N-2} == dim M(f)_{2N-3} - (N-1)(N-2)/2", er_n2, m_2n3 - g),
+        Check("b2 census == 2g - tau + r - 1", b2_census, 2 * g - tau_c + r - 1),
     ]
     if t == 0:
         identities.append(
-            Identity("nodal: dim M(f)_{2N-3} == n + sum g_j", m_2n3, profile.n + g_sum)
+            Check("nodal: dim M(f)_{2N-3} == n + sum g_j", m_2n3, profile.n + g_sum)
         )
     return Theorem2Report(
         part_a=part_a,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .gradedmaps import (
@@ -21,7 +20,7 @@ from .gradedmaps import (
     s_dim,
 )
 from .linalg import EchelonAccumulator, kernel_basis
-from .milnor import RATIONAL, RankMode, jacobian_rank, milnor_dim, tau
+from .milnor import Strand, jacobian_rank, milnor_dim, tau
 from .polynomials import Monomial, Polynomial, monomial_basis
 
 
@@ -32,49 +31,44 @@ def omega_dim(m: int, k: int) -> int:
     return comb(3, m) * s_dim(k - m)
 
 
-@lru_cache(maxsize=None)
-def cross_rank(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> int:
+def cross_rank(f: Polynomial | Strand, m: int) -> int:
     """Rank of S_m^3 -> S_{m+N-1}^3, v -> grad(f) x v."""
-    if m < 0:
-        return 0
-    return mode.rank(cross_matrix(f, m))
+    return Strand.of(f).map_rank(cross_matrix, m)
 
 
-@lru_cache(maxsize=None)
-def gradient_rank(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> int:
+def gradient_rank(f: Polynomial | Strand, m: int) -> int:
     """Rank of S_m -> S_{m+N-1}^3, g -> g * grad(f)."""
-    if m < 0:
-        return 0
-    return mode.rank(gradient_column_matrix(f, m))
+    return Strand.of(f).map_rank(gradient_column_matrix, m)
 
 
-def _outgoing_rank(f: Polynomial, m: int, k: int, mode: RankMode) -> int:
+def _outgoing_rank(strand: Strand, m: int, k: int) -> int:
     """Rank of wedge-df on the degree-k piece of Omega^m."""
     if m == 0:
-        return gradient_rank(f, k, mode)
+        return gradient_rank(strand, k)
     if m == 1:
-        return cross_rank(f, k - 1, mode)
+        return cross_rank(strand, k - 1)
     if m == 2:
-        return jacobian_rank(f, k - 2, mode)
+        return jacobian_rank(strand, k - 2)
     return 0
 
 
-def koszul_h_dim(f: Polynomial, m: int, k: int, mode: RankMode = RATIONAL) -> int:
+def koszul_h_dim(f: Polynomial | Strand, m: int, k: int) -> int:
     """dim H^m(K^*(f))_k: strand kernel minus incoming rank."""
     if m < 0 or m > 3:
         return 0
     dim = omega_dim(m, k)
     if dim == 0:
         return 0
-    incoming = _outgoing_rank(f, m - 1, k - f.degree(), mode) if m > 0 else 0
-    return dim - _outgoing_rank(f, m, k, mode) - incoming
+    strand = Strand.of(f)
+    incoming = _outgoing_rank(strand, m - 1, k - strand.N) if m > 0 else 0
+    return dim - _outgoing_rank(strand, m, k) - incoming
 
 
-def er_dim(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> int:
+def er_dim(f: Polynomial | Strand, m: int) -> int:
     """dim of degree-m essential relations: H^2 of the strand at degree m+2."""
     if m < 0:
         return 0
-    return koszul_h_dim(f, 2, m + 2, mode)
+    return koszul_h_dim(f, 2, m + 2)
 
 
 def trivial_syzygy_dim(f: Polynomial, m: int) -> int:
@@ -117,7 +111,7 @@ def _vector_to_triple(vec: list[Fraction], basis: list[Monomial]) -> tuple[Polyn
     return tuple(polys)
 
 
-def syzygy_basis(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> list[SyzygyClass]:
+def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     """Deterministic basis of a complement of the trivial syzygies in degree m.
 
     Kernel vectors of the Jacobian multiplication map are reduced against a
@@ -126,7 +120,8 @@ def syzygy_basis(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> list[Syzyg
     """
     if m < 0:
         return []
-    N = f.degree()
+    strand = Strand.of(f)
+    f, N = strand.f, strand.N
     basis = monomial_basis(m)
     ncols = 3 * len(basis)
     kernel = kernel_basis(jacobian_matrix(f, m, scale_generators=False))
@@ -157,7 +152,7 @@ def syzygy_basis(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> list[Syzyg
         if not cls.is_syzygy_of(f):
             raise AssertionError("kernel vector is not a syzygy")
         classes.append(cls)
-    expected = er_dim(f, m, mode)
+    expected = er_dim(strand, m)
     if len(classes) != expected:
         raise AssertionError(
             f"essential basis size {len(classes)} != H^2 dimension {expected}"
@@ -176,13 +171,14 @@ class SpectralTable:
         return [{"p": p, "q": q, "dim": d} for p, q, d in self.entries]
 
 
-def spectral_table(f: Polynomial, mode: RankMode = RATIONAL) -> SpectralTable:
+def spectral_table(f: Polynomial | Strand) -> SpectralTable:
     """E_1^{p,q} dims at q = 0..2 plus the degenerate E_2^{2,1} dimension."""
-    N = f.degree()
+    strand = Strand.of(f)
+    N = strand.N
     entries = []
     for q in range(3):
-        entries.append((2 - q, q, koszul_h_dim(f, 2, (q + 1) * N, mode)))
+        entries.append((2 - q, q, koszul_h_dim(strand, 2, (q + 1) * N)))
     for q in range(3):
-        entries.append((3 - q, q, milnor_dim(f, (q + 1) * N - 3, mode)))
-    e2 = milnor_dim(f, 2 * N - 3, mode) - tau(f, mode)
+        entries.append((3 - q, q, milnor_dim(strand, (q + 1) * N - 3)))
+    e2 = milnor_dim(strand, 2 * N - 3) - tau(strand)
     return SpectralTable(entries=tuple(entries), e2_21=e2)

@@ -1,16 +1,18 @@
 """Graded Milnor algebra dimensions, Hilbert series and thresholds.
 
 dim M(f)_k is computed degree by degree as dim S_k minus the rank of the
-multiplication map S_{k-N+1}^3 -> S_k by the partial derivatives; the rank
-backend is exact rational by default, optionally modular with a cross-check.
+multiplication map S_{k-N+1}^3 -> S_k by the partial derivatives.  Every rank
+goes through a `Strand`, the per-curve object that owns the rank backend and
+the memo of ranks; the functions here and in `koszul`, `hodge` and `geometry`
+take f as a Polynomial (which gets a fresh exact Strand) or as a Strand (whose
+ranks are shared across calls).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Callable, Optional
 
 from .gradedmaps import jacobian_matrix, s_dim
 from .linalg import ExactMatrix, modular_rank_with_check, rank
@@ -24,42 +26,49 @@ class NonStabilizationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class RankMode:
-    """How ranks are computed: exact rational, or modular with cross-check."""
+class Strand:
+    """The Koszul strand of one curve: f, N, the rank backend and a rank memo.
 
-    kind: str = "rational"
-    primes: tuple[int, ...] = ()
+    Each (map, degree) rank is computed at most once per Strand and is freed
+    with it.  With no primes the backend is the certified exact `rank`; with
+    primes it is `modular_rank_with_check`, the uncertified opt-in path.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("rational", "modular"):
-            raise ValueError(f"unknown rank mode {self.kind!r}")
-        if self.kind == "modular" and not self.primes:
-            raise ValueError("modular mode needs at least one prime")
+    def __init__(self, f: Polynomial, primes: tuple[int, ...] = ()):
+        self.f = f
+        self.N = f.degree()
+        self.primes = tuple(primes)
+        self._ranks: dict[tuple[Callable, int], int] = {}
 
-    def rank(self, m: ExactMatrix) -> int:
-        if self.kind == "modular":
-            return modular_rank_with_check(m, self.primes)
-        return rank(m)
+    @classmethod
+    def of(cls, f: Polynomial | Strand) -> Strand:
+        """f itself if it is a Strand, else a fresh exact Strand of f."""
+        return f if isinstance(f, Strand) else cls(f)
+
+    def map_rank(self, build: Callable[[Polynomial, int], ExactMatrix], m: int) -> int:
+        """Rank of the graded map build(f, m) out of degree m; 0 for m < 0."""
+        if m < 0:
+            return 0
+        key = (build, m)
+        if key not in self._ranks:
+            matrix = build(self.f, m)
+            self._ranks[key] = (
+                modular_rank_with_check(matrix, self.primes) if self.primes else rank(matrix)
+            )
+        return self._ranks[key]
 
 
-RATIONAL = RankMode()
-
-
-@lru_cache(maxsize=None)
-def jacobian_rank(f: Polynomial, m: int, mode: RankMode = RATIONAL) -> int:
+def jacobian_rank(f: Polynomial | Strand, m: int) -> int:
     """Rank of S_m^3 -> S_{m+N-1}, (a,b,c) -> a f_x + b f_y + c f_z."""
-    if m < 0:
-        return 0
-    return mode.rank(jacobian_matrix(f, m))
+    return Strand.of(f).map_rank(jacobian_matrix, m)
 
 
-def milnor_dim(f: Polynomial, k: int, mode: RankMode = RATIONAL) -> int:
+def milnor_dim(f: Polynomial | Strand, k: int) -> int:
     """dim M(f)_k for homogeneous f of degree N >= 1."""
     if k < 0:
         return 0
-    N = f.degree()
-    return s_dim(k) - jacobian_rank(f, k - N + 1, mode)
+    strand = Strand.of(f)
+    return s_dim(k) - jacobian_rank(strand, k - strand.N + 1)
 
 
 def smooth_reference_dim(N: int, k: int) -> int:
@@ -118,21 +127,22 @@ class HilbertFunction:
         }
 
 
-def hilbert_series(
-    f: Polynomial, k_max: Optional[int] = None, mode: RankMode = RATIONAL
-) -> HilbertFunction:
+def hilbert_series(f: Polynomial | Strand, k_max: Optional[int] = None) -> HilbertFunction:
     """Dimensions dim M(f)_k for k = 0..k_max with tau, ct, st, mdr.
 
     Stabilization is asserted on the three degrees 3N-5, 3N-4, 3N-3; failure
     raises NonStabilizationError.
     """
-    N = f.degree()
-    if N < 3 or not f.is_homogeneous():
+    strand = Strand.of(f)
+    N = strand.N
+    if N < 3 or not strand.f.is_homogeneous():
         raise ValueError("need a homogeneous curve of degree >= 3")
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     top = 3 * N - 3
     k_report = top if k_max is None else k_max
     k_all = max(k_report, top)
-    dims = [milnor_dim(f, k, mode) for k in range(k_all + 1)]
+    dims = [milnor_dim(strand, k) for k in range(k_all + 1)]
     if not (dims[top] == dims[top - 1] == dims[top - 2]):
         raise NonStabilizationError(
             f"dim M(f)_k not stable on degrees {top-2}..{top}: "
@@ -158,6 +168,6 @@ def hilbert_series(
     )
 
 
-def tau(f: Polynomial, mode: RankMode = RATIONAL) -> int:
+def tau(f: Polynomial | Strand) -> int:
     """Total Tjurina number: the stable value of the Hilbert function."""
-    return hilbert_series(f, mode=mode).stable_value
+    return hilbert_series(f).stable_value

@@ -1,6 +1,9 @@
-"""Shared fixtures: named curves, corpus access, and random arrangements."""
+"""Shared fixtures: named curves, corpus access, random arrangements, and the
+modular Strands of the criterion-8 property sweep."""
 
+import functools
 import json
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 from planecurves import (
     MultiplicityError,
     Polynomial,
-    RankMode,
+    Strand,
     analyze_arrangement,
     parse_polynomial,
 )
@@ -20,7 +23,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 # One word-sized prime is enough for the bulk property sweeps; every identity
 # they assert is itself a cross-check, and unlucky primes only ever lower a
 # rank, which breaks the identities rather than masking a failure.
-MODP = RankMode(kind="modular", primes=(1060937,))
+MODP_PRIMES = (1060937,)
 
 CURVE_TEXTS = {
     "generic4": "xyz(x+y+z)",
@@ -124,3 +127,15 @@ def random_arrangements():
     rng = random.Random(20260826)
     sizes = [3] * 22 + [4] * 15 + [5] * 8 + [6] * 3 + [7] * 2
     return [random_arrangement(rng, n) for n in sizes]
+
+
+@pytest.fixture(scope="session")
+def sweep(random_arrangements):
+    """(modular Strand, profile, N) for every corpus curve and random arrangement.
+
+    One Strand per curve for the whole session, so the sweeps of criterion 8
+    share each curve's ranks.
+    """
+    items = [(curve.f, profile) for curve, profile in map(load_corpus_curve, corpus_specs())]
+    items += [(functools.reduce(operator.mul, lines), profile) for lines, profile in random_arrangements]
+    return [(Strand(f, MODP_PRIMES), profile, f.degree()) for f, profile in items]

@@ -1,8 +1,10 @@
 """Acceptance gate: every headline result, exact, one pass/fail line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
-lines.  Bulk property sweeps (criterion 8) run in modular mode for speed; the
-headline criteria 1-7 run in exact rational mode.
+lines.  The headline criteria 1-7 run on exact Strands (certified ranks).  The
+bulk property sweeps of criterion 8 run on one modular Strand per curve, built
+once per session (the `sweep` fixture), so 8a, 8b, 8c and 8f share its ranks;
+8g compares exact Strands against modular ones on every fixture.
 """
 
 import functools
@@ -12,6 +14,7 @@ import random
 import sympy
 
 from planecurves import (
+    Strand,
     analyze_arrangement,
     bezout_audit,
     er_dim,
@@ -27,8 +30,7 @@ from planecurves import (
     theorem2_report,
 )
 from planecurves.koszul import omega_dim
-from planecurves.milnor import RankMode
-from tests.conftest import MODP, corpus_specs, load_corpus_curve
+from tests.conftest import corpus_specs, load_corpus_curve
 
 
 def conclude(criterion: str, ok: bool, detail: str = ""):
@@ -50,11 +52,15 @@ def corpus_curve(name):
     raise KeyError(name)
 
 
+@functools.lru_cache(maxsize=None)
+def exact_strand(name):
+    """One exact Strand per corpus curve, shared by criteria 1-5 and 8g."""
+    return Strand(corpus_curve(name)[0].f)
+
+
 def test_criterion_1_pappus_series():
-    a1, _ = corpus_curve("pappus_a1")
-    a2, _ = corpus_curve("pappus_a2")
-    h1 = hilbert_series(a1.f)
-    h2 = hilbert_series(a2.f)
+    h1 = hilbert_series(exact_strand("pappus_a1"))
+    h2 = hilbert_series(exact_strand("pappus_a2"))
     head = (1, 3, 6, 10, 15, 21, 28, 36, 42, 46, 48, 48, 47, 45)
     ok = (
         h1.dims[:14] == head
@@ -70,9 +76,9 @@ def test_criterion_1_pappus_series():
 
 
 def test_criterion_2_four_generic_lines():
-    curve, profile = corpus_curve("generic4")
-    h = hilbert_series(curve.f)
-    report = theorem2_report(curve.f, profile)
+    _, profile = corpus_curve("generic4")
+    h = hilbert_series(exact_strand("generic4"))
+    report = theorem2_report(exact_strand("generic4"), profile)
     ok = (
         h.dims[:4] == (1, 3, 6, 7)
         and set(h.dims[4:]) == {6}
@@ -86,8 +92,7 @@ def test_criterion_2_four_generic_lines():
 
 
 def test_criterion_3_line_plus_cubic():
-    curve, _ = corpus_curve("nodal4")
-    h = hilbert_series(curve.f)
+    h = hilbert_series(exact_strand("nodal4"))
     ok = (
         h.dims[:6] == (1, 3, 6, 7, 6, 4)
         and set(h.dims[6:]) == {3}
@@ -97,11 +102,12 @@ def test_criterion_3_line_plus_cubic():
 
 
 def test_criterion_4_degree5():
-    curve, profile = corpus_curve("degree5_D4")
-    report = theorem2_report(curve.f, profile)
+    _, profile = corpus_curve("degree5_D4")
+    f = exact_strand("degree5_D4")
+    report = theorem2_report(f, profile)
     ok = (
-        milnor_dim(curve.f, 7) == 6
-        and tau(curve.f) == 4
+        milnor_dim(f, 7) == 6
+        and tau(f) == 4
         and (report.part_a.value, report.part_a.upper) == (2, 3)
         and report.part_a.verdict == "strict"
         and not report.f2_equals_p2
@@ -111,13 +117,14 @@ def test_criterion_4_degree5():
 
 
 def test_criterion_5_degree9():
-    curve, profile = corpus_curve("degree9_cubics")
-    report = theorem2_report(curve.f, profile)
+    _, profile = corpus_curve("degree9_cubics")
+    f = exact_strand("degree9_cubics")
+    report = theorem2_report(f, profile)
     # dim M(f)_16 = 36 = tau as published; the part A defect sits at 2N-3 = 15
     # where dim M(f)_15 = 38, giving value 2 (strict) and er(f)_7 = 10.
     ok = (
-        milnor_dim(curve.f, 16) == 36 == tau(curve.f)
-        and milnor_dim(curve.f, 15) == 38
+        milnor_dim(f, 16) == 36 == tau(f)
+        and milnor_dim(f, 15) == 38
         and (report.part_a.value, report.part_a.upper) == (2, 3)
         and report.part_a.verdict == "strict"
         and (report.part_b.lower, report.part_b.value, report.part_b.upper) == (8, 10, 11)
@@ -174,20 +181,11 @@ def test_criterion_7_cusp_syzygy():
 # Criterion 8: property suites over the corpus plus 50 random arrangements.
 
 
-def all_property_curves(random_arrangements):
-    """(f, profile or None, N) for every corpus curve and random arrangement."""
-    items = [(curve.f, profile, curve.N) for curve, profile in corpus()]
-    for lines, profile in random_arrangements:
-        f = functools.reduce(lambda a, b: a * b, lines)
-        items.append((f, profile, f.degree()))
-    return items
-
-
-def test_criterion_8a_strand_euler(random_arrangements):
+def test_criterion_8a_strand_euler(sweep):
     bad = []
-    for f, _, N in all_property_curves(random_arrangements):
+    for strand, _, N in sweep:
         for k in range(3 * N + 1):
-            lhs = milnor_dim(f, k + N - 3, MODP) - koszul_h_dim(f, 2, k, MODP)
+            lhs = milnor_dim(strand, k + N - 3) - koszul_h_dim(strand, 2, k)
             rhs = (
                 omega_dim(3, k + N)
                 - omega_dim(2, k)
@@ -195,26 +193,26 @@ def test_criterion_8a_strand_euler(random_arrangements):
                 - omega_dim(0, k - 2 * N)
             )
             if lhs != rhs:
-                bad.append((str(f)[:40], k))
+                bad.append((str(strand.f)[:40], k))
     conclude("8a", not bad, f"strand Euler identity, all degrees; violations: {bad}")
 
 
-def test_criterion_8b_h0_h1_vanish(random_arrangements):
+def test_criterion_8b_h0_h1_vanish(sweep):
     bad = []
-    for f, _, N in all_property_curves(random_arrangements):
+    for strand, _, N in sweep:
         for k in range(3 * N + 1):
-            if koszul_h_dim(f, 0, k, MODP) or koszul_h_dim(f, 1, k, MODP):
-                bad.append((str(f)[:40], k))
+            if koszul_h_dim(strand, 0, k) or koszul_h_dim(strand, 1, k):
+                bad.append((str(strand.f)[:40], k))
     conclude("8b", not bad, f"H^0 = H^1 = 0 everywhere; violations: {bad}")
 
 
-def test_criterion_8c_h2_is_milnor_defect(random_arrangements):
+def test_criterion_8c_h2_is_milnor_defect(sweep):
     bad = []
-    for f, _, N in all_property_curves(random_arrangements):
+    for strand, _, N in sweep:
         for k in range(3 * N + 1):
-            expected = milnor_dim(f, k + N - 3, MODP) - smooth_reference_dim(N, k + N - 3)
-            if koszul_h_dim(f, 2, k, MODP) != expected:
-                bad.append((str(f)[:40], k))
+            expected = milnor_dim(strand, k + N - 3) - smooth_reference_dim(N, k + N - 3)
+            if koszul_h_dim(strand, 2, k) != expected:
+                bad.append((str(strand.f)[:40], k))
     conclude("8c", not bad, f"H^2 = Milnor defect at every degree; violations: {bad}")
 
 
@@ -245,22 +243,22 @@ def test_criterion_8e_bezout(random_arrangements):
     conclude("8e", not bad, f"Bezout pair count on {len(profiles)} arrangements")
 
 
-def test_criterion_8f_census_identities(random_arrangements):
+def test_criterion_8f_census_identities(sweep):
     bad = []
-    for f, profile, N in all_property_curves(random_arrangements):
-        h = hilbert_series(f, mode=MODP)
+    for strand, profile, N in sweep:
+        h = hilbert_series(strand)
         g = (N - 1) * (N - 2) // 2
-        report = theorem2_report(f, profile, MODP)
+        report = theorem2_report(strand, profile)
         checks = [
             h.stable_value == profile.n + 4 * profile.t,
             # b2 identity, in the form the numbers actually satisfy:
             # sum g_j - t = g - tau + r - 1, i.e. b2 = 2g - tau + r - 1
             profile.sum_genus - profile.t == g - h.stable_value + profile.r - 1,
-            er_dim(f, N - 2, MODP) == milnor_dim(f, 2 * N - 3, MODP) - g,
+            er_dim(strand, N - 2) == milnor_dim(strand, 2 * N - 3) - g,
             report.bounds_ok,
         ]
         if not all(checks):
-            bad.append((str(f)[:40], checks))
+            bad.append((str(strand.f)[:40], checks))
     conclude("8f", not bad, f"tau, b2, ER identities and theorem bounds; violations: {bad}")
 
 
@@ -271,15 +269,16 @@ def test_criterion_8g_modular_agreement():
         p = int(sympy.nextprime(rng.randrange(1 << 29, 1 << 30)))
         if p not in primes:
             primes.append(p)
-    mode = RankMode(kind="modular", primes=tuple(primes))
     bad = []
-    for curve, _ in corpus():
-        h_rat = hilbert_series(curve.f)
-        h_mod = hilbert_series(curve.f, mode=mode)
+    for path in corpus_specs():
+        exact = exact_strand(path.stem)
+        modular = Strand(exact.f, tuple(primes))
+        h_rat = hilbert_series(exact)
+        h_mod = hilbert_series(modular)
         if h_rat.dims != h_mod.dims or h_rat.stable_value != h_mod.stable_value:
-            bad.append(str(curve.f)[:40])
-        if spectral_table(curve.f).e2_21 != spectral_table(curve.f, mode).e2_21:
-            bad.append(str(curve.f)[:40])
+            bad.append(str(exact.f)[:40])
+        if spectral_table(exact).e2_21 != spectral_table(modular).e2_21:
+            bad.append(str(exact.f)[:40])
     conclude("8g", not bad, f"modular == rational on all fixtures, primes {primes}")
 
 

@@ -1,5 +1,6 @@
 """Command line interface: spec files, output formats, exit codes, corpus check."""
 
+import importlib.util
 import json
 import shutil
 
@@ -132,6 +133,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: --modp") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("hilbert", {"factors": [3]}),
+            ("hilbert", {"factors": [{"genus": 0}]}),
+            ("hilbert", {"factors": ["x", "y", "z"], "options": [1]}),
+            ("hilbert", {"factors": ["x", "y", "z"], "profile": [1, 2]}),
+            ("hilbert", {"factors": ["x", "y", "z"], "options": {"k_max": "a"}}),
+            ("report", {"factors": ["x^3+y^3+z^3"], "profile": {"n": "a"}}),
+            ("report", {"factors": ["x^3+y^3+z^3"], "profile": {"n": 0, "components": [5]}}),
+            ("hilbert", {"factors": ["x", "y"]}),
+            ("hilbert", {"factors": "x"}),
+        ],
+        ids=[
+            "factor-not-string",
+            "factor-without-poly",
+            "options-not-object",
+            "profile-not-object",
+            "k-max-not-integer",
+            "count-not-integer",
+            "component-not-object",
+            "degree-below-3",
+            "factors-not-list",
+        ],
+    )
+    def test_malformed_spec(self, tmp_path, capsys, command, payload):
+        spec = write_spec(tmp_path, "malformed", payload)
+        assert main([command, str(spec)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_negative_k_max_flag(self, corpus_dir, capsys):
+        assert main(["hilbert", str(corpus_dir / "generic4.curve"), "--k-max", "-3"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --k-max") and err.count("\n") == 1
+
+    def test_non_integer_k_max_flag(self, corpus_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hilbert", str(corpus_dir / "generic4.curve"), "--k-max", "1.5"])
+        assert exc.value.code == EXIT_PARSE
+        assert "--k-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hilbert", "report"])
+    @pytest.mark.parametrize("k_max", [-3, 1.5, True], ids=["negative", "float", "bool"])
+    def test_invalid_options_k_max(self, tmp_path, capsys, command, k_max):
+        spec = write_spec(tmp_path, "badk", {"factors": ["x", "y", "z"], "options": {"k_max": k_max}})
+        assert main([command, str(spec)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: options.k_max") and err.count("\n") == 1
+
     def test_invalid_options_primes(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,
@@ -179,3 +231,13 @@ class TestVerifyCorpus:
         captured = capsys.readouterr()
         assert "0 fixtures" in captured.out
         assert "warning" in captured.err
+
+
+def test_run_examples_script(corpus_dir, capsys):
+    path = corpus_dir.parent / "scripts" / "run_examples.py"
+    spec = importlib.util.spec_from_file_location("run_examples", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--modp"]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("== ")]
+    assert [line.split()[1] for line in headers] == [p.stem for p in sorted(corpus_dir.glob("*.curve"))]

@@ -4,13 +4,17 @@ import pytest
 
 from planecurves import (
     NonStabilizationError,
+    Strand,
     hilbert_series,
     milnor_dim,
     parse_polynomial,
     smooth_reference_dim,
     tau,
 )
+from planecurves import gradedmaps, koszul, milnor
+from planecurves.cli import report_json_bytes
 from planecurves.gradedmaps import s_dim
+from tests.conftest import CORPUS
 
 
 class TestSeries:
@@ -102,3 +106,58 @@ class TestMilnorDim:
     def test_non_reduced_curve_does_not_stabilize(self):
         with pytest.raises(NonStabilizationError):
             hilbert_series(parse_polynomial("x^2y^2"))
+
+
+@pytest.fixture
+def rank_log(monkeypatch):
+    """(map, degree) of every rank computed, read off the builder of its matrix."""
+    log, tags = [], {}
+
+    def tagging(build):
+        def tagged(f, m):
+            matrix = build(f, m)
+            tags[id(matrix)] = (build.__name__, m)
+            return matrix
+
+        return tagged
+
+    monkeypatch.setattr(milnor, "jacobian_matrix", tagging(gradedmaps.jacobian_matrix))
+    monkeypatch.setattr(koszul, "cross_matrix", tagging(gradedmaps.cross_matrix))
+    monkeypatch.setattr(koszul, "gradient_column_matrix", tagging(gradedmaps.gradient_column_matrix))
+    exact_rank = milnor.rank
+
+    def counting_rank(matrix):
+        log.append(tags[id(matrix)])
+        return exact_rank(matrix)
+
+    monkeypatch.setattr(milnor, "rank", counting_rank)
+    return log
+
+
+class TestStrand:
+    SPEC = CORPUS / "degree9_cubics.curve"
+
+    def test_each_report_ranks_each_map_and_degree_once(self, rank_log):
+        first = report_json_bytes(self.SPEC)
+        once = list(rank_log)
+        assert len(once) == len(set(once)) == 20
+        # The memo is freed with the report: a second one ranks the same 20 again.
+        assert report_json_bytes(self.SPEC) == first
+        assert rank_log[len(once):] == once
+
+    def test_shared_across_calls(self, curves, rank_log):
+        strand = Strand(curves["nodal4"])
+        h = hilbert_series(strand)
+        computed = len(rank_log)
+        assert hilbert_series(strand) == h and tau(strand) == h.stable_value
+        assert len(rank_log) == computed > 0
+
+    def test_modular_ranks_never_answer_for_exact(self):
+        # x^3+y^3+z^3-3(1+p)xyz is smooth over Q but has three nodes mod p,
+        # where the Hesse parameter 1+p is a cube root of 1.
+        p = 1060937
+        f = parse_polynomial(f"x^3+y^3+z^3-{3 * (1 + p)}xyz")
+        modular, exact = Strand(f, (p,)), Strand(f)
+        assert tau(modular) == 3
+        assert tau(exact) == 0 == tau(f)
+        assert milnor_dim(modular, 4) == 3 and milnor_dim(exact, 4) == 0
