@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from planecurves import Strand, hilbert_series, spectral_table, theorem2_report
-from planecurves.cli import build_from_spec, resolve_profile
+from planecurves.cli import build_from_spec, fmt_threshold, resolve_profile
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
         elapsed = time.time() - t0
         print(f"== {spec_path.stem}  (N={curve.N}, r={curve.r}, {elapsed:.1f}s)")
         print(f"   HP(M(f)) = {h.series_str()}")
-        print(f"   tau={h.stable_value} ct={h.ct} st={h.st} mdr={h.mdr}")
+        print(f"   tau={h.stable_value} ct={fmt_threshold(h.ct)} st={h.st} mdr={fmt_threshold(h.mdr)}")
         print(f"   n={profile.n} t={profile.t} sum(g_j)={profile.sum_genus}")
         a, b = report.part_a, report.part_b
         print(f"   A: {a.lower} <= {a.value} <= {a.upper} ({a.verdict})"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isqrt
 from pathlib import Path
 from typing import Optional
 
@@ -88,13 +87,7 @@ def build_from_spec(data: dict) -> Curve:
             factors.append(CurveFactor(text=entry["poly"], genus=_int_field(entry, "genus", f"factors[{j}]")))
         else:
             raise SpecFileError(f"factors[{j}] must be a string or an object with a 'poly' string")
-    profile = data.get("profile") or {}
-    spec = CurveSpec(
-        factors=tuple(factors),
-        declared_n=profile.get("n"),
-        declared_t=profile.get("t"),
-    )
-    curve = build_curve(spec)
+    curve = build_curve(CurveSpec(factors=tuple(factors)))
     if curve.N < 3:
         raise SpecFileError(f"the curve has degree {curve.N}; need degree >= 3")
     return curve
@@ -167,47 +160,26 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
     )
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
-def _checked_primes(values, source: str) -> tuple[int, ...]:
-    """Moduli for modular mode: distinct primes p with 2^20 < p < 2^31."""
-    primes = []
-    for v in values:
-        if type(v) is not int:
-            raise SpecFileError(f"{source}: {v!r} is not an integer")
-        if not (1 << 20) < v < (1 << 31):
-            raise SpecFileError(f"{source}: {v} is outside 2^20 < p < 2^31")
-        if not _is_prime(v):
-            raise SpecFileError(f"{source}: {v} is not prime")
-        if v in primes:
-            raise SpecFileError(f"{source}: {v} is repeated")
-        primes.append(v)
-    return tuple(primes)
-
-
 def resolve_strand(curve: Curve, data: dict, args) -> Strand:
     """The curve's Strand: exact, or modular on the primes of --modp or options.primes."""
-    primes: tuple[int, ...] = ()
-    modular = False
+    primes, source = [], None
     options = data.get("options") or {}
     if options.get("field") == "modp":
-        modular = True
-        listed = options.get("primes", [])
-        if not isinstance(listed, list):
+        primes, source = options.get("primes", []), "options.primes"
+        if not isinstance(primes, list):
             raise SpecFileError("options.primes must be a list of integers")
-        primes = _checked_primes(listed, "options.primes")
     if getattr(args, "modp", None):
-        modular = True
+        source = "--modp"
         try:
-            values = [int(t) for t in args.modp.split(",")]
+            primes = [int(t) for t in args.modp.split(",")]
         except ValueError:
             raise SpecFileError(f"--modp: {args.modp!r} is not a comma-separated list of integers") from None
-        primes = _checked_primes(values, "--modp")
-    if modular and not primes:
+    if source and not primes:
         raise SpecFileError("modular mode needs primes (options.primes or --modp)")
-    return Strand(curve.f, primes)
+    try:
+        return Strand(curve.f, tuple(primes))
+    except ValueError as exc:
+        raise SpecFileError(f"{source}: {exc}") from None
 
 
 def resolve_k_max(data: dict, args) -> Optional[int]:
@@ -279,12 +251,14 @@ def _render_hilbert_text(payload: dict) -> str:
         f"curve: {payload.get('name') or '(unnamed)'}  N={payload['N']} r={payload['r']}",
         f"HP(M(f))(t) = {payload['series']}",
         "dims: " + ",".join(str(d) for d in payload["dims"]),
-        f"tau={payload['tau']} ct={_fmt(payload['ct'])} st={payload['st']} mdr={_fmt(payload['mdr'])}",
+        f"tau={payload['tau']} ct={fmt_threshold(payload['ct'])} st={payload['st']} "
+        f"mdr={fmt_threshold(payload['mdr'])}",
     ]
     return "\n".join(lines)
 
 
-def _fmt(v) -> str:
+def fmt_threshold(v) -> str:
+    """ct or mdr as text: None (a smooth curve) prints as inf."""
     return "inf" if v is None else str(v)
 
 
@@ -296,7 +270,7 @@ def _render_report_text(payload: dict) -> str:
     lines = [
         f"curve: {payload.get('name') or '(unnamed)'}  N={payload['curve']['N']} r={payload['curve']['r']}",
         f"HP(M(f))(t) = {h['series']}",
-        f"tau={h['tau']} ct={_fmt(h['ct'])} st={h['st']} mdr={_fmt(h['mdr'])}",
+        f"tau={h['tau']} ct={fmt_threshold(h['ct'])} st={h['st']} mdr={fmt_threshold(h['mdr'])}",
         f"profile: n={payload['profile']['n']} t={payload['profile']['t']} "
         f"s={payload['profile']['s']} t'={payload['profile']['t_prime']}",
         f"hodge: gr1={hodge['gr1']} gr2={hodge['gr2']} h21={hodge['h21']} "

@@ -1,9 +1,10 @@
 """Graded Koszul cohomology of (f_x, f_y, f_z), essential syzygies, and the
 first-page spectral table.
 
-H^m at internal degree k is computed directly from the two adjacent wedge-df
-maps of the strand, never from the Milnor-algebra difference formula (that
-formula is a cross-check, exercised in the tests).
+`koszul_h_dim` computes H^m at internal degree k directly from the two
+adjacent wedge-df maps of the strand; the tests hold it against the
+Milnor-algebra difference formula.  `spectral_table` is derived from the
+Hilbert function by that formula and ranks nothing beyond it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .gradedmaps import (
     s_dim,
 )
 from .linalg import EchelonAccumulator, kernel_basis
-from .milnor import Strand, jacobian_rank, milnor_dim, tau
+from .milnor import Strand, hilbert_series, jacobian_rank, smooth_reference_dim
 from .polynomials import Monomial, Polynomial, monomial_basis
 
 
@@ -172,13 +173,28 @@ class SpectralTable:
 
 
 def spectral_table(f: Polynomial | Strand) -> SpectralTable:
-    """E_1^{p,q} dims at q = 0..2 plus the degenerate E_2^{2,1} dimension."""
-    strand = Strand.of(f)
-    N = strand.N
-    entries = []
-    for q in range(3):
-        entries.append((2 - q, q, koszul_h_dim(strand, 2, (q + 1) * N)))
-    for q in range(3):
-        entries.append((3 - q, q, milnor_dim(strand, (q + 1) * N - 3)))
-    e2 = milnor_dim(strand, 2 * N - 3) - tau(strand)
-    return SpectralTable(entries=tuple(entries), e2_21=e2)
+    """E_1^{p,q} dims at q = 0..2 plus the degenerate E_2^{2,1} dimension.
+
+    Every entry is read off h = hilbert_series(f), with no further rank.  The
+    strand at internal degree k is
+
+        Omega^0_{k-2N} -> Omega^1_{k-N} -> Omega^2_k -> Omega^3_{k+N}
+
+    (each map is wedge df), so H^3_{k+N} = M(f)_{k+N-3}.  Its Euler
+    characteristic depends on N alone, and a smooth f_s of degree N has only
+    H^3 = M(f_s).  For a reduced f the Jacobian ideal has height 2, so
+    H^0 = H^1 = 0 and
+
+        dim H^2_k = dim M(f)_{k+N-3} - dim M(f_s)_{k+N-3}
+
+    (Dimca; Dimca-Sticlaru).  Moreover dim M(f)_j = tau for j >= 3N-5, which
+    `hilbert_series` checks on 3N-5..3N-3, and M(f_s)_j = 0 for j > 3N-6, so
+    H^2_{2N} = H^2_{3N} = tau.  A non-reduced f fails that check and raises
+    NonStabilizationError.
+    """
+    h = hilbert_series(f)
+    N, tau_val = h.N, h.stable_value
+    h2 = (h.dims[2 * N - 3] - smooth_reference_dim(N, 2 * N - 3), tau_val, tau_val)
+    entries = [(2 - q, q, h2[q]) for q in range(3)]
+    entries += [(3 - q, q, h.dims[(q + 1) * N - 3]) for q in range(3)]
+    return SpectralTable(entries=tuple(entries), e2_21=h.dims[2 * N - 3] - tau_val)

@@ -557,10 +557,51 @@ def kernel_dim(m: ExactMatrix) -> int:
     return m.ncols - rank(m)
 
 
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5, 7 decide every n < 3.2e9."""
+    bases = (2, 3, 5, 7)
+    if n < 2 or n in bases:
+        return n in bases
+    if any(n % a == 0 for a in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def check_primes(primes: Iterable[int]) -> tuple[int, ...]:
+    """The moduli of modular mode: distinct primes p with 2^20 < p < 2^31.
+
+    2^31 keeps every product of two residues inside int64.  Raises ValueError
+    naming the first value that breaks the rule.
+    """
+    checked: list[int] = []
+    for p in primes:
+        if type(p) is not int:
+            raise ValueError(f"{p!r} is not an integer")
+        if not (1 << 20) < p < (1 << 31):
+            raise ValueError(f"{p} is outside 2^20 < p < 2^31")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p in checked:
+            raise ValueError(f"{p} is repeated")
+        checked.append(p)
+    return tuple(checked)
+
+
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank over GF(p); p must fit products in int64 (p < 2^31)."""
-    if p >= 1 << 31:
-        raise ValueError("prime too large for the int64 kernel")
+    """Rank over GF(p) for a prime accepted by `check_primes`."""
     pivots, _ = _eliminate(_mod(a, p), p)
     return len(pivots)
 
@@ -571,11 +612,7 @@ def modular_rank_with_check(m: ExactMatrix, primes: Sequence[int]) -> int:
     A prime where the rank drops is unlucky; on disagreement between primes
     the rational rank is recomputed and must confirm the maximum.
     """
-    primes = list(primes)
-    if len(set(primes)) != len(primes):
-        raise ValueError("primes must be distinct")
-    if any(p <= (1 << 20) for p in primes):
-        raise ValueError("primes must exceed 2^20")
+    primes = check_primes(primes)
     if m.nrows == 0 or m.ncols == 0:
         return 0
     ranks = [_rank_mod_p(m.array, p) for p in primes]

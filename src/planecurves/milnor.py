@@ -15,7 +15,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .gradedmaps import jacobian_matrix, s_dim
-from .linalg import ExactMatrix, modular_rank_with_check, rank
+from .linalg import ExactMatrix, check_primes, modular_rank_with_check, rank
 from .polynomials import Polynomial
 
 
@@ -31,13 +31,14 @@ class Strand:
 
     Each (map, degree) rank is computed at most once per Strand and is freed
     with it.  With no primes the backend is the certified exact `rank`; with
-    primes it is `modular_rank_with_check`, the uncertified opt-in path.
+    primes it is `modular_rank_with_check`, the uncertified opt-in path, and
+    the primes must pass `check_primes` (ValueError otherwise).
     """
 
     def __init__(self, f: Polynomial, primes: tuple[int, ...] = ()):
         self.f = f
         self.N = f.degree()
-        self.primes = tuple(primes)
+        self.primes = check_primes(primes)
         self._ranks: dict[tuple[Callable, int], int] = {}
 
     @classmethod

@@ -373,8 +373,6 @@ class CurveSpec:
     """A curve given as a product of declared-irreducible factors."""
 
     factors: tuple[CurveFactor, ...]
-    declared_n: Optional[int] = None
-    declared_t: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -239,5 +239,8 @@ def test_run_examples_script(corpus_dir, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.main(["--modp"]) == 0
-    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("== ")]
+    out = capsys.readouterr().out.splitlines()
+    headers = [line for line in out if line.startswith("== ")]
     assert [line.split()[1] for line in headers] == [p.stem for p in sorted(corpus_dir.glob("*.curve"))]
+    smooth = out[out.index(next(h for h in headers if h.split()[1] == "smooth4")) + 2].split()
+    assert "ct=inf" in smooth and "mdr=inf" in smooth

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from planecurves import (
+    NonStabilizationError,
     er_dim,
     koszul_h_dim,
     milnor_dim,
@@ -182,13 +183,21 @@ class TestSpectralTable:
         # tau = 0, so E2^{2,1} is the full smooth value of dim M(f)_{2N-3}
         assert table.e2_21 == smooth_reference_dim(4, 5)
 
-    def test_entries_match_direct_dims(self, curves):
-        f = curves["generic4"]
-        N = f.degree()
-        table = spectral_table(f)
-        for p, q, d in table.entries:
-            k = (q + 1) * N
-            if p + q == 2:
-                assert d == koszul_h_dim(f, 2, k)
-            else:
-                assert d == milnor_dim(f, k - 3)
+    def test_entries_match_direct_dims(self, sweep):
+        # The table is derived from the Hilbert function; the direct strand
+        # ranks (already memoized by criteria 8a-8c) must agree with it.
+        for strand, _, N in sweep:
+            table = spectral_table(strand)
+            for p, q, d in table.entries:
+                k = (q + 1) * N
+                if p + q == 2:
+                    assert d == koszul_h_dim(strand, 2, k)
+                else:
+                    assert d == milnor_dim(strand, k - 3)
+            tau_val = tau(strand)
+            assert table.e2_21 == milnor_dim(strand, 2 * N - 3) - tau_val
+            assert all(milnor_dim(strand, j) == tau_val for j in range(3 * N - 3, 4 * N - 2))
+
+    def test_non_reduced_curve_raises(self):
+        with pytest.raises(NonStabilizationError):
+            spectral_table(parse_polynomial("x^2y^2"))

@@ -140,8 +140,11 @@ class TestStrand:
     def test_each_report_ranks_each_map_and_degree_once(self, rank_log):
         first = report_json_bytes(self.SPEC)
         once = list(rank_log)
-        assert len(once) == len(set(once)) == 20
-        # The memo is freed with the report: a second one ranks the same 20 again.
+        # Only the jacobian ranks of the Hilbert series, m = 0..2N-2 for N = 9:
+        # the spectral table is derived from them.
+        assert len(once) == len(set(once)) == 17
+        assert all(build == "jacobian_matrix" and m <= 16 for build, m in once)
+        # The memo is freed with the report: a second one ranks the same 17 again.
         assert report_json_bytes(self.SPEC) == first
         assert rank_log[len(once):] == once
 
@@ -151,6 +154,15 @@ class TestStrand:
         computed = len(rank_log)
         assert hilbert_series(strand) == h and tau(strand) == h.stable_value
         assert len(rank_log) == computed > 0
+
+    @pytest.mark.parametrize(
+        "primes",
+        [(1048578,), (1065023,), (2**31 + 11,), (1060937, 1060937)],
+        ids=["even", "composite", "too-large", "repeated"],
+    )
+    def test_rejects_bad_primes(self, curves, primes):
+        with pytest.raises(ValueError):
+            Strand(curves["generic4"], primes)
 
     def test_modular_ranks_never_answer_for_exact(self):
         # x^3+y^3+z^3-3(1+p)xyz is smooth over Q but has three nodes mod p,
