@@ -3,9 +3,10 @@
 
 Usage: python scripts/run_examples.py [--modp]
 
-With --modp the rank computations run modulo two word-sized primes (much
-faster for the degree-9 curves); without it everything is exact rational
-arithmetic.
+With --modp the rank computations run modulo two word-sized primes (faster
+for the degree-9 curves that are not line arrangements); without it every
+rank is exact and certified.  Each curve's Strand comes from
+`cli.resolve_strand`, as in the CLI.
 """
 
 import argparse
@@ -14,8 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from planecurves import Strand, hilbert_series, spectral_table, theorem2_report
-from planecurves.cli import build_from_spec, fmt_threshold, resolve_profile
+from planecurves import hilbert_series, spectral_table, theorem2_report
+from planecurves.cli import build_from_spec, fmt_threshold, resolve_profile, resolve_strand
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -24,14 +25,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--modp", action="store_true", help="modular rank mode")
     args = parser.parse_args(argv)
-    primes = (1060937, 536969711) if args.modp else ()
+    modp = argparse.Namespace(modp="1060937,536969711" if args.modp else None)
 
     for spec_path in sorted(CORPUS.glob("*.curve")):
         data = json.loads(spec_path.read_text())
         curve = build_from_spec(data)
         profile = resolve_profile(curve, data)
         t0 = time.time()
-        strand = Strand(curve.f, primes)
+        strand = resolve_strand(curve, data, modp)
         h = hilbert_series(strand)
         table = spectral_table(strand)
         report = theorem2_report(strand, profile)

@@ -19,6 +19,7 @@ from .geometry import (
     GeometryError,
     MultiplicityError,
     SingularityProfile,
+    SingularPoint,
     analyze_arrangement,
     bezout_audit,
     genus_from_counts,
@@ -160,8 +161,21 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
     )
 
 
+def _arrangement_points(curve: Curve) -> tuple[SingularPoint, ...]:
+    """The singular points of an all-linear curve; none for any other curve
+    or for an arrangement with a point on four or more lines."""
+    if any(d != 1 for d in curve.factor_degrees):
+        return ()
+    try:
+        return analyze_arrangement(list(curve.factor_polys)).points
+    except MultiplicityError:
+        return ()
+
+
 def resolve_strand(curve: Curve, data: dict, args) -> Strand:
-    """The curve's Strand: exact, or modular on the primes of --modp or options.primes."""
+    """The curve's Strand: modular on the primes of --modp or options.primes,
+    else exact, with the singular points of an arrangement, from which its
+    Hilbert function is certified and derived (`milnor`)."""
     primes, source = [], None
     options = data.get("options") or {}
     if options.get("field") == "modp":
@@ -176,6 +190,8 @@ def resolve_strand(curve: Curve, data: dict, args) -> Strand:
             raise SpecFileError(f"--modp: {args.modp!r} is not a comma-separated list of integers") from None
     if source and not primes:
         raise SpecFileError("modular mode needs primes (options.primes or --modp)")
+    if not source:
+        return Strand(curve.f, points=_arrangement_points(curve))
     try:
         return Strand(curve.f, tuple(primes))
     except ValueError as exc:

@@ -221,6 +221,10 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*/^])|([A-Za-z_]))")
 
+# Parentheses nest at most this deep: the parser recurses once per level, and
+# the limit stays well inside Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     """Recursive-descent parser for the curve-equation grammar.
@@ -236,6 +240,7 @@ class _Parser:
         self.tokens: list[tuple[str, str, int]] = []
         self._tokenize()
         self.i = 0
+        self.depth = 0
 
     def _tokenize(self) -> None:
         pos = 0
@@ -339,7 +344,11 @@ class _Parser:
                 p = p ** self._parse_uint()
             return p
         if tok[0] == "op" and tok[1] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
+            self.depth += 1
             p = self.parse_expr()
+            self.depth -= 1
             self._expect_op(")")
             nxt = self._peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "^":

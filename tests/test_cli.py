@@ -1,5 +1,6 @@
 """Command line interface: spec files, output formats, exit codes, corpus check."""
 
+import argparse
 import importlib.util
 import json
 import shutil
@@ -12,8 +13,10 @@ from planecurves.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PROFILE,
+    build_from_spec,
     main,
     report_json_bytes,
+    resolve_strand,
 )
 
 
@@ -45,6 +48,12 @@ class TestHilbertCommand:
         assert main(["hilbert", str(generic4_spec), "--format", "json", "--k-max", "10"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert len(data["dims"]) == 11
+
+    def test_huge_k_max_is_filled_with_tau(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "triangle", {"factors": ["x", "y", "z"], "options": {"k_max": 100000}})
+        assert main(["hilbert", str(spec), "--format", "json"]) == EXIT_OK
+        dims = json.loads(capsys.readouterr().out)["dims"]
+        assert len(dims) == 100001 and dims[:2] == [1, 3] and set(dims[1:]) == {3}
 
     def test_modular_mode_matches(self, generic4_spec, capsys):
         main(["hilbert", str(generic4_spec), "--format", "json"])
@@ -122,6 +131,18 @@ class TestExitCodes:
     def test_four_concurrent_lines(self, tmp_path):
         spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
         assert main(["report", str(spec), "--quiet"]) == EXIT_MULTIPLICITY
+
+    def test_four_concurrent_lines_hilbert(self, tmp_path, capsys):
+        # out of the A1/D4 scope, so no local duality: the direct path answers
+        spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
+        assert main(["hilbert", str(spec), "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["dims"] == [1, 3, 6, 8] + [9] * 6
+
+    def test_deeply_nested_factor(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, "deep", {"factors": ["(" * 400 + "x" + ")" * 400, "y", "z"]})
+        assert main(["hilbert", str(spec)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: parentheses nested deeper") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "modp",
@@ -244,3 +265,18 @@ def test_run_examples_script(corpus_dir, capsys):
     assert [line.split()[1] for line in headers] == [p.stem for p in sorted(corpus_dir.glob("*.curve"))]
     smooth = out[out.index(next(h for h in headers if h.split()[1] == "smooth4")) + 2].split()
     assert "ct=inf" in smooth and "mdr=inf" in smooth
+
+
+class TestResolveStrand:
+    def strand(self, factors, modp=None):
+        data = {"factors": factors}
+        return resolve_strand(build_from_spec(data), data, argparse.Namespace(modp=modp))
+
+    def test_arrangement_gets_its_points(self):
+        strand = self.strand(["x", "y", "z", "x+y+z"])
+        assert strand.dual is not None and strand.dual.tau == 6 and strand.derived()
+
+    def test_no_points_for_other_curves(self):
+        assert self.strand(["x", "x^3+y^3+z^3"]).dual is None
+        assert self.strand(["x", "y", "x+y", "x-y"]).dual is None  # a quadruple point
+        assert self.strand(["x", "y", "z"], modp="1060937").dual is None

@@ -52,6 +52,14 @@ class TestSeries:
         assert len(h.dims) == 13
         assert set(h.dims[4:]) == {6}
 
+    @pytest.mark.parametrize("name", ["nodal4", "generic4"])
+    def test_fill_past_stable_range_matches_direct(self, curves, name):
+        f = curves[name]
+        N = f.degree()
+        h = hilbert_series(f, k_max=3 * N + 2)
+        strand = Strand(f)
+        assert h.dims[3 * N - 2:] == tuple(milnor_dim(strand, k) for k in range(3 * N - 2, 3 * N + 3))
+
     def test_series_str(self, curves):
         s = hilbert_series(curves["generic4"]).series_str()
         assert s.startswith("1+3t+6t^2+7t^3")

@@ -17,6 +17,7 @@ from planecurves import (
     monomial_basis,
     parse_polynomial,
 )
+from planecurves.polynomials import MAX_NESTING
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -125,6 +126,21 @@ class TestParser:
     @settings(max_examples=40, deadline=None)
     def test_parse_str_round_trip(self, p):
         assert parse_polynomial(str(p)) == p
+
+
+    def test_nesting_limit(self):
+        assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse_polynomial("x")
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_polynomial("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+
+    @given(st.text(alphabet="xyzab019()+-*/^ ", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_returns_polynomial_or_parse_error(self, text):
+        try:
+            p = parse_polynomial(text)
+        except ParseError:
+            return
+        assert isinstance(p, Polynomial)
 
 
 class TestRingAxioms:
