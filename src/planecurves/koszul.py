@@ -5,6 +5,13 @@ first-page spectral table.
 adjacent wedge-df maps of the strand; the tests hold it against the
 Milnor-algebra difference formula.  `spectral_table` is derived from the
 Hilbert function by that formula and ranks nothing beyond it.
+
+`syzygy_basis` works in integers until it renders the classes.  The kernel
+of the Jacobian map J_m is lifted by the certified engine as integer columns,
+each reduced against the trivial syzygies and the classes before it in an
+integer `EchelonAccumulator` whose residues are exact; one product
+J_m V = 0 over all chosen classes V certifies them, and their number must
+equal er_dim.  Fractions appear only in the rendered polynomials.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
+
 from .gradedmaps import (
     cross_matrix,
     gradient_column_matrix,
@@ -20,7 +29,7 @@ from .gradedmaps import (
     jacobian_partials,
     s_dim,
 )
-from .linalg import EchelonAccumulator, kernel_basis
+from .linalg import EchelonAccumulator, _nonzero_entries, certified_kernel
 from .milnor import Strand, hilbert_series, jacobian_rank, smooth_reference_dim
 from .polynomials import Monomial, Polynomial, monomial_basis
 
@@ -72,13 +81,13 @@ def er_dim(f: Polynomial | Strand, m: int) -> int:
     return koszul_h_dim(f, 2, m + 2)
 
 
-def trivial_syzygy_dim(f: Polynomial, m: int) -> int:
+def trivial_syzygy_dim(f: Polynomial | Strand, m: int) -> int:
     """dim of the degree-m trivial (Koszul) syzygies: 3 dim S_{m-N+1} - dim S_{m-2N+2}.
 
     Closed form for the image of v -> v x grad(f); valid for reduced f, where
     the kernel of that map is exactly the multiples of grad(f).
     """
-    N = f.degree()
+    N = Strand.of(f).N
     return 3 * s_dim(m - N + 1) - s_dim(m - 2 * N + 2)
 
 
@@ -99,66 +108,54 @@ class SyzygyClass:
         return f"({self.a})·fx + ({self.b})·fy + ({self.c})·fz = 0"
 
 
-def _vector_to_triple(vec: list[Fraction], basis: list[Monomial]) -> tuple[Polynomial, ...]:
-    n = len(basis)
-    polys = []
-    for slot in range(3):
-        terms = {}
-        for i, mon in enumerate(basis):
-            c = vec[slot * n + i]
-            if c != 0:
-                terms[mon] = Fraction(c)
-        polys.append(Polynomial(terms))
-    return tuple(polys)
+def _class_of(row: list[int], lead: int, basis: list[Monomial], m: int) -> SyzygyClass:
+    """The class of an integer row scaled to 1 at its leading column."""
+    n, pv = len(basis), row[lead]
+    a, b, c = (
+        Polynomial({mon: Fraction(v, pv) for mon, v in zip(basis, row[slot * n:(slot + 1) * n]) if v})
+        for slot in range(3)
+    )
+    return SyzygyClass(a=a, b=b, c=c, degree=m)
 
 
 def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     """Deterministic basis of a complement of the trivial syzygies in degree m.
 
-    Kernel vectors of the Jacobian multiplication map are reduced against a
-    column-echelon span of the trivial syzygies; each residue that enlarges
-    the span yields one essential class.
+    The kernel of the Jacobian map J_m comes from the certified engine as
+    integer columns (`linalg.certified_kernel`, the basis read off the RREF over
+    Q).  Each is reduced, in free-column order, against the span of the
+    trivial syzygies (the columns of the cross map out of degree m-N+1) and
+    of the classes already chosen; a nonzero residue enlarges the span and
+    yields one class, scaled to 1 at its leading column.  The residue is the
+    unique vector of its coset vanishing on the span's pivot columns, so the
+    classes do not depend on how the span is stored.  Certificates: one exact
+    product J_m V = 0 over the classes V, and their count equals er_dim.
     """
     if m < 0:
         return []
     strand = Strand.of(f)
     f, N = strand.f, strand.N
-    basis = monomial_basis(m)
-    ncols = 3 * len(basis)
-    kernel = kernel_basis(jacobian_matrix(f, m, scale_generators=False))
-    fx, fy, fz = jacobian_partials(f)
-    acc = EchelonAccumulator(ncols)
-    idx = {mon: i for i, mon in enumerate(basis)}
-    koszul_gens = [(fy, -fx, Polynomial.zero()), (fz, Polynomial.zero(), -fx),
-                   (Polynomial.zero(), fz, -fy)]
-    for u in monomial_basis(m - N + 1):
-        for gen in koszul_gens:
-            vec = [Fraction(0)] * ncols
-            for slot, g in enumerate(gen):
-                for mon, c in g.terms.items():
-                    vec[slot * len(basis) + idx[(mon[0] + u[0], mon[1] + u[1], mon[2] + u[2])]] = c
-            acc.add(vec)
-    classes = []
-    for vec in kernel:
-        res = acc.reduce(vec)
-        lead = next((i for i, v in enumerate(res) if v != 0), None)
-        if lead is None:
-            continue
-        pv = res[lead]
-        res = [v / pv for v in res]
-        acc.rows.append(res)
-        acc.pivots.append(lead)
-        a, b, c = _vector_to_triple(res, basis)
-        cls = SyzygyClass(a=a, b=b, c=c, degree=m)
-        if not cls.is_syzygy_of(f):
+    matrix = jacobian_matrix(f, m, scale_generators=False)
+    kernel = certified_kernel(matrix)
+    strand.remember(jacobian_matrix, m, kernel.rank)
+    acc = EchelonAccumulator(matrix.ncols)
+    for col in cross_matrix(f, m - N + 1).array.T.tolist():
+        acc.add(col)
+    chosen = []
+    for vec in kernel.columns().T.tolist():
+        if acc.add(vec):
+            chosen.append(len(acc.rows) - 1)
+    if chosen:
+        classes = np.array([acc.rows[i] for i in chosen], dtype=object).T
+        if _nonzero_entries(matrix.array, classes).any():
             raise AssertionError("kernel vector is not a syzygy")
-        classes.append(cls)
     expected = er_dim(strand, m)
-    if len(classes) != expected:
+    if len(chosen) != expected:
         raise AssertionError(
-            f"essential basis size {len(classes)} != H^2 dimension {expected}"
+            f"essential basis size {len(chosen)} != H^2 dimension {expected}"
         )
-    return classes
+    basis = monomial_basis(m)
+    return [_class_of(acc.rows[i], acc.pivots[i], basis, m) for i in chosen]
 
 
 @dataclass(frozen=True)

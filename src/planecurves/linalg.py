@@ -17,7 +17,7 @@ Pivoting is "first nonzero in column order" throughout, for determinism.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,22 +34,20 @@ class LinalgError(RuntimeError):
     """Internal inconsistency, e.g. persistent modular/rational disagreement."""
 
 
+def _over_common_denominator(row: Sequence) -> tuple[list[int], int]:
+    """(w, d): integers w and the least positive d with row = w / d."""
+    if all(type(v) is int for v in row):
+        return list(row), 1
+    fracs = [Fraction(v) for v in row]
+    d = lcm(*(v.denominator for v in fracs))
+    return [int(v * d) for v in fracs], d
+
+
 def _row_to_int(row: Sequence) -> list[int]:
     """Scale a row of rationals to coprime integers (rank-preserving)."""
-    fracs = [Fraction(v) for v in row]
-    lcm = 1
-    for v in fracs:
-        d = v.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(v * lcm) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    ints, _ = _over_common_denominator(row)
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 def int_dtype(values: Iterable[int]):
@@ -407,15 +405,18 @@ class KernelLift(NamedTuple):
         later = np.array(self.pivots, dtype=int)[:, None] > np.array(self.free, dtype=int)[None, :]
         return not (later & (self.num != 0)).any()
 
-    def basis(self, ncols: int) -> list[list[Fraction]]:
-        out = []
-        for j, col in enumerate(self.free):
-            v = [Fraction(0)] * ncols
-            v[col] = Fraction(1)
-            for i, pc in enumerate(self.pivots):
-                v[pc] = Fraction(int(self.num[i, j]), self.den[j])
-            out.append(v)
-        return out
+    def columns(self, cols: Optional[Sequence[int]] = None) -> np.ndarray:
+        """The integer vectors den[j] v_j, j in cols (default all), as the
+        columns of an object array."""
+        cols = range(len(self.free)) if cols is None else cols
+        z = np.zeros((len(self.pivots) + len(self.free), len(cols)), dtype=object)
+        for t, j in enumerate(cols):
+            z[self.pivots, t] = self.num[:, j]
+            z[self.free[j], t] = self.den[j]
+        return z
+
+    def basis(self) -> list[list[Fraction]]:
+        return [[Fraction(v, d) for v in col] for col, d in zip(self.columns().T.tolist(), self.den)]
 
 
 def _hadamard_bits(a: np.ndarray, b: np.ndarray) -> int:
@@ -461,11 +462,7 @@ def lift_kernel(b: np.ndarray, p: int) -> Optional[KernelLift]:
 
     def verified(cols: list[int]) -> Optional[list[int]]:
         """Columns whose candidate failed on Q; None if one failed only off Q."""
-        z = np.zeros((ncols, len(cols)), dtype=object)
-        for t, j in enumerate(cols):
-            z[pivots, t] = num[:, j]
-            z[free[j], t] = den[j]
-        bad = _nonzero_entries(b, z)
+        bad = _nonzero_entries(b, KernelLift(r, pivots, free, num, den).columns(cols))
         retry = []
         for t, j in enumerate(cols):
             if bad[in_q, t].any():
@@ -653,65 +650,86 @@ def rref_fraction(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fra
     return work[:r], pivots
 
 
-def kernel_basis(m: ExactMatrix) -> list[list[Fraction]]:
-    """Exact basis of the right kernel, one vector per free column.
+def certified_kernel(m: ExactMatrix) -> KernelLift:
+    """Certified right kernel of m, normalized as the basis read off the RREF
+    over Q: v_j has 1 in free column free[j] and 0 in the other free columns.
 
-    Deterministic: free columns in increasing order, each basis vector has a 1
-    in its free coordinate and 0 in the others -- the basis read off the RREF
-    over Q.  A prime whose pivot columns differ from those over Q is rejected
-    like an unlucky one; the last resort is `rref_fraction`.
+    The lift of the first prime whose pivot columns are those over Q (a prime
+    whose pivot columns differ is rejected like an unlucky one); the last
+    resort reads the kernel off `rref_fraction`.
     """
-    if m.ncols == 0:
-        return []
     for p in PRIMES:
         lift = lift_kernel(m.array, p)
         if lift is not None and lift.is_rref():
-            return lift.basis(m.ncols)
+            return lift
     rref, pivots = rref_fraction(m.rows, m.ncols)
     pivot_set = set(pivots)
-    basis = []
-    for j in range(m.ncols):
-        if j in pivot_set:
-            continue
-        v = [Fraction(0)] * m.ncols
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][j]
-        basis.append(v)
-    return basis
+    free = [j for j in range(m.ncols) if j not in pivot_set]
+    num = np.zeros((len(pivots), len(free)), dtype=object)
+    den = []
+    for j, col in enumerate(free):
+        ints, d = _over_common_denominator([-row[col] for row in rref])
+        num[:, j] = ints
+        den.append(d)
+    return KernelLift(len(pivots), pivots, free, num, den)
+
+
+def kernel_basis(m: ExactMatrix) -> list[list[Fraction]]:
+    """Exact basis of the right kernel read off the RREF over Q, one vector
+    per free column in increasing order (`certified_kernel`)."""
+    if m.ncols == 0:
+        return []
+    return certified_kernel(m).basis()
 
 
 class EchelonAccumulator:
     """Incremental row-space accumulator over Q, for quotient-space work.
 
-    Feeds vectors one at a time; `reduce` returns the residue of a vector
-    modulo the current span, `add` inserts the residue if nonzero.
+    Feeds vectors one at a time.  The span is held as primitive integer rows,
+    each with a pivot: its first nonzero column, at which every later row
+    vanishes.  `reduce` returns the residue of a vector modulo the current
+    span, the unique vector of its coset that vanishes on every pivot;
+    it is computed fraction-free, as integers over one common denominator.
+    `add` inserts the residue, made primitive, if nonzero.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list[list[Fraction]] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        v = [Fraction(x) for x in vec]
+    def _residue(self, vec: Sequence) -> tuple[list[int], int]:
+        """(w, d) with w / d the residue of vec and gcd(d, *w) = 1."""
+        v, d = _over_common_denominator(vec)
         for row, pc in zip(self.rows, self.pivots):
-            if v[pc] != 0:
-                c = v[pc]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
+            c = v[pc]
+            if c:
+                a = row[pc]
+                g = gcd(a, c) if a > 0 else -gcd(a, c)
+                a, c = a // g, c // g
+                v = [a * x - c * y for x, y in zip(v, row)]
+                d *= a
+                if d != 1:
+                    g = gcd(d, *v)
+                    if g != 1:
+                        v = [x // g for x in v]
+                        d //= g
+        return v, d
+
+    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        v, d = self._residue(vec)
+        return [Fraction(x, d) for x in v]
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         """Insert vec's residue; True if it enlarged the span."""
-        v = self.reduce(vec)
-        for col in range(self.ncols):
-            if v[col] != 0:
-                pv = v[col]
-                v = [a / pv for a in v]
-                self.rows.append(v)
-                self.pivots.append(col)
-                return True
-        return False
+        v, _ = self._residue(vec)
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        g = gcd(*v)
+        self.rows.append([x // g for x in v] if g != 1 else v)
+        self.pivots.append(lead)
+        return True
 
     @property
     def dim(self) -> int:

@@ -101,6 +101,12 @@ class Strand:
                 )
         return self._ranks[key]
 
+    def remember(self, build: Callable[[Polynomial, int], ExactMatrix], m: int, rank: int) -> None:
+        """Memoize a certified exact rank of build(f, m) found by other means
+        (a kernel lift); a modular Strand keeps its own backend."""
+        if not self.primes:
+            self._ranks.setdefault((build, m), rank)
+
     def derived(self) -> bool:
         """True when the Hilbert function below 3N-5 is read off the defects.
 

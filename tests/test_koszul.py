@@ -1,11 +1,14 @@
 """Koszul strand cohomology, essential syzygies, and the spectral table."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from planecurves import (
     NonStabilizationError,
+    Strand,
     er_dim,
     koszul_h_dim,
     milnor_dim,
@@ -16,10 +19,13 @@ from planecurves import (
     tau,
     trivial_syzygy_dim,
 )
+from planecurves import koszul, milnor
 from planecurves.gradedmaps import jacobian_partials, multiplication_matrix, s_dim
 from planecurves.koszul import omega_dim
-from planecurves.linalg import EchelonAccumulator
+from planecurves.linalg import EchelonAccumulator, KernelLift
+from planecurves.milnor import jacobian_rank
 from planecurves.polynomials import monomial_basis
+from tests.conftest import CORPUS, CURVE_TEXTS
 
 
 def strand_euler_ok(f, k):
@@ -126,7 +132,93 @@ class TestTrivialSyzygies:
             assert trivial_syzygy_dim(f, m) == self.naive_trivial_dim(f, m)
 
 
+class TestTrivialSyzygyDim:
+    def test_takes_a_strand(self, curves):
+        f = curves["generic4"]
+        strand = Strand(f)
+        assert [trivial_syzygy_dim(strand, m) for m in range(8)] == [
+            trivial_syzygy_dim(f, m) for m in range(8)
+        ]
+        assert trivial_syzygy_dim(strand, 4) == 9
+
+
+# sha256 of json.dumps([str(c) for c in syzygy_basis(f, m)]), frozen from the
+# Fraction elimination that preceded the integer one: every (curve, m) of
+# perfbench's syzygy workload, with f the product of the spec's factors, plus
+# generic4 and cusp3 past N-2, where trivial syzygies enter the reduction.
+PINNED_CLASSES = {
+    ("degree5_D4", 3): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("degree5_D4", 4): "ab8e667aa3195678c4b6779e5d6d226d0a37e0b267b6e3a0a2152aeca616a536",
+    ("degree9_cubics", 4): "4652a575df0b86ce377068b44ebe31e657ec37684fab59975c5dc175cd83a38b",
+    ("degree9_cubics", 5): "b841e0a5c82e0f5091ef7ef64fc8d991b8476f3004b2f13865ee6d96632b43e9",
+    ("degree9_cubics", 6): "4e5c33737cf7669d6888b039052278bd42d53b7a868d8763199a07046bd66b3e",
+    ("degree9_cubics", 7): "e02add1422cd4673aecadb3edddd033d962ac00fb99df66b6ccae9f6bc1a4b71",
+    ("lines6", 2): "8e3e950eacebaf1024c65ff70127767592802dd0d308927bfc21a301ba908846",
+    ("lines6", 3): "651bb8b8af4c19c98ae19964cef9b6dac1a5780e7209cf76bf3424c3f8cf805a",
+    ("lines6", 4): "449a2124a5af194551d36a3e940bec8931e4b70bcabd2ffe86ed92036ccd6431",
+    ("lines9", 4): "bd42bcb22639d61e6a013c623b5972d02ca2c523cd20c6d157659fe3ff8b278f",
+    ("lines9", 5): "0ee39dd4cd7707a252bda9d8cdfb46f615e73190a02baff3ed6ae9fa490ab384",
+    ("lines9", 6): "516208a0d1d8d07931a74fac63b48f9751bf6646220647abb3c491ae2abcbf23",
+    ("lines9", 7): "4c75380193c7720e4b2485da3ab9572fd0047174d63cb6befcce1465563b1f6e",
+    ("pappus_a1", 4): "de767049f348ca8eb97e14a91be93c953bc45f69e09745d2cdc5f01a135a75cc",
+    ("pappus_a1", 5): "13cb7b04befd86836c38d1719cbdd1cbcb64212ce52df996a03e25a989647132",
+    ("pappus_a1", 6): "7ac9038df79b5587c6638156acd320a9129c7b6995e2635ef79cfff2aca22f43",
+    ("pappus_a1", 7): "8d5dd15ff0e7ba024484569b7f9b711b6cc4dd59b592f938e6810a87a3097acb",
+    ("triangle_cubic", 4): "10e94dae964670ada1c9229e6add9d56de9b9fdaa8a7d8ed751ee80aad904de0",
+    ("generic4", 2): "63958ad871a57a1d41908e70e6c5dd1efa72c011defba8e81af0e799166fd260",
+    ("generic4", 3): "a5b2387d83e6ec7210c88f3767ae9e48d865262cc32d0c5bdbb49e26343e73d3",
+    ("generic4", 4): "6a3fe705c9bd6d5b5ab615e50d1fa2110555098b6035e30e7eaa39c100a52c78",
+    ("generic4", 5): "1075b9bc7631ab14f403b16e0e33731f71663a9b492ed89a99b996633b3fef59",
+    ("cusp3", 1): "f761b0058766e2294c2113bfb846e85aa2fec348f452711b9e754b2f36e7ada2",
+    ("cusp3", 2): "58f55823cd223f767f34edf65613b34af90867220eee205078c2aa373d1fc611",
+    ("cusp3", 3): "8af2e8b5ac76fcf05f94b9066737d539c9ad14191d70832bfa36159cada872ef",
+}
+
+
+def _pinned_curve(name):
+    if name in CURVE_TEXTS:
+        return parse_polynomial(CURVE_TEXTS[name])
+    spec = json.loads((CORPUS / f"{name}.curve").read_text())
+    texts = [e if isinstance(e, str) else e["poly"] for e in spec["factors"]]
+    return parse_polynomial("*".join(f"({t})" for t in texts))
+
+
+class TestPinnedClasses:
+    def test_classes_match_digests(self):
+        strands = {}
+        for (name, m), digest in PINNED_CLASSES.items():
+            if name not in strands:
+                strands[name] = Strand(_pinned_curve(name))
+            rendered = json.dumps([str(c) for c in syzygy_basis(strands[name], m)])
+            assert hashlib.sha256(rendered.encode()).hexdigest() == digest, (name, m)
+
+
 class TestSyzygyBasis:
+    def test_corrupted_kernel_fails_the_product_check(self, curves, monkeypatch):
+        """A column that is not in the kernel is caught by J_m V = 0."""
+        real = koszul.certified_kernel
+
+        def corrupted(matrix):
+            lift = real(matrix)
+            num = lift.num.copy()
+            num[0, 0] += 1
+            return KernelLift(lift.rank, lift.pivots, lift.free, num, lift.den)
+
+        monkeypatch.setattr(koszul, "certified_kernel", corrupted)
+        with pytest.raises(AssertionError, match="not a syzygy"):
+            syzygy_basis(curves["generic4"], 2)
+
+    def test_kernel_lift_fills_the_rank_memo(self, curves, monkeypatch):
+        """er_dim reuses the lift's certified rank of J_m: only the cross map
+        out of S_0^3 is ranked."""
+        ranked = []
+        real = milnor.rank
+        monkeypatch.setattr(milnor, "rank", lambda matrix: ranked.append(matrix.ncols) or real(matrix))
+        strand = Strand(curves["generic4"])
+        assert len(syzygy_basis(strand, 3)) == 5
+        assert ranked == [3]
+        assert jacobian_rank(strand, 3) == jacobian_rank(curves["generic4"], 3) == 22
+
     def test_cusp_class_is_proportional_to_known_one(self, curves):
         f = curves["cusp3"]
         classes = syzygy_basis(f, 1)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from planecurves.linalg import (
     EchelonAccumulator,
     _nonzero_entries,
     _rank_integer,
+    certified_kernel,
     lift_kernel,
     rref_fraction,
 )
@@ -170,6 +171,74 @@ class TestEchelonAccumulator:
         acc.add([1, 0, 0])
         residue = acc.reduce([5, 0, 7])
         assert residue == [Fraction(0), Fraction(0), Fraction(7)]
+
+
+class FractionEchelon:
+    """The accumulator on Fraction rows, each scaled to 1 at its pivot: the
+    oracle for the integer one."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def reduce(self, vec):
+        v = [Fraction(x) for x in vec]
+        for row, pc in zip(self.rows, self.pivots):
+            if v[pc] != 0:
+                c = v[pc]
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        lead = next((i for i, x in enumerate(v) if x != 0), None)
+        if lead is not None:
+            self.rows.append([x / v[lead] for x in v])
+            self.pivots.append(lead)
+        return lead is not None
+
+
+@st.composite
+def vector_batches(draw):
+    """Vectors with small integer or rational entries, some of them
+    combinations of earlier ones."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    )
+    vecs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        if vecs and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(vecs), min_size=1, max_size=3))
+            k = draw(st.integers(min_value=-4, max_value=4))
+            vecs.append([sum(k * v[i] for v in picks) + (i == 0) * draw(entry) for i in range(ncols)])
+        else:
+            vecs.append([draw(entry) for _ in range(ncols)])
+    return ncols, vecs
+
+
+class TestIntegerEchelon:
+    @given(vector_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_accumulator(self, batch):
+        """Same span growth, same pivots and the same exact residues as
+        elimination on Fraction rows; stored rows are primitive integers."""
+        ncols, vecs = batch
+        acc, oracle = EchelonAccumulator(ncols), FractionEchelon()
+        for v in vecs:
+            assert acc.reduce(v) == oracle.reduce(v)
+            assert acc.add(v) == oracle.add(v)
+        assert acc.pivots == oracle.pivots
+        for row, pc, ref in zip(acc.rows, acc.pivots, oracle.rows):
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+            assert [Fraction(x, row[pc]) for x in row] == ref
+
+    def test_residue_with_denominator(self):
+        acc = EchelonAccumulator(3)
+        acc.add([2, 3, 0])
+        assert acc.rows == [[2, 3, 0]]
+        assert acc.reduce([1, 0, 1]) == [Fraction(0), Fraction(-3, 2), Fraction(1)]
+        assert acc.reduce([Fraction(1, 3), 0, 0]) == [Fraction(0), Fraction(-1, 2), Fraction(0)]
 
 
 # -- the certified engine against independent oracles -----------------------
@@ -344,6 +413,27 @@ class TestCertifiedEngine:
         exact = np.dot(np.array(rows, dtype=object), z) != 0
         assert not exact[0, 0]
         assert np.array_equal(_nonzero_entries(np.array(rows, dtype=np.int64), z), exact)
+
+    @given(st.one_of(structured_rows(), structured_rows(entries=HUGE, max_dim=5)))
+    @settings(max_examples=60, deadline=None)
+    def test_rref_fallback_matches_lift(self, rows):
+        """With no prime to lift with, the kernel read off `rref_fraction` is
+        the same basis, and columns() holds it scaled by den."""
+        m = ExactMatrix(rows)
+        lifted = certified_kernel(m)
+        saved = linalg.PRIMES
+        linalg.PRIMES = ()
+        try:
+            fallback = certified_kernel(m)
+        finally:
+            linalg.PRIMES = saved
+        assert fallback.pivots == lifted.pivots and fallback.free == lifted.free
+        assert fallback.basis() == lifted.basis() == rref_kernel(rows, m.ncols)
+        for lift in (lifted, fallback):
+            cols = lift.columns()
+            assert cols.shape == (m.ncols, len(lift.free))
+            for j, v in enumerate(lift.basis()):
+                assert [Fraction(int(c), lift.den[j]) for c in cols[:, j]] == v
 
     def test_lift_needs_small_prime(self):
         with pytest.raises(ValueError):

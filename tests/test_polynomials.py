@@ -180,6 +180,14 @@ class TestRingAxioms:
             expected = expected * p
         assert p**n == expected
 
+    def test_power_of_trinomial(self):
+        """Square-and-multiply through every bit pattern of n up to 9."""
+        p = parse_polynomial("x+2y-3z")
+        expected = Polynomial.constant(1)
+        for n in range(10):
+            assert p**n == expected
+            expected = expected * p
+
 
 class TestCurveConstruction:
     def test_build_curve(self):
