@@ -30,9 +30,9 @@ def main(argv=None) -> int:
     for spec_path in sorted(CORPUS.glob("*.curve")):
         data = json.loads(spec_path.read_text())
         curve = build_from_spec(data)
-        profile = resolve_profile(curve, data)
         t0 = time.time()
         strand = resolve_strand(curve, data, modp)
+        profile = resolve_profile(curve, data, strand.census)
         h = hilbert_series(strand)
         table = spectral_table(strand)
         report = theorem2_report(strand, profile)

@@ -19,7 +19,6 @@ from .geometry import (
     GeometryError,
     MultiplicityError,
     SingularityProfile,
-    SingularPoint,
     analyze_arrangement,
     bezout_audit,
     genus_from_counts,
@@ -109,16 +108,19 @@ def _component_from_entry(
     return Component(degree=degree, genus=genus, nodes=nodes, triples=triples)
 
 
-def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
+def resolve_profile(
+    curve: Curve, data: dict, census: Optional[SingularityProfile] = None
+) -> SingularityProfile:
     """Compute the census for arrangements, or assemble the declared one.
 
-    An all-linear curve is always analyzed exactly; a declared profile is
-    then cross-checked against the analysis (n and t must agree).
+    An all-linear curve is always analyzed exactly (`census`, when given, is
+    that analysis, as held by the curve's Strand); a declared profile is then
+    cross-checked against it (n and t must agree).
     """
     declared = data.get("profile")
     all_linear = all(d == 1 for d in curve.factor_degrees)
     if all_linear:
-        computed = analyze_arrangement(list(curve.factor_polys))
+        computed = census or analyze_arrangement(list(curve.factor_polys))
         if declared is not None:
             for key, got in (("n", computed.n), ("t", computed.t)):
                 want = _int_field(declared, key, "profile")
@@ -161,21 +163,10 @@ def resolve_profile(curve: Curve, data: dict) -> SingularityProfile:
     )
 
 
-def _arrangement_points(curve: Curve) -> tuple[SingularPoint, ...]:
-    """The singular points of an all-linear curve; none for any other curve
-    or for an arrangement with a point on four or more lines."""
-    if any(d != 1 for d in curve.factor_degrees):
-        return ()
-    try:
-        return analyze_arrangement(list(curve.factor_polys)).points
-    except MultiplicityError:
-        return ()
-
-
 def resolve_strand(curve: Curve, data: dict, args) -> Strand:
     """The curve's Strand: modular on the primes of --modp or options.primes,
-    else exact, with the singular points of an arrangement, from which its
-    Hilbert function is certified and derived (`milnor`)."""
+    else exact.  An arrangement's Strand gets its lines, so it holds their
+    census, and an exact one derives its Hilbert function from them (`milnor`)."""
     primes, source = [], None
     options = data.get("options") or {}
     if options.get("field") == "modp":
@@ -190,10 +181,11 @@ def resolve_strand(curve: Curve, data: dict, args) -> Strand:
             raise SpecFileError(f"--modp: {args.modp!r} is not a comma-separated list of integers") from None
     if source and not primes:
         raise SpecFileError("modular mode needs primes (options.primes or --modp)")
+    lines = curve.factor_polys if all(d == 1 for d in curve.factor_degrees) else ()
     if not source:
-        return Strand(curve.f, points=_arrangement_points(curve))
+        return Strand(curve.f, lines=lines)
     try:
-        return Strand(curve.f, tuple(primes))
+        return Strand(curve.f, tuple(primes), lines)
     except ValueError as exc:
         raise SpecFileError(f"{source}: {exc}") from None
 
@@ -219,7 +211,7 @@ def hilbert_payload(curve: Curve, data: dict, args) -> dict:
 def report_payload(curve: Curve, data: dict, args) -> dict:
     strand = resolve_strand(curve, data, args)
     h = hilbert_series(strand, k_max=resolve_k_max(data, args))
-    profile = resolve_profile(curve, data)
+    profile = resolve_profile(curve, data, strand.census)
     validation = validate_profile(strand, profile)
     if not validation.ok:
         raise ProfileMismatch(validation)

@@ -7,43 +7,51 @@ ranks; the functions here and in `koszul`, `hodge` and `geometry` take f as a
 Polynomial (which gets a fresh exact Strand) or as a Strand (whose ranks are
 shared across calls).
 
-An exact Strand given the singular points of a line arrangement (nodes and
-ordinary triple points) reads M(f) off the points instead of lifting kernels.
-`tjurina.TjurinaDual` holds tau functionals, a basis of the dual of the sum of
-the local Tjurina algebras T_p, checked once to kill the Jacobian ideal J;
-W_k is their matrix on S_k and def_k = tau - rank W_k.
+An exact Strand given the line factors of an arrangement reads M(f) off its
+singular points and ranks no Jacobian matrix.  The points come from the
+Strand's own exact census of the lines (`geometry.analyze_arrangement`),
+taken only when f is their product, so they are all the singular points of f
+and each is a node or an ordinary triple point.  `tjurina.TjurinaDual` holds
+tau functionals, a basis of the dual of the sum of the local Tjurina algebras
+T_p, checked once to kill the Jacobian ideal J.  W_k is their matrix on S_k;
+its kernel is I_k, the degree-k part of the saturation I of J, and
+def_k = tau - rank W_k, so dim (S/I)_k = tau - def_k.
 
-* Step A, a certificate at the stable degrees k = 3N-5..3N-3: J_k lies in
-  the common kernel of the functionals, so when W_k has rank tau the rank of
-  the Jacobian map is at most dim S_k - tau.  A rank mod p never exceeds the
-  rank over Q, so a rank mod p equal to that bound is the exact rank, with no
-  lift.  Otherwise the certified `linalg.rank` answers, and tau = n + 4t
-  stays a real check.
-* Step B, the defect identity: for a reduced curve with weighted-homogeneous
-  singularities (A1 and D4 are),
+Let N(f) = I/J.  Then dim M(f)_k = tau - def_k + dim N(f)_k, and N(f) is
+self-dual, dim N(f)_k = dim N(f)_{3N-6-k} (Sernesi, *The local cohomology of
+the Jacobian ring*, 2014; Dimca-Popescu, *Hilbert series and Lefschetz
+properties of dimension one almost complete intersections*, 2016), so
+N(f)_k = 0 for k > 3N-6.  On such a derived Strand:
+
+* dim M(f)_k = tau for k >= 3N-5; the Strand checks def_{3N-5} = 0;
+* for k <= 3N-6, by the defect identity for a reduced curve with
+  weighted-homogeneous singularities (A1 and D4 are),
       dim M(f)_k = dim M(f_s)_k + def_{3N-6-k}
-  (Dimca, Syzygies of Jacobian ideals and defects of linear systems).  It is
-  used for k <= 3N-6 once step A has shown dim M(f)_k = tau on all three
-  stable degrees: then the functionals count all of tau(C), so the points
-  are all the singular points and the functionals span every dual T_p^*.
+  (Dimca, *Syzygies of Jacobian ideals and defects of linear systems*).
 
-Any failure leaves the direct path.  A modular Strand never takes the derived
-path, so `--modp` stays an independent computation.
+So tau = n + 4t holds by construction there.  `koszul.er_dim(N-2)` stays a
+direct Jacobian rank, and the report compares it with dim M(f)_{2N-3} - g
+(the ER identity): that is the independent check of the derived series.  A
+point on four or more lines, a failed local check, lines whose product is
+not f and a modular Strand keep the direct path, so `--modp` stays an
+independent computation.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .gradedmaps import jacobian_matrix, s_dim
-from .linalg import PRIMES, ExactMatrix, _rank_mod_p, check_primes, modular_rank_with_check, rank
+from .linalg import ExactMatrix, check_primes, modular_rank_with_check, rank
 from .polynomials import Polynomial
 from .tjurina import TjurinaDual
 
 if TYPE_CHECKING:
-    from .geometry import SingularPoint
+    from .geometry import SingularityProfile
 
 
 class NonStabilizationError(RuntimeError):
@@ -59,46 +67,38 @@ class Strand:
     Each (map, degree) rank is computed at most once per Strand and is freed
     with it.  With no primes the backend is the certified exact `rank`; with
     primes it is `modular_rank_with_check`, the uncertified opt-in path, and
-    the primes must pass `check_primes` (ValueError otherwise).  `points`, the
-    singular points of an arrangement, give an exact Strand its `dual` (None
-    when they fail the local check) and with it steps A and B.
+    the primes must pass `check_primes` (ValueError otherwise).  `lines`, the
+    linear factors of an arrangement, give the Strand their `census` (see
+    `_census`) and an exact Strand its `dual` (None when the local check
+    fails), from which the Hilbert function is derived.
     """
 
-    def __init__(
-        self, f: Polynomial, primes: tuple[int, ...] = (), points: Sequence[SingularPoint] = ()
-    ):
+    def __init__(self, f: Polynomial, primes: tuple[int, ...] = (), lines: Sequence[Polynomial] = ()):
         self.f = f
         self.N = f.degree()
         self.primes = check_primes(primes)
-        self.dual = TjurinaDual.of(f, points) if points and not self.primes else None
+        self.census = _census(f, lines)
+        self.dual = None
+        if self.census is not None and not self.primes:
+            points = [p.location.coords for p in self.census.points]
+            self.dual = TjurinaDual.of(f, lines, points)
         self._ranks: dict[tuple[Callable, int], int] = {}
-        self._derived: Optional[bool] = None
 
     @classmethod
     def of(cls, f: Polynomial | Strand) -> Strand:
         """f itself if it is a Strand, else a fresh exact Strand of f."""
         return f if isinstance(f, Strand) else cls(f)
 
-    def map_rank(
-        self, build: Callable[[Polynomial, int], ExactMatrix], m: int, bound: Optional[int] = None
-    ) -> int:
-        """Rank of the graded map build(f, m) out of degree m; 0 for m < 0.
-
-        `bound` is a proven upper bound on the rank over Q; it is the rank
-        when the rank mod a prime reaches it (a rank over Q is never below
-        one mod p), and no lift is needed.
-        """
+    def map_rank(self, build: Callable[[Polynomial, int], ExactMatrix], m: int) -> int:
+        """Rank of the graded map build(f, m) out of degree m; 0 for m < 0."""
         if m < 0:
             return 0
         key = (build, m)
         if key not in self._ranks:
             matrix = build(self.f, m)
-            if bound is not None and _rank_mod_p(matrix.array, PRIMES[0]) == bound:
-                self._ranks[key] = bound
-            else:
-                self._ranks[key] = (
-                    modular_rank_with_check(matrix, self.primes) if self.primes else rank(matrix)
-                )
+            self._ranks[key] = (
+                modular_rank_with_check(matrix, self.primes) if self.primes else rank(matrix)
+            )
         return self._ranks[key]
 
     def remember(self, build: Callable[[Polynomial, int], ExactMatrix], m: int, rank: int) -> None:
@@ -108,46 +108,42 @@ class Strand:
             self._ranks.setdefault((build, m), rank)
 
     def derived(self) -> bool:
-        """True when the Hilbert function below 3N-5 is read off the defects.
+        """True when the Hilbert function is read off the defects: the local
+        check passed and def_{3N-5} = 0 (see the module docstring)."""
+        return self.dual is not None and self.dual.defect(3 * self.N - 5) == 0
 
-        That needs the local check (`dual`) and dim M(f)_k == tau on
-        3N-5..3N-3 (step A).  Then the functionals count the whole
-        tau(C) = sum of dim T_p, so they span the dual of every T_p.
-        """
-        if self._derived is None:
-            N = self.N
-            self._derived = self.dual is not None and all(
-                milnor_dim(self, k) == self.dual.tau for k in range(3 * N - 5, 3 * N - 2)
-            )
-        return self._derived
+
+def _census(f: Polynomial, lines: Sequence[Polynomial]) -> Optional[SingularityProfile]:
+    """The exact census of the lines when f is their product and every
+    singular point is a node or a triple point, else None."""
+    from . import geometry  # geometry imports this module
+
+    if not lines or reduce(operator.mul, lines) != f:
+        return None
+    try:
+        return geometry.analyze_arrangement(lines)
+    except geometry.GeometryError:
+        return None
 
 
 def jacobian_rank(f: Polynomial | Strand, m: int) -> int:
-    """Rank of S_m^3 -> S_{m+N-1}, (a,b,c) -> a f_x + b f_y + c f_z.
-
-    Step A: on a Strand with a Tjurina dual, at k = m + N - 1 >= 3N-5 and
-    with W_k of rank tau, the image lies in the common kernel of tau
-    independent functionals, so the rank is at most dim S_k - tau.
-    """
-    strand = Strand.of(f)
-    k, dual = m + strand.N - 1, strand.dual
-    bound = None
-    if dual is not None and k >= 3 * strand.N - 5 and dual.defect(k) == 0:
-        bound = s_dim(k) - dual.tau
-    return strand.map_rank(jacobian_matrix, m, bound)
+    """Rank of S_m^3 -> S_{m+N-1}, (a,b,c) -> a f_x + b f_y + c f_z."""
+    return Strand.of(f).map_rank(jacobian_matrix, m)
 
 
 def milnor_dim(f: Polynomial | Strand, k: int) -> int:
     """dim M(f)_k for homogeneous f of degree N >= 1.
 
-    Step B: on a derived Strand, dim M(f)_k = dim M(f_s)_k + def_{3N-6-k}
-    for k <= 3N-6.
+    On a derived Strand: tau for k >= 3N-5, dim M(f_s)_k + def_{3N-6-k}
+    below.
     """
     if k < 0:
         return 0
     strand = Strand.of(f)
-    top = 3 * strand.N - 6
-    if k <= top and strand.derived():
+    if strand.derived():
+        top = 3 * strand.N - 6
+        if k > top:
+            return strand.dual.tau
         return smooth_reference_dim(strand.N, k) + strand.dual.defect(top - k)
     return s_dim(k) - jacobian_rank(strand, k - strand.N + 1)
 

@@ -7,35 +7,42 @@ e_j the unit vectors of two coordinates and p_l != 0 in the third (so
 det(p, e_i, e_j) != 0), and let c_ab(g) be the coefficient of s^a t^b in
 g(p + s e_i + t e_j).
 
+Everything local is read off the line factors of f = L_1 ... L_N, never off
+the expanded product.  In the chart a line is the affine form
+L(p) + L(e_i) s + L(e_j) t: only the lines through p vanish at p, and every
+other factor is a unit there.
+
 * A node (A1) has T_p = C, dual to c_00.
 * An ordinary triple point (D4) has T_p = O_p / (m^3 + the quadratic parts
-  of the chart derivatives of the cubic part of f), dual to c_00, c_10,
+  of the chart derivatives of the cubic part g of f), dual to c_00, c_10,
   c_01 and sum lambda_ab c_ab over a + b = 2, with lambda orthogonal to both
-  quadratic parts.
+  quadratic parts.  g is a unit times the product of the three lines through
+  p, and lambda is quadratic in g, so the primitive lambda is read off that
+  product alone.
 
 A functional of order <= 2 kills J_k for every k iff it kills the 2-jets of
 h f_w for h in {1, s, t, s^2, st, t^2} and w in {x, y, z}; `TjurinaDual.of`
-checks that once, exactly.  W_k is the tau x dim S_k matrix of the
-functionals on the monomials of degree k, and def_k = tau - rank W_k, the
-failure of the points to impose independent conditions on degree-k forms.
-The span of the functionals at p is closed under multiplication by forms,
-and a linear form missing every point acts invertibly on it, so def_k never
-increases: once it is 0 it stays 0.
+checks that once, exactly, with the 2-jets of the partials taken from the
+factors.  W_k is the tau x dim S_k matrix of the functionals on the monomials
+of degree k, and def_k = tau - rank W_k, the failure of the points to impose
+independent conditions on degree-k forms.  The span of the functionals at p
+is closed under multiplication by forms, and a linear form missing every
+point acts invertibly on it, so def_k never increases: once it is 0 it stays
+0.
 """
 
 from __future__ import annotations
 
-from math import comb, gcd
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from math import gcd
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .gradedmaps import _integer_partials, integer_scaled, s_dim
+from .gradedmaps import integer_scaled, jacobian_matrix, s_dim
 from .linalg import PRIMES, ExactMatrix, _rank_mod_p, int_dtype, rank
-from .polynomials import Monomial, Polynomial, monomial_basis
+from .polynomials import Polynomial, monomial_basis
 
-if TYPE_CHECKING:
-    from .geometry import SingularPoint
+Line = tuple[int, int, int]
 
 # The multipliers h of the local check: 1, s, t, s^2, st, t^2.
 _JET2 = [(a, b) for a in range(3) for b in range(3 - a)]
@@ -55,40 +62,57 @@ def _chart(point: tuple[int, int, int]) -> tuple[int, int, int]:
     return l, i, j
 
 
-def _jet(g: dict[Monomial, int], point, order: int) -> dict[tuple[int, int], int]:
-    """The coefficients c_ab of g(p + s e_i + t e_j) with a + b <= order,
-    for g given by its integer term map."""
-    l, i, j = _chart(point)
-    out: dict[tuple[int, int], int] = {}
-    for mono, coeff in g.items():
-        base = coeff * point[l] ** mono[l]
-        for a in range(min(order, mono[i]) + 1):
-            along_i = base * comb(mono[i], a) * point[i] ** (mono[i] - a)
-            for b in range(min(order - a, mono[j]) + 1):
-                term = along_i * comb(mono[j], b) * point[j] ** (mono[j] - b)
-                out[(a, b)] = out.get((a, b), 0) + term
-    return out
+def _chart_forms(lines: Sequence[Line], point) -> list[Line]:
+    """(L(p), L(e_i), L(e_j)) for each line L: L(p + s e_i + t e_j) in the chart."""
+    _, i, j = _chart(point)
+    return [(sum(c * x for c, x in zip(line, point)), line[i], line[j]) for line in lines]
 
 
-def point_functionals(
-    f: dict[Monomial, int], point: tuple[int, int, int], multiplicity: int
-) -> list[Functional]:
-    """The dual basis of T_p at a node (1 functional) or a triple point (4),
-    for f given by its integer term map (`gradedmaps.integer_scaled`).
+def _partial_jets(lines: Sequence[Line], point) -> list[dict[tuple[int, int], int]]:
+    """The coefficients c_ab, a + b <= 2, of f_x, f_y and f_z for f the
+    product of the lines: f_w is the coefficient of e in the product of the
+    L(p + s e_i + t e_j + e e_w), with e^2 = 0.
 
-    Empty when the point is neither, or when the two quadrics of a triple
-    point are proportional (it is not ordinary); `TjurinaDual.of` then gives
-    up on the curve.
+    A jet maps (a, b, w) to a coefficient, w = 3 for the e-free part.  The
+    lines through p go first, so that truncating at order 2 keeps it short.
     """
-    if multiplicity == 2:
+    forms = _chart_forms(lines, point)
+    jet = {(0, 0, 3): 1}
+    for n in sorted(range(len(lines)), key=lambda n: forms[n][0] != 0):
+        steps = [(da, db, c) for (da, db), c in zip(((0, 0), (1, 0), (0, 1)), forms[n]) if c]
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (a, b, w), v in jet.items():
+            for da, db, c in steps:
+                if a + b + da + db <= 2:
+                    key = (a + da, b + db, w)
+                    nxt[key] = nxt.get(key, 0) + v * c
+            if w == 3:
+                for ww, c in enumerate(lines[n]):
+                    if c:
+                        nxt[(a, b, ww)] = nxt.get((a, b, ww), 0) + v * c
+        jet = nxt
+    return [{(a, b): v for (a, b, w), v in jet.items() if w == ww} for ww in range(3)]
+
+
+def point_functionals(lines: Sequence[Line], point: tuple[int, int, int]) -> list[Functional]:
+    """The dual basis of T_p at a node (1 functional) or a triple point (4)
+    of the product of the lines.
+
+    Empty when p lies on neither two nor three of the lines, or when the
+    two quadrics of a triple point are proportional (it is not ordinary);
+    `TjurinaDual.of` then gives up on the curve.
+    """
+    through = [(a, b) for c, a, b in _chart_forms(lines, point) if c == 0]
+    if len(through) == 2:
         return [Functional(point, (((0, 0), 1),))]
-    if multiplicity != 3:
+    if len(through) != 3:
         return []
-    cubic = _jet(f, point, 3)
-    g = {ab: cubic.get(ab, 0) for ab in ((3, 0), (2, 1), (1, 2), (0, 3))}
+    g = [1]  # coefficients of s^3, s^2 t, s t^2, t^3 in the product of the lines through p
+    for a, b in through:
+        g = [u * a + v * b for u, v in zip(g + [0], [0] + g)]
     # quadratic parts of d/ds and d/dt of the cubic part, on s^2, st, t^2
-    q_s = (3 * g[(3, 0)], 2 * g[(2, 1)], g[(1, 2)])
-    q_t = (g[(2, 1)], 2 * g[(1, 2)], 3 * g[(0, 3)])
+    q_s = (3 * g[0], 2 * g[1], g[2])
+    q_t = (g[1], 2 * g[2], 3 * g[3])
     lam = (
         q_s[1] * q_t[2] - q_s[2] * q_t[1],
         q_s[2] * q_t[0] - q_s[0] * q_t[2],
@@ -104,41 +128,55 @@ def point_functionals(
 
 
 class TjurinaDual:
-    """The tau functionals of a curve's singular points and the ranks of W_k.
+    """The tau functionals of the singular points of f, the product of
+    `lines`, and the ranks of W_k.
 
     Built by `of`, which returns None unless every functional passes the
     local check.  `defect(k)` is tau - rank W_k over Q, computed upwards from
     k = 0 until it reaches 0.
     """
 
-    def __init__(self, f: Polynomial, functionals: Sequence[Functional]):
+    def __init__(self, f: Polynomial, lines: Sequence[Line], functionals: Sequence[Functional]):
         self.f = f
+        self.lines = tuple(lines)
         self.functionals = tuple(functionals)
         self.tau = len(self.functionals)
         self._defects: list[int] = []
+        self._kills: Optional[bool] = None
 
     @classmethod
-    def of(cls, f: Polynomial, points: Sequence[SingularPoint]) -> Optional[TjurinaDual]:
-        terms, functionals = integer_scaled(f), []
-        for pt in points:
-            local = point_functionals(terms, pt.location.coords, pt.multiplicity)
+    def of(
+        cls, f: Polynomial, lines: Sequence[Polynomial], points: Sequence[tuple[int, int, int]]
+    ) -> Optional[TjurinaDual]:
+        """The dual at points, for f the product of the linear forms lines."""
+        units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        vectors = [tuple(integer_scaled(line).get(e, 0) for e in units) for line in lines]
+        functionals = []
+        for point in points:
+            local = point_functionals(vectors, point)
             if not local:
                 return None
             functionals += local
-        dual = cls(f, functionals)
+        dual = cls(f, vectors, functionals)
         return dual if dual.kills_jacobian() else None
 
     def kills_jacobian(self) -> bool:
         """True iff every functional kills h f_w for every 2-jet multiplier h.
 
         The 2-jet of a f_w depends only on the 2-jets of a and f_w, so this
-        one exact check covers J_k in every degree k.
+        one exact check covers J_k in every degree k.  The jets are those of
+        the product of the lines, a nonzero multiple of f, which leaves every
+        verdict unchanged.
         """
-        partials = _integer_partials(self.f)
+        if self._kills is None:
+            self._kills = self._check()
+        return self._kills
+
+    def _check(self) -> bool:
         jets: dict[tuple[int, int, int], list[dict]] = {}
         for fn in self.functionals:
             if fn.point not in jets:
-                jets[fn.point] = [_jet(fw, fn.point, 2) for fw in partials]
+                jets[fn.point] = _partial_jets(self.lines, fn.point)
             for jet in jets[fn.point]:
                 for alpha, beta in _JET2:
                     value = sum(
@@ -183,11 +221,25 @@ class TjurinaDual:
         return out
 
     def rank(self, k: int) -> int:
-        """Exact rank of W_k: the rank mod a prime when it is already
-        min(tau, dim S_k), else the certified `linalg.rank`."""
+        """Exact rank of W_k.
+
+        The rank mod a prime never exceeds the rank over Q, so it is exact
+        when it reaches min(tau, dim S_k).  After the local check J_k lies in
+        the kernel of W_k, so rank W_k <= dim S_k - rank_Q J_k <= dim S_k -
+        rank_p J_k, and a rank mod p equal to that bound is exact too.
+        Otherwise the certified `linalg.rank` answers.
+        """
         full = min(self.tau, s_dim(k))
-        if full == 0 or _rank_mod_p(self.matrix(k, PRIMES[0]), PRIMES[0]) == full:
+        if full == 0:
+            return 0
+        p = PRIMES[0]
+        found = _rank_mod_p(self.matrix(k, p), p)
+        if found == full:
             return full
+        m = k - self.f.degree() + 1
+        if m >= 0 and self.kills_jacobian():
+            if found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p):
+                return found
         exact = self.matrix(k)
         return rank(ExactMatrix(exact.astype(int_dtype(exact.flat))))
 

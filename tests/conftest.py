@@ -130,6 +130,19 @@ def random_arrangements():
 
 
 @pytest.fixture(scope="session")
+def sweep_arrangements(random_arrangements):
+    """(lines, f, profile) for every arrangement of the sweep: the corpus
+    arrangements, then the random ones."""
+    items = [
+        (curve.factor_polys, curve.f, profile)
+        for curve, profile in map(load_corpus_curve, corpus_specs())
+        if profile.points
+    ]
+    items += [(lines, functools.reduce(operator.mul, lines), profile) for lines, profile in random_arrangements]
+    return items
+
+
+@pytest.fixture(scope="session")
 def sweep(random_arrangements):
     """(modular Strand, profile, N) for every corpus curve and random arrangement.
 

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from planecurves import cli, geometry
 from planecurves.cli import (
     EXIT_MULTIPLICITY,
     EXIT_NONSTABLE,
@@ -72,6 +73,21 @@ class TestReportCommand:
         assert data["theorem2"]["f2_equals_p2"] is True
         assert data["validation"]["ok"] is True
         assert all(a["passed"] for a in data["audits"])
+
+    @pytest.mark.parametrize("modp", [None, "1060937"])
+    def test_one_census_per_report(self, generic4_spec, capsys, monkeypatch, modp):
+        calls = []
+        census = geometry.analyze_arrangement
+
+        def counted(lines):
+            calls.append(len(lines))
+            return census(lines)
+
+        monkeypatch.setattr(geometry, "analyze_arrangement", counted)
+        monkeypatch.setattr(cli, "analyze_arrangement", counted)
+        argv = ["report", str(generic4_spec), "--format", "json"] + (["--modp", modp] if modp else [])
+        assert main(argv) == EXIT_OK
+        assert calls == [4]
 
     def test_text_report_carries_same_numbers(self, generic4_spec, capsys):
         main(["report", str(generic4_spec), "--format", "json"])
@@ -275,6 +291,7 @@ class TestResolveStrand:
     def test_arrangement_gets_its_points(self):
         strand = self.strand(["x", "y", "z", "x+y+z"])
         assert strand.dual is not None and strand.dual.tau == 6 and strand.derived()
+        assert strand.census.n == 6 and strand.census.t == 0
 
     def test_no_points_for_other_curves(self):
         assert self.strand(["x", "x^3+y^3+z^3"]).dual is None

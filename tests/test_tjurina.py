@@ -1,16 +1,22 @@
-"""Local duality at the singular points of an arrangement: the certified
-stable ranks (step A) and the Hilbert function read off the defects (step B)."""
+"""Local duality at the singular points of an arrangement: the Hilbert
+function read off the defects, the local check from the line factors, the
+certified ranks of W_k, the soundness of the derived path, and the stable
+Jacobian ranks as an audit of the theorem behind it."""
 
 import functools
 import json
 import operator
 import random
+from math import comb, gcd
 
 import pytest
 
-from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim, parse_polynomial
+from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim, parse_polynomial, tau
 from planecurves import milnor, tjurina
 from planecurves.cli import main
+from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
+from planecurves.linalg import PRIMES, _rank_mod_p
+from planecurves.milnor import jacobian_rank
 from planecurves.tjurina import Functional, TjurinaDual
 from tests.conftest import CORPUS, load_corpus_curve, random_arrangement
 
@@ -20,13 +26,17 @@ TRIPLE = ["x", "y", "x+y", "x+2z", "y+3z"]
 
 def arrangement(texts):
     lines = [parse_polynomial(t) for t in texts]
-    return functools.reduce(operator.mul, lines), analyze_arrangement(lines)
+    return lines, functools.reduce(operator.mul, lines)
 
 
-def derived_strand(f, profile):
-    strand = Strand(f, points=profile.points)
+def derived_strand(lines, f):
+    strand = Strand(f, lines=lines)
     assert strand.dual is not None and strand.derived()
     return strand
+
+
+def coords(profile):
+    return [p.location.coords for p in profile.points]
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +47,11 @@ def eight_lines():
 
 
 class TestDerivedSeries:
-    def test_equals_direct_on_every_arrangement(self, sweep, eight_lines):
-        cases = [(strand.f, profile) for strand, profile, _ in sweep if profile.points]
-        cases.append(eight_lines[1:])
+    def test_equals_direct_on_every_arrangement(self, sweep_arrangements, eight_lines):
+        cases = sweep_arrangements + [eight_lines]
         assert len(cases) > 50
-        for f, profile in cases:
-            derived, direct = derived_strand(f, profile), Strand(f)
+        for lines, f, profile in cases:
+            derived, direct = derived_strand(lines, f), Strand(f)
             N = f.degree()
             got = [milnor_dim(derived, k) for k in range(3 * N - 2)]
             assert got == [milnor_dim(direct, k) for k in range(3 * N - 2)], str(f)
@@ -53,63 +62,195 @@ class TestDerivedSeries:
         defects = []
         for name in ("pappus_a1", "pappus_a2"):
             curve, profile = load_corpus_curve(CORPUS / f"{name}.curve")
-            defects.append(TjurinaDual.of(curve.f, profile.points).defect(9))
+            defects.append(TjurinaDual.of(curve.f, curve.factor_polys, coords(profile)).defect(9))
         assert defects == [1, 0]
 
     def test_defects_never_increase(self, eight_lines):
-        dual = derived_strand(*eight_lines[1:]).dual
+        dual = derived_strand(*eight_lines[:2]).dual
         defects = [dual.defect(k) for k in range(3 * 8 - 5)]
         assert defects[0] == dual.tau - 1
         assert all(a >= b for a, b in zip(defects, defects[1:])) and defects[-1] == 0
 
 
+def test_stable_jacobian_ranks_audit(sweep):
+    """The theorem the derived path rests on, checked directly: on every
+    arrangement the Jacobian rank mod p at k = 3N-5..3N-3 is dim S_k - tau."""
+    arrangements = [(strand, profile, N) for strand, profile, N in sweep if profile.points]
+    assert len(arrangements) > 50
+    for strand, profile, N in arrangements:
+        for k in range(3 * N - 5, 3 * N - 2):
+            assert jacobian_rank(strand, k - N + 1) == s_dim(k) - profile.tau_expected, str(strand.f)
+
+
+# The local check as it was done before the line factors: expand f and its
+# partials at every point.
+def expanded_jet(g, point, order):
+    l, i, j = tjurina._chart(point)
+    out = {}
+    for mono, coeff in g.items():
+        base = coeff * point[l] ** mono[l]
+        for a in range(min(order, mono[i]) + 1):
+            along_i = base * comb(mono[i], a) * point[i] ** (mono[i] - a)
+            for b in range(min(order - a, mono[j]) + 1):
+                term = along_i * comb(mono[j], b) * point[j] ** (mono[j] - b)
+                out[(a, b)] = out.get((a, b), 0) + term
+    return out
+
+
+def expanded_functionals(f, point, multiplicity):
+    if multiplicity == 2:
+        return [Functional(point, (((0, 0), 1),))]
+    cubic = expanded_jet(integer_scaled(f), point, 3)
+    g = [cubic.get(ab, 0) for ab in ((3, 0), (2, 1), (1, 2), (0, 3))]
+    q_s, q_t = (3 * g[0], 2 * g[1], g[2]), (g[1], 2 * g[2], 3 * g[3])
+    lam = (
+        q_s[1] * q_t[2] - q_s[2] * q_t[1],
+        q_s[2] * q_t[0] - q_s[0] * q_t[2],
+        q_s[0] * q_t[1] - q_s[1] * q_t[0],
+    )
+    quad = tuple((ab, v // gcd(*lam)) for ab, v in zip(((2, 0), (1, 1), (0, 2)), lam) if v)
+    return [Functional(point, ((ab, 1),)) for ab in ((0, 0), (1, 0), (0, 1))] + [
+        Functional(point, quad)
+    ]
+
+
+def expanded_kills(f, functionals):
+    partials = _integer_partials(f)
+    for fn in functionals:
+        for jet in (expanded_jet(fw, fn.point, 2) for fw in partials):
+            for alpha, beta in tjurina._JET2:
+                value = sum(
+                    w * jet.get((a - alpha, b - beta), 0)
+                    for (a, b), w in fn.weights
+                    if a >= alpha and b >= beta
+                )
+                if value:
+                    return False
+    return True
+
+
+def test_local_check_from_factors_matches_the_expansion(sweep_arrangements):
+    for lines, f, profile in sweep_arrangements:
+        dual = TjurinaDual.of(f, lines, coords(profile))
+        assert dual is not None, str(f)
+        expected = [
+            fn for p in profile.points for fn in expanded_functionals(f, p.location.coords, p.multiplicity)
+        ]
+        assert list(dual.functionals) == expected, str(f)
+        assert expanded_kills(f, expected)
+        # c_10 + c_01 kills J at a triple point, not at a node
+        for p in profile.points:
+            probe = [Functional(p.location.coords, (((1, 0), 1), ((0, 1), 1)))]
+            verdict = TjurinaDual(f, dual.lines, probe).kills_jacobian()
+            assert verdict == expanded_kills(f, probe) == (p.multiplicity == 3), (str(f), p)
+
+
+@pytest.fixture
+def exact_ranks(monkeypatch):
+    """The row counts of the W_k matrices that take the exact rank."""
+    rows = []
+    original = tjurina.rank
+    monkeypatch.setattr(tjurina, "rank", lambda m: rows.append(m.nrows) or original(m))
+    return rows
+
+
+def test_short_w_rank_certified_by_jacobian(exact_ranks):
+    """lines6 has tau = 19 > dim S_5 - 3, so W_5 falls short of
+    min(tau, dim S_5); its rank mod p equals dim S_5 - rank_p J_5 = 18,
+    and that certifies it with no exact rank."""
+    curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
+    dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+    p = PRIMES[0]
+    assert dual.tau == 19 and _rank_mod_p(dual.matrix(5, p), p) == 18
+    assert dual.rank(5) == 18
+    assert [dual.defect(k) for k in range(7)] == [18, 16, 13, 9, 4, 1, 0]
+    assert exact_ranks == []
+
+
+def test_uncertified_short_rank_falls_back_to_exact(monkeypatch, exact_ranks):
+    """Without the local check the J_k bound proves nothing, so the exact
+    rank answers."""
+    curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
+    checked = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+    dual = TjurinaDual(curve.f, checked.lines, checked.functionals)
+    monkeypatch.setattr(dual, "kills_jacobian", lambda: False)
+    assert dual.rank(5) == 18 and exact_ranks == [19]
+
+
+# 11 lines with N(f)_10 != 0: I_10 is larger than J_10
+ELEVEN = ["2x-2y+3z", "x-3y-3z", "15x-17y+18z", "3x-2y-2z", "x-y", "3x-2y+3z"]
+ELEVEN += ["x-y+z", "19x-18y-9z", "2x-z", "x", "y"]
+
+
+def test_short_w_rank_beyond_the_jacobian_bound_is_ranked_exactly(exact_ranks):
+    """W_10 falls short of min(tau, dim S_10) = 63, and its rank mod p is
+    below dim S_10 - rank_p J_10 = 63 too, so only the exact rank answers."""
+    lines, f = arrangement(ELEVEN)
+    dual = derived_strand(lines, f).dual
+    assert exact_ranks == [63] and dual.defect(10) == 1
+    # def_10 enters dim M(f)_k at k = 3N-6-10 = 17
+    assert milnor_dim(Strand(f, lines=lines), 17) == milnor_dim(Strand(f), 17)
+
+
 class TestHonestFallback:
     def test_corrupted_functional_fails_local_check(self, monkeypatch):
-        f, profile = arrangement(TRIPLE)
-        dual = TjurinaDual.of(f, profile.points)
-        assert dual is not None and dual.kills_jacobian() and dual.tau == 11
+        lines, f = arrangement(TRIPLE)
+        dual = derived_strand(lines, f).dual
+        assert dual.kills_jacobian() and dual.tau == 11
         quad = next(i for i, fn in enumerate(dual.functionals) if len(fn.weights) > 1)
         fn = dual.functionals[quad]
         bent = fn._replace(weights=((fn.weights[0][0], fn.weights[0][1] + 1),) + fn.weights[1:])
         corrupted = list(dual.functionals)
         corrupted[quad] = bent
-        assert not TjurinaDual(f, corrupted).kills_jacobian()
+        assert not TjurinaDual(f, dual.lines, corrupted).kills_jacobian()
 
         original = tjurina.point_functionals
 
-        def corrupting(terms, point, multiplicity):
-            local = original(terms, point, multiplicity)
-            return [bent if g == fn else g for g in local]
+        def corrupting(vectors, point):
+            return [bent if g == fn else g for g in original(vectors, point)]
 
         monkeypatch.setattr(tjurina, "point_functionals", corrupting)
-        strand = Strand(f, points=profile.points)
+        strand = Strand(f, lines=lines)
         assert strand.dual is None and not strand.derived()
         assert hilbert_series(strand) == hilbert_series(Strand(f))
 
     def test_node_functional_off_the_curve_fails(self):
-        f, _ = arrangement(TRIPLE)
+        lines, f = arrangement(TRIPLE)
+        dual = derived_strand(lines, f).dual
         off = Functional((1, 1, 1), (((0, 0), 1),))
-        assert not TjurinaDual(f, [off]).kills_jacobian()
+        assert not TjurinaDual(f, dual.lines, [off]).kills_jacobian()
 
-    def test_missing_point_fails_step_a(self):
-        # Every listed functional still kills J, but they count 10 < tau = 11,
-        # so the stable Jacobian ranks are not certified and every degree
-        # takes the direct path.
-        f, profile = arrangement(TRIPLE)
-        points = [p for p in profile.points if p.multiplicity == 2][1:]
-        points += [p for p in profile.points if p.multiplicity == 3]
-        strand = Strand(f, points=points)
-        assert strand.dual is not None and strand.dual.tau == 10
-        assert not strand.derived()
-        assert hilbert_series(strand) == hilbert_series(Strand(f))
-        assert hilbert_series(strand).stable_value == 11
+    def test_incomplete_or_foreign_lines_never_derive(self):
+        # The points come only from the Strand's own census of f's lines, so
+        # a wrong list of lines leaves the direct path.
+        lines, f = arrangement(TRIPLE)
+        foreign = parse_polynomial("x+y+z")
+        direct = hilbert_series(Strand(f))
+        assert direct.stable_value == 11
+        for wrong in (lines[1:], lines[:-1] + [foreign], lines + [foreign]):
+            strand = Strand(f, lines=wrong)
+            assert strand.census is None and strand.dual is None and not strand.derived()
+            assert hilbert_series(strand) == direct
+        # Reordered lines are the same factors.
+        assert derived_strand(lines[::-1], f).dual.tau == 11
+
+    def test_incomplete_points_would_read_a_wrong_series(self):
+        # Why the census must be complete: with one node left out the
+        # functionals still kill J, but they count 10 < tau = 11.
+        lines, f = arrangement(TRIPLE)
+        profile = analyze_arrangement(lines)
+        nodes = [p for p in profile.points if p.multiplicity == 2]
+        partial = TjurinaDual.of(f, lines, [p.location.coords for p in profile.points if p != nodes[0]])
+        assert partial is not None and partial.kills_jacobian()
+        assert partial.tau == 10 != tau(f)
 
     def test_modular_strand_keeps_the_direct_path(self):
-        f, profile = arrangement(TRIPLE)
-        assert Strand(f, (1060937,), points=profile.points).dual is None
+        lines, f = arrangement(TRIPLE)
+        strand = Strand(f, (1060937,), lines=lines)
+        assert strand.dual is None and strand.census is not None
 
 
-def test_eight_line_hilbert_builds_only_stable_jacobians(tmp_path, monkeypatch, capsys, eight_lines):
+def test_eight_line_hilbert_builds_no_jacobian(tmp_path, monkeypatch, capsys, eight_lines):
     lines, _, profile = eight_lines
     built = []
     build = milnor.jacobian_matrix
@@ -119,9 +260,9 @@ def test_eight_line_hilbert_builds_only_stable_jacobians(tmp_path, monkeypatch, 
         return build(g, m)
 
     monkeypatch.setattr(milnor, "jacobian_matrix", logged)
+    monkeypatch.setattr(tjurina, "jacobian_matrix", logged)
     spec = tmp_path / "eight.curve"
     spec.write_text(json.dumps({"factors": [str(line) for line in lines]}))
     assert main(["hilbert", str(spec), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["tau"] == profile.tau_expected
-    # m = 2N-4..2N-2 for N = 8: the three stable degrees of step A
-    assert sorted(built) == [12, 13, 14]
+    assert built == []
