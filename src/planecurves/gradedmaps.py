@@ -48,6 +48,18 @@ def _monomial_index(b, c):
     return e * (e + 1) // 2 + c
 
 
+def contractions(phi: np.ndarray, k: int) -> np.ndarray:
+    """x⌟φ, y⌟φ and z⌟φ side by side, for the columns φ of phi, functionals
+    on S_k in the monomial basis: (x⌟φ)(u) = φ(x u) for u in S_{k-1}.
+
+    Only re-indexing, so it commutes with reduction mod p: x u has the index
+    of u, and y u, z u those of (b+1, c), (b, c+1).
+    """
+    basis = np.array(monomial_basis(k - 1), dtype=np.int64).reshape(-1, 3)
+    b, c = basis[:, 1], basis[:, 2]
+    return np.hstack([phi[: len(basis)], phi[_monomial_index(b + 1, c)], phi[_monomial_index(b, c + 1)]])
+
+
 def _assemble(blocks: list[tuple[dict, int, int]], m: int, shape: tuple[int, int]) -> ExactMatrix:
     """Matrix in which each (gen, row0, col0) block maps the degree-m monomial
     u (column col0 + its index) to gen * u (rows row0 + monomial index).

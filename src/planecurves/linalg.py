@@ -542,12 +542,17 @@ def rank(m: ExactMatrix) -> int:
     """
     if m.nrows == 0 or m.ncols == 0:
         return 0
-    b = m.array if m.ncols <= m.nrows else m.array.T
+    return lifted_rank(m.array if m.ncols <= m.nrows else m.array.T)[0]
+
+
+def lifted_rank(b: np.ndarray) -> tuple[int, Optional[KernelLift]]:
+    """Certified rank of b with the lift of its right kernel, from the first
+    of `PRIMES` whose lift checks; `_rank_integer` with no lift when none does."""
     for p in PRIMES:
         lift = lift_kernel(b, p)
         if lift is not None:
-            return lift.rank
-    return _rank_integer(m.rows, m.ncols)
+            return lift.rank, lift
+    return _rank_integer(b.tolist(), b.shape[1]), None
 
 
 def kernel_dim(m: ExactMatrix) -> int:
@@ -597,10 +602,15 @@ def check_primes(primes: Iterable[int]) -> tuple[int, ...]:
     return tuple(checked)
 
 
+def pivot_columns(a: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of integer a over GF(p), p < 2^31: the first columns,
+    in order, that are independent mod p."""
+    return _eliminate(_mod(a, p), p)[0]
+
+
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank over GF(p) for a prime accepted by `check_primes`."""
-    pivots, _ = _eliminate(_mod(a, p), p)
-    return len(pivots)
+    return len(pivot_columns(a, p))
 
 
 def modular_rank_with_check(m: ExactMatrix, primes: Sequence[int]) -> int:

@@ -1,11 +1,29 @@
 """Graded Milnor algebra dimensions, Hilbert series and thresholds.
 
 dim M(f)_k is dim S_k minus the rank of the multiplication map
-S_{k-N+1}^3 -> S_k by the partial derivatives.  Every rank goes through a
-`Strand`, the per-curve object that owns the rank backend and the memo of
-ranks; the functions here and in `koszul`, `hodge` and `geometry` take f as a
-Polynomial (which gets a fresh exact Strand) or as a Strand (whose ranks are
-shared across calls).
+J_m : S_m^3 -> S_k, k = m+N-1, by the partial derivatives.  Every rank goes
+through a `Strand`, the per-curve object that owns the rank backend and the
+memo of ranks; the functions here and in `koszul`, `hodge` and `geometry`
+take f as a Polynomial (which gets a fresh exact Strand) or as a Strand
+(whose ranks are shared across calls).
+
+An exact Strand whose Hilbert function is not derived (below) certifies
+rank J_m for m = 2N-2 down to 0 in one sweep, with one Dixon lift at the top.
+The kernel of J_m^T is ann(J_k), the functionals on S_k that kill J_k.  The
+annihilators of J form Macaulay's inverse system, closed under contraction
+(Iarrobino-Kanev, *Power Sums, Gorenstein Algebras, and Determinantal Loci*,
+1999): if phi kills J_{k+1}, then x⌟phi, y⌟phi, z⌟phi, with
+(x⌟phi)(g) = phi(x g), kill J_k, because x J_k lies in J_{k+1}.  So with s
+of the contractions of a basis of ann(J_{k+1}) independent mod p,
+
+    rank_p J_m <= rank_Q J_m <= dim S_k - s,
+
+and when the two ends meet that is the rank, and the s contractions are a
+basis of ann(J_k) for the next degree.  Contraction only re-indexes, so the
+sweep carries residues mod p.  The upper bound fails only high, so an unlucky
+prime or a mismatch costs a lift (`linalg.lifted_rank`) and never a wrong
+rank; the lift's integer kernel restarts the chain.  Modular Strands and
+single rank requests rank each matrix directly.
 
 An exact Strand given the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
@@ -39,14 +57,23 @@ independent computation.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .gradedmaps import jacobian_matrix, s_dim
-from .linalg import ExactMatrix, check_primes, modular_rank_with_check, rank
+import numpy as np
+
+from .gradedmaps import contractions, jacobian_matrix, s_dim
+from .linalg import (
+    PRIMES,
+    ExactMatrix,
+    _over_common_denominator,
+    check_primes,
+    lifted_rank,
+    modular_rank_with_check,
+    pivot_columns,
+    rank,
+)
 from .polynomials import Polynomial
 from .tjurina import TjurinaDual
 
@@ -70,7 +97,9 @@ class Strand:
     the primes must pass `check_primes` (ValueError otherwise).  `lines`, the
     linear factors of an arrangement, give the Strand their `census` (see
     `_census`) and an exact Strand its `dual` (None when the local check
-    fails), from which the Hilbert function is derived.
+    fails), from which the Hilbert function is derived.  `certified` lists
+    (map, degree, certificate) for every rank the Strand answers:
+    "contraction", "lift" or "memo" ("modular" on a modular Strand).
     """
 
     def __init__(self, f: Polynomial, primes: tuple[int, ...] = (), lines: Sequence[Polynomial] = ()):
@@ -83,6 +112,7 @@ class Strand:
             points = [p.location.coords for p in self.census.points]
             self.dual = TjurinaDual.of(f, lines, points)
         self._ranks: dict[tuple[Callable, int], int] = {}
+        self.certified: list[tuple[str, int, str]] = []
 
     @classmethod
     def of(cls, f: Polynomial | Strand) -> Strand:
@@ -93,19 +123,51 @@ class Strand:
         """Rank of the graded map build(f, m) out of degree m; 0 for m < 0."""
         if m < 0:
             return 0
-        key = (build, m)
-        if key not in self._ranks:
-            matrix = build(self.f, m)
-            self._ranks[key] = (
-                modular_rank_with_check(matrix, self.primes) if self.primes else rank(matrix)
-            )
-        return self._ranks[key]
+        if (build, m) in self._ranks:
+            self.certified.append((build.__name__, m, "memo"))
+        elif self.primes:
+            self._store(build, m, modular_rank_with_check(build(self.f, m), self.primes), "modular")
+        else:
+            self._store(build, m, rank(build(self.f, m)), "lift")
+        return self._ranks[build, m]
+
+    def _store(self, build: Callable, m: int, value: int, certificate: str) -> None:
+        self._ranks[build, m] = value
+        self.certified.append((build.__name__, m, certificate))
 
     def remember(self, build: Callable[[Polynomial, int], ExactMatrix], m: int, rank: int) -> None:
         """Memoize a certified exact rank of build(f, m) found by other means
         (a kernel lift); a modular Strand keeps its own backend."""
-        if not self.primes:
-            self._ranks.setdefault((build, m), rank)
+        if not self.primes and (build, m) not in self._ranks:
+            self._store(build, m, rank, "lift")
+
+    def sweep(self) -> None:
+        """Certify rank J_m into the memo for m = 2N-2 down to 0, lifting
+        only at the top and where the contraction bounds do not meet (see the
+        module docstring).  A rank already in the memo is kept."""
+        p = PRIMES[0]
+        chain = None  # residues mod p of a basis of ann(J_{k+1}), as columns
+        for m in range(2 * self.N - 2, -1, -1):
+            k, found = m + self.N - 1, self._ranks.get((jacobian_matrix, m))
+            known = found is not None
+            matrix = None if known else jacobian_matrix(self.f, m).array
+            if chain is not None:
+                candidates = contractions(chain, k + 1)
+                independent = pivot_columns(candidates, p)
+                if not known:
+                    short = matrix if matrix.shape[1] <= matrix.shape[0] else matrix.T
+                    found = len(pivot_columns(short, p))
+                if found == s_dim(k) - len(independent):
+                    chain = candidates[:, independent]
+                    if not known:
+                        self._store(jacobian_matrix, m, found, "contraction")
+                    continue
+            chain = None
+            if not known:
+                found, lift = lifted_rank(matrix.T)
+                if lift is not None:
+                    chain = (lift.columns() % p).astype(np.int64)
+                self._store(jacobian_matrix, m, found, "lift")
 
     def derived(self) -> bool:
         """True when the Hilbert function is read off the defects: the local
@@ -113,17 +175,39 @@ class Strand:
         return self.dual is not None and self.dual.defect(3 * self.N - 5) == 0
 
 
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def _census(f: Polynomial, lines: Sequence[Polynomial]) -> Optional[SingularityProfile]:
     """The exact census of the lines when f is their product and every
     singular point is a node or a triple point, else None."""
     from . import geometry  # geometry imports this module
 
-    if not lines or reduce(operator.mul, lines) != f:
+    if not lines or not _is_product(f, lines):
         return None
     try:
         return geometry.analyze_arrangement(lines)
     except geometry.GeometryError:
         return None
+
+
+def _is_product(f: Polynomial, lines: Sequence[Polynomial]) -> bool:
+    """f == the product of the linear forms, exactly, in integers: with
+    L = w_L / d_L over a common denominator, f * prod d_L == prod w_L."""
+    scale, product = 1, {(0, 0, 0): 1}
+    for line in lines:
+        if line.degree() != 1 or not line.is_homogeneous():
+            return False
+        w, d = _over_common_denominator([line.coefficient(e) for e in _UNITS])
+        scale *= d
+        terms: dict[tuple[int, int, int], int] = {}
+        for (a, b, c), v in product.items():
+            for (da, db, dc), u in zip(_UNITS, w):
+                if u:
+                    mono = (a + da, b + db, c + dc)
+                    terms[mono] = terms.get(mono, 0) + u * v
+        product = {mono: v for mono, v in terms.items() if v}
+    return product == {mono: c * scale for mono, c in f.terms.items()}
 
 
 def jacobian_rank(f: Polynomial | Strand, m: int) -> int:
@@ -217,6 +301,8 @@ def hilbert_series(f: Polynomial | Strand, k_max: Optional[int] = None) -> Hilbe
         raise ValueError("need a homogeneous curve of degree >= 3")
     if k_max is not None and k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if not strand.primes and not strand.derived():
+        strand.sweep()
     top = 3 * N - 3
     k_report = top if k_max is None else k_max
     dims = [milnor_dim(strand, k) for k in range(top + 1)]

@@ -225,6 +225,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xyz])|([()+\-*/^])|([A-Za-z_]))")
 # Parentheses nest at most this deep: the parser recurses once per level, and
 # the limit stays well inside Python's recursion limit.
 MAX_NESTING = 100
+# A factor, and the curve, have degree at most this.  The parser checks the
+# degree of every product and power before it expands it (a constant counts
+# as degree 1 in a power), so `(x+y+z)^100` fails at once instead of
+# stalling; the largest expansion it admits, `(x+y+z)^60`, takes about 2 s.
+MAX_DEGREE = 60
 
 
 class _Parser:
@@ -313,17 +318,32 @@ class _Parser:
                 return p
             if tok[0] == "op" and tok[1] == "*":
                 self.i += 1
-                p = p * self.parse_factor()
-            elif tok[0] in ("num", "var") or (tok[0] == "op" and tok[1] == "("):
-                p = p * self.parse_factor()
-            else:
+            elif not (tok[0] in ("num", "var") or (tok[0] == "op" and tok[1] == "(")):
                 return p
+            q = self.parse_factor()
+            self._check_degree(p.degree() + q.degree(), tok[2])
+            p = p * q
 
     def _parse_uint(self) -> int:
         tok = self._next()
         if tok[0] != "num":
             raise ParseError("expected a non-negative integer exponent", tok[2])
         return int(tok[1])
+
+    @staticmethod
+    def _check_degree(degree: int, position: int) -> None:
+        if degree > MAX_DEGREE:
+            raise ParseError(f"degree {degree} exceeds the limit of {MAX_DEGREE}", position)
+
+    def _power(self, p: Polynomial) -> Polynomial:
+        """p, or p^n when '^ n' follows."""
+        nxt = self._peek()
+        if nxt is None or nxt[0] != "op" or nxt[1] != "^":
+            return p
+        self.i += 1
+        n = self._parse_uint()
+        self._check_degree(max(p.degree(), 1) * n, nxt[2])
+        return p ** n
 
     def parse_factor(self) -> Polynomial:
         tok = self._next()
@@ -338,12 +358,7 @@ class _Parser:
                 return Polynomial.constant(Fraction(num, den))
             return Polynomial.constant(num)
         if tok[0] == "var":
-            p = Polynomial.variable(tok[1])
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-                self.i += 1
-                p = p ** self._parse_uint()
-            return p
+            return self._power(Polynomial.variable(tok[1]))
         if tok[0] == "op" and tok[1] == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
@@ -351,11 +366,7 @@ class _Parser:
             p = self.parse_expr()
             self.depth -= 1
             self._expect_op(")")
-            nxt = self._peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
-                self.i += 1
-                p = p ** self._parse_uint()
-            return p
+            return self._power(p)
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
 
 
@@ -426,6 +437,9 @@ def build_curve(spec: CurveSpec) -> Curve:
         if not p.is_homogeneous():
             raise CurveError(f"factor {fac.text!r} is not homogeneous")
         polys.append(p)
+    degree = sum(p.degree() for p in polys)
+    if degree > MAX_DEGREE:
+        raise CurveError(f"the curve has degree {degree}, above the limit of {MAX_DEGREE}")
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
             if _proportional(polys[i], polys[j]):

@@ -133,7 +133,8 @@ class TjurinaDual:
 
     Built by `of`, which returns None unless every functional passes the
     local check.  `defect(k)` is tau - rank W_k over Q, computed upwards from
-    k = 0 until it reaches 0.
+    k = 0 until it reaches 0.  `certified` lists ("W", k, certificate) for
+    every rank of W_k: "full" (full rank mod p), "jacobian bound" or "exact".
     """
 
     def __init__(self, f: Polynomial, lines: Sequence[Line], functionals: Sequence[Functional]):
@@ -143,6 +144,7 @@ class TjurinaDual:
         self.tau = len(self.functionals)
         self._defects: list[int] = []
         self._kills: Optional[bool] = None
+        self.certified: list[tuple[str, int, str]] = []
 
     @classmethod
     def of(
@@ -230,18 +232,22 @@ class TjurinaDual:
         Otherwise the certified `linalg.rank` answers.
         """
         full = min(self.tau, s_dim(k))
-        if full == 0:
-            return 0
         p = PRIMES[0]
-        found = _rank_mod_p(self.matrix(k, p), p)
-        if found == full:
-            return full
+        found = _rank_mod_p(self.matrix(k, p), p) if full else 0
         m = k - self.f.degree() + 1
-        if m >= 0 and self.kills_jacobian():
-            if found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p):
-                return found
-        exact = self.matrix(k)
-        return rank(ExactMatrix(exact.astype(int_dtype(exact.flat))))
+        if found == full:
+            certificate = "full"
+        elif (
+            m >= 0
+            and self.kills_jacobian()
+            and found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p)
+        ):
+            certificate = "jacobian bound"
+        else:
+            exact = self.matrix(k)
+            found, certificate = rank(ExactMatrix(exact.astype(int_dtype(exact.flat)))), "exact"
+        self.certified.append(("W", k, certificate))
+        return found
 
     def defect(self, k: int) -> int:
         """def_k = tau - rank W_k for k >= 0."""

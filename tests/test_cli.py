@@ -161,6 +161,18 @@ class TestExitCodes:
         assert err.startswith("error: parentheses nested deeper") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "factors",
+        [["(x+y+z)^100", "y", "z"], ["x^30*y^31", "z", "x+y"], ["(x+y+z)^40"] * 2],
+        ids=["power", "product", "curve"],
+    )
+    def test_oversized_degree_exits_at_once(self, tmp_path, capsys, factors):
+        spec = write_spec(tmp_path, "big", {"factors": factors})
+        assert main(["hilbert", str(spec)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "above the limit of 60" in err or "exceeds the limit of 60" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "modp",
         ["abc", "2000000", "4294967311", "97", "1060937,1060937"],
         ids=["not-integer", "composite", "too-large", "too-small", "repeated"],

@@ -1,5 +1,10 @@
 """Hilbert functions of Milnor algebras: series, thresholds, tau."""
 
+import json
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from planecurves import (
@@ -11,10 +16,12 @@ from planecurves import (
     smooth_reference_dim,
     tau,
 )
-from planecurves import gradedmaps, koszul, milnor
-from planecurves.cli import report_json_bytes
-from planecurves.gradedmaps import s_dim
-from tests.conftest import CORPUS
+from planecurves import Polynomial, cli, milnor, monomial_basis
+from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
+from planecurves.gradedmaps import contractions, jacobian_matrix, s_dim
+from planecurves.linalg import PRIMES, _nonzero_entries, lifted_rank, rank
+from planecurves.milnor import jacobian_rank
+from tests.conftest import CORPUS, corpus_specs
 
 
 class TestSeries:
@@ -117,51 +124,47 @@ class TestMilnorDim:
 
 
 @pytest.fixture
-def rank_log(monkeypatch):
-    """(map, degree) of every rank computed, read off the builder of its matrix."""
-    log, tags = [], {}
+def report_strands(monkeypatch):
+    """The Strand of every report, as `cli.resolve_strand` builds it."""
+    strands = []
 
-    def tagging(build):
-        def tagged(f, m):
-            matrix = build(f, m)
-            tags[id(matrix)] = (build.__name__, m)
-            return matrix
+    def recording(*args):
+        strands.append(resolve_strand(*args))
+        return strands[-1]
 
-        return tagged
+    monkeypatch.setattr(cli, "resolve_strand", recording)
+    return strands
 
-    monkeypatch.setattr(milnor, "jacobian_matrix", tagging(gradedmaps.jacobian_matrix))
-    monkeypatch.setattr(koszul, "cross_matrix", tagging(gradedmaps.cross_matrix))
-    monkeypatch.setattr(koszul, "gradient_column_matrix", tagging(gradedmaps.gradient_column_matrix))
-    exact_rank = milnor.rank
 
-    def counting_rank(matrix):
-        log.append(tags[id(matrix)])
-        return exact_rank(matrix)
-
-    monkeypatch.setattr(milnor, "rank", counting_rank)
-    return log
+def computed(strand):
+    """(map, degree, certificate) of every rank the Strand computed: no memo hits."""
+    return [c for c in strand.certified if c[2] != "memo"]
 
 
 class TestStrand:
     SPEC = CORPUS / "degree9_cubics.curve"
 
-    def test_each_report_ranks_each_map_and_degree_once(self, rank_log):
+    def test_each_report_ranks_each_map_and_degree_once(self, report_strands):
         first = report_json_bytes(self.SPEC)
-        once = list(rank_log)
-        # Only the jacobian ranks of the Hilbert series, m = 0..2N-2 for N = 9:
-        # the spectral table is derived from them.
-        assert len(once) == len(set(once)) == 17
-        assert all(build == "jacobian_matrix" and m <= 16 for build, m in once)
-        # The memo is freed with the report: a second one ranks the same 17 again.
+        (strand,) = report_strands
+        once = computed(strand)
+        # Only the jacobian ranks of the Hilbert series, m = 0..2N-2 for N = 9,
+        # each certified once: the spectral table is derived from them.
+        assert sorted((build, m) for build, m, _ in once) == [("jacobian_matrix", m) for m in range(17)]
+        hows = Counter(how for *_, how in once)
+        assert hows["lift"] <= 2 and hows["lift"] + hows["contraction"] == 17
+        # The memo is freed with the report: a second one certifies the same 17 again.
         assert report_json_bytes(self.SPEC) == first
-        assert rank_log[len(once):] == once
+        assert computed(report_strands[1]) == once
 
-    def test_shared_across_calls(self, curves, rank_log):
+    def test_shared_across_calls(self, curves):
         strand = Strand(curves["nodal4"])
         h = hilbert_series(strand)
-        computed = len(rank_log)
+        once = computed(strand)
         assert hilbert_series(strand) == h and tau(strand) == h.stable_value
-        assert len(rank_log) == computed > 0
+        assert computed(strand) == once and once
+        # the last rank a Hilbert series reads is J_{2N-2}, N = 4
+        assert strand.certified[-1] == ("jacobian_matrix", 6, "memo")
 
     @pytest.mark.parametrize(
         "primes",
@@ -181,3 +184,111 @@ class TestStrand:
         assert tau(modular) == 3
         assert tau(exact) == 0 == tau(f)
         assert milnor_dim(modular, 4) == 3 and milnor_dim(exact, 4) == 0
+
+
+def _random_form(rng: random.Random, d: int) -> Polynomial:
+    return Polynomial({mono: Fraction(rng.randint(-3, 3)) for mono in monomial_basis(d)})
+
+
+def _products_of_conics_and_cubics():
+    """Random non-arrangements: products of conics and cubics, seeded."""
+    rng = random.Random(2014)
+    curves = []
+    for degrees in [(2, 3), (2, 2, 2), (3, 3), (2, 2, 3)]:
+        f = Polynomial.constant(1)
+        for d in degrees:
+            f = f * _random_form(rng, d)
+        curves.append(f)
+    return curves
+
+
+SWEEP_CURVES = {
+    **{path.stem: path for path in corpus_specs()},
+    "quartic_lines": "(x^4-y^4)(y^4-z^4)(x^4-z^4)",
+    "fourth_powers": "(x^3+y^3+z^3)^4+(x^3+2y^3+3z^3)^4",
+    **{f"conics_cubics_{i}": f for i, f in enumerate(_products_of_conics_and_cubics())},
+}
+
+
+def sweep_curve(name):
+    item = SWEEP_CURVES[name]
+    if isinstance(item, Polynomial):
+        return item
+    if isinstance(item, str):
+        return parse_polynomial(item)
+    return build_from_spec(json.loads(item.read_text())).f
+
+
+def swept(f):
+    """A Strand of f after its sweep, and the ranks of J_m, m = 0..2N-2."""
+    strand = Strand(f)
+    strand.sweep()
+    return strand, [jacobian_rank(strand, m) for m in range(2 * f.degree() - 1)]
+
+
+def lifted_degrees(strand):
+    return [m for _, m, how in strand.certified if how == "lift"]
+
+
+class TestSweep:
+    """The downward sweep certifies rank J_m from one lift at the top: the
+    contractions of annihilators of J_{k+1} annihilate J_k (Macaulay's
+    inverse system)."""
+
+    @pytest.mark.parametrize("name", SWEEP_CURVES)
+    def test_equals_the_rank_of_every_degree(self, name):
+        f = sweep_curve(name)
+        strand, ranks = swept(f)
+        assert ranks == [rank(jacobian_matrix(f, m)) for m in range(2 * f.degree() - 1)]
+        # every rank read back is a memo hit, and the top degree was lifted
+        assert len(computed(strand)) == len(ranks)
+        assert lifted_degrees(strand)[0] == 2 * f.degree() - 2
+
+    @pytest.mark.parametrize("name", ["triangle_cubic", "degree9_cubics"])
+    def test_contractions_of_annihilators_annihilate(self, name):
+        f = sweep_curve(name)
+        N = f.degree()
+        for m in range(2 * N - 2, 0, -1):
+            _, lift = lifted_rank(jacobian_matrix(f, m).array.T)
+            below = contractions(lift.columns(), m + N - 1)
+            assert below.shape == (s_dim(m + N - 2), 3 * len(lift.free))
+            assert not _nonzero_entries(jacobian_matrix(f, m - 1).array.T, below).any()
+
+    def test_corrupted_chain_residue_ends_in_a_lift(self, monkeypatch):
+        f = sweep_curve("degree9_cubics")
+        clean, ranks = swept(f)
+        first = []
+        real = milnor.contractions
+
+        def corrupting(phi, k):
+            if not first:
+                first.append(k)
+                phi = phi.copy()
+                phi[len(phi) // 2, 0] = (phi[len(phi) // 2, 0] + 1) % PRIMES[0]
+            return real(phi, k)
+
+        monkeypatch.setattr(milnor, "contractions", corrupting)
+        corrupted, same = swept(f)
+        assert same == ranks
+        assert lifted_degrees(clean) == [16, 7]
+        assert lifted_degrees(corrupted) == [16, 15, 7]
+
+    def test_keeps_ranks_already_in_the_memo(self, curves):
+        strand = Strand(curves["degree9"])
+        top = jacobian_rank(strand, 16)
+        strand.sweep()
+        assert jacobian_rank(strand, 16) == top
+        # a rank from the memo comes with no kernel, so the chain starts one
+        # degree lower; no rank is certified twice
+        assert computed(strand)[:2] == [("jacobian_matrix", 16, "lift"), ("jacobian_matrix", 15, "lift")]
+        assert sorted(m for _, m, _ in computed(strand)) == list(range(17))
+
+    def test_modular_and_derived_strands_do_not_sweep(self, curves):
+        modular = Strand(curves["nodal4"], (PRIMES[0],))
+        hilbert_series(modular)
+        assert {how for *_, how in computed(modular)} == {"modular"}
+        lines = [parse_polynomial(t) for t in ("x", "y", "z", "x+y+z")]
+        derived = Strand(curves["generic4"], lines=lines)
+        assert derived.derived()
+        hilbert_series(derived)
+        assert derived.certified == []

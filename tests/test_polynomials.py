@@ -17,7 +17,7 @@ from planecurves import (
     monomial_basis,
     parse_polynomial,
 )
-from planecurves.polynomials import MAX_NESTING
+from planecurves.polynomials import MAX_DEGREE, MAX_NESTING
 
 X, Y, Z = sympy.symbols("x y z")
 
@@ -132,6 +132,18 @@ class TestParser:
         assert parse_polynomial("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse_polynomial("x")
         with pytest.raises(ParseError, match="nested deeper"):
             parse_polynomial("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+
+    def test_degree_limit(self):
+        assert parse_polynomial(f"x^{MAX_DEGREE}").degree() == MAX_DEGREE
+        assert parse_polynomial("(x+y)^30(x-y)^30").degree() == MAX_DEGREE
+        for text in ["x^61", "(x+y+z)^100", "x^30*y^31", "x^30y^31", "(2)^61", "(x-x)^61"]:
+            with pytest.raises(ParseError, match=f"exceeds the limit of {MAX_DEGREE}"):
+                parse_polynomial(text)
+
+    def test_curve_degree_limit(self):
+        factors = (CurveFactor("(x+y)^30"), CurveFactor("(x-y)^30"), CurveFactor("z"))
+        with pytest.raises(CurveError, match=f"above the limit of {MAX_DEGREE}"):
+            build_curve(CurveSpec(factors))
 
     @given(st.text(alphabet="xyzab019()+-*/^ ", max_size=40))
     @settings(max_examples=300, deadline=None)

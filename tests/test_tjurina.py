@@ -7,6 +7,7 @@ import functools
 import json
 import operator
 import random
+from fractions import Fraction
 from math import comb, gcd
 
 import pytest
@@ -165,6 +166,8 @@ def test_short_w_rank_certified_by_jacobian(exact_ranks):
     assert dual.rank(5) == 18
     assert [dual.defect(k) for k in range(7)] == [18, 16, 13, 9, 4, 1, 0]
     assert exact_ranks == []
+    hows = ["full"] * 5 + ["jacobian bound", "full"]
+    assert dual.certified == [("W", 5, "jacobian bound")] + [("W", k, how) for k, how in enumerate(hows)]
 
 
 def test_uncertified_short_rank_falls_back_to_exact(monkeypatch, exact_ranks):
@@ -175,6 +178,7 @@ def test_uncertified_short_rank_falls_back_to_exact(monkeypatch, exact_ranks):
     dual = TjurinaDual(curve.f, checked.lines, checked.functionals)
     monkeypatch.setattr(dual, "kills_jacobian", lambda: False)
     assert dual.rank(5) == 18 and exact_ranks == [19]
+    assert dual.certified == [("W", 5, "exact")]
 
 
 # 11 lines with N(f)_10 != 0: I_10 is larger than J_10
@@ -188,6 +192,7 @@ def test_short_w_rank_beyond_the_jacobian_bound_is_ranked_exactly(exact_ranks):
     lines, f = arrangement(ELEVEN)
     dual = derived_strand(lines, f).dual
     assert exact_ranks == [63] and dual.defect(10) == 1
+    assert [c for c in dual.certified if c[2] != "full"] == [("W", 10, "exact")]
     # def_10 enters dim M(f)_k at k = 3N-6-10 = 17
     assert milnor_dim(Strand(f, lines=lines), 17) == milnor_dim(Strand(f), 17)
 
@@ -233,6 +238,18 @@ class TestHonestFallback:
             assert hilbert_series(strand) == direct
         # Reordered lines are the same factors.
         assert derived_strand(lines[::-1], f).dual.tau == 11
+
+    def test_product_check_is_exact(self):
+        # f == the product of the lines, checked in integers: rational lines
+        # and their order are fine, a scalar multiple of f or a non-line is not.
+        lines, f = arrangement(TRIPLE)
+        halves = [line.scale(Fraction(1, 2)) for line in lines[:2]]
+        assert milnor._is_product(f.scale(Fraction(1, 4)), halves + lines[2:])
+        assert milnor._is_product(f, lines[::-1])
+        assert not milnor._is_product(f.scale(2), lines)
+        assert not milnor._is_product(f.scale(-1), lines)
+        square = [parse_polynomial(f"({lines[0]})*({lines[1]})")]
+        assert not milnor._is_product(f, square + lines[2:])
 
     def test_incomplete_points_would_read_a_wrong_series(self):
         # Why the census must be complete: with one node left out the
