@@ -68,6 +68,7 @@ from .linalg import (
     PRIMES,
     ExactMatrix,
     _over_common_denominator,
+    _rank_mod_p,
     check_primes,
     lifted_rank,
     modular_rank_with_check,
@@ -155,8 +156,7 @@ class Strand:
                 candidates = contractions(chain, k + 1)
                 independent = pivot_columns(candidates, p)
                 if not known:
-                    short = matrix if matrix.shape[1] <= matrix.shape[0] else matrix.T
-                    found = len(pivot_columns(short, p))
+                    found = _rank_mod_p(matrix, p)
                 if found == s_dim(k) - len(independent):
                     chain = candidates[:, independent]
                     if not known:

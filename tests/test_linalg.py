@@ -438,3 +438,107 @@ class TestCertifiedEngine:
     def test_lift_needs_small_prime(self):
         with pytest.raises(ValueError):
             lift_kernel(ExactMatrix([[1]]).array, 67108879)  # the first prime past 2^26
+
+
+# -- the mod-p PLU kernel against the per-pivot reference ---------------------
+
+
+def reference_eliminate(a, p):
+    """The earlier `_eliminate`, one numpy rank-one update per pivot: the
+    oracle for the kernel's pivots, row order and packed L/U."""
+    nrows, ncols = a.shape
+    order = np.arange(nrows)
+    pivots = []
+    budget = left = linalg._lazy_budget(p)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        col = a[r:, c] % p
+        a[r:, c] = col
+        nz = np.flatnonzero(col)
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            a[[r, i]] = a[[i, r]]
+            order[[r, i]] = order[[i, r]]
+        a[r, c + 1:] %= p
+        below = r + nz[1:]
+        if below.size:
+            mult = a[below, c] * pow(int(a[r, c]), -1, p) % p
+            a[below, c] = mult
+            for lo in range(0, below.size, linalg._CHUNK):
+                rows = below[lo:lo + linalg._CHUNK]
+                a[rows, c + 1:] -= np.outer(mult[lo:lo + linalg._CHUNK], a[r, c + 1:])
+        pivots.append(c)
+        r += 1
+        left -= 1
+        if left == 0:
+            a[r:, c + 1:] %= p
+            left = budget
+    return pivots, order
+
+
+# PRIMES[0] absorbs 2048 lazy updates; 2^31 - 1 only 2, so the reduction of
+# the rows below runs at every other pivot.
+KERNEL_PRIMES = st.sampled_from([PRIMES[0], 2147483647])
+
+
+@st.composite
+def residue_matrices(draw):
+    """(a, p): residues mod p, tall (up to 2 _CHUNK + 20 rows, so more than
+    _CHUNK rows fall below a pivot) or wide, sparse or dense, with some zero
+    columns and some rows that repeat earlier ones (rank-deficient)."""
+    p = draw(KERNEL_PRIMES)
+    big = 2 * linalg._CHUNK + 20
+    nrows = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([8, big]))))
+    ncols = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([8, 40]))))
+    if draw(st.booleans()):
+        nrows, ncols = ncols, nrows
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    a = rng.integers(0, p, size=(nrows, ncols), dtype=np.int64)
+    a[rng.random((nrows, ncols)) >= density] = 0
+    a[:, rng.random(ncols) < 0.2] = 0
+    repeats = rng.random(nrows) < 0.3
+    a[repeats] = a[rng.integers(0, nrows, size=int(repeats.sum()))] * 3 % p
+    return a, p
+
+
+class TestPivotKernel:
+    @given(residue_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, case):
+        """Same pivots and order as the reference, and the same packed L/U
+        rows [:rank] mod p."""
+        a, p = case
+        got, want = a.copy(), a.copy()
+        pivots, order = linalg._eliminate(got, p)
+        ref_pivots, ref_order = reference_eliminate(want, p)
+        assert pivots == ref_pivots
+        assert np.array_equal(order, ref_order)
+        r = len(pivots)
+        assert np.array_equal(got[:r] % p, want[:r] % p)
+
+    def test_more_than_a_chunk_below_one_pivot(self):
+        """A full first column puts every other row below the first pivot."""
+        p = 2147483647
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, p, size=(3 * linalg._CHUNK, 5), dtype=np.int64)
+        a[0, 0] = 0
+        got, want = a.copy(), a.copy()
+        assert linalg._eliminate(got, p)[0] == reference_eliminate(want, p)[0] == [0, 1, 2, 3, 4]
+        assert np.array_equal(got[:5] % p, want[:5] % p)
+
+    @given(residue_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_mod_p_is_transpose_invariant(self, case):
+        a, p = case
+        assert linalg._rank_mod_p(a, p) == linalg._rank_mod_p(a.T, p)
+
+    def test_pivot_columns_keep_orientation(self):
+        """`_rank_mod_p` takes the short side; `pivot_columns` does not."""
+        a = np.array([[0, 0, 5, 1, 0]])
+        assert linalg.pivot_columns(a, PRIMES[0]) == [2]
+        assert linalg._rank_mod_p(a, PRIMES[0]) == 1
