@@ -9,10 +9,10 @@ Tjurina number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .milnor import Strand, tau
 from .polynomials import Polynomial
@@ -26,8 +26,7 @@ class MultiplicityError(GeometryError):
     """A singular point of multiplicity >= 4 (outside the A1/D4 scope)."""
 
 
-@dataclass(frozen=True, order=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Point of P^2 with canonical integer coordinates.
 
     gcd of the coordinates is 1 and the first nonzero coordinate is positive,
@@ -75,8 +74,7 @@ class SingularPoint:
         return "A1" if self.multiplicity == 2 else "D4"
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     degree: int
     genus: int
     nodes: int = 0
@@ -214,8 +212,7 @@ def bezout_audit(profile: SingularityProfile) -> tuple[int, int]:
     return lhs, r * (r - 1) // 2
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named identity lhs == rhs between two integers of the report."""
 
     name: str
@@ -230,8 +227,7 @@ class Check:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs, "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

@@ -7,8 +7,8 @@ filtration is never materialized, only the equality flag F^2 = P^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .geometry import Check, GeometryError, SingularityProfile
 from .koszul import er_dim
@@ -40,8 +40,7 @@ def hodge_filtration_dims(profile: SingularityProfile) -> tuple[int, int]:
     return gr1, gr2
 
 
-@dataclass(frozen=True)
-class HodgeReport:
+class HodgeReport(NamedTuple):
     gr1: int
     gr2: int
     h21: int
@@ -112,8 +111,7 @@ def mixed_hodge_numbers(profile: SingularityProfile) -> HodgeReport:
     )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     lower: int
     value: int
     upper: int
@@ -137,8 +135,7 @@ class BoundCheck:
         }
 
 
-@dataclass(frozen=True)
-class Theorem2Report:
+class Theorem2Report(NamedTuple):
     """Both bound statements, the F^2 = P^2 flag, and the audit identities."""
 
     part_a: BoundCheck

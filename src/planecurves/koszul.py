@@ -16,9 +16,9 @@ equal er_dim.  Fractions appear only in the rendered polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ def trivial_syzygy_dim(f: Polynomial | Strand, m: int) -> int:
     return 3 * s_dim(m - N + 1) - s_dim(m - 2 * N + 2)
 
 
-@dataclass(frozen=True)
-class SyzygyClass:
+class SyzygyClass(NamedTuple):
     """A nontrivial relation a f_x + b f_y + c f_z = 0 in one degree."""
 
     a: Polynomial
@@ -158,8 +157,7 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     return [_class_of(acc.rows[i], acc.pivots[i], basis, m) for i in chosen]
 
 
-@dataclass(frozen=True)
-class SpectralTable:
+class SpectralTable(NamedTuple):
     """E_1 dimensions on the two nonzero lines p+q=2, p+q=3 and dim E_2^{2,1}."""
 
     entries: tuple[tuple[int, int, int], ...]

@@ -192,6 +192,8 @@ def _dot(a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
     if bits > 53:
         return a @ b
     bf = b.astype(np.float64)
+    if a.ndim > 2:  # a stack of blocks no larger than b: no chunking needed
+        return (a.astype(np.float64) @ bf).astype(np.int64)
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
     for lo in range(0, a.shape[0], _CHUNK):
         out[lo:lo + _CHUNK] = a[lo:lo + _CHUNK].astype(np.float64, copy=False) @ bf
@@ -254,45 +256,95 @@ def _eliminate(a: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, np.array(order, dtype=int)
 
 
+_STEP, _SHIFT = 64, 13  # block size of the triangular solves; bits of a limb
+
+
+def _times(a: np.ndarray, z: np.ndarray, p: int) -> np.ndarray:
+    """a @ z mod p for residues in [0, p), p < 2^26, and a at most `_STEP`
+    columns wide; a and z may be matching stacks of blocks.
+
+    z is split into two 13-bit limbs, so every product and partial sum of
+    `_dot` stays below 2^(26 + 13 + 7) = 2^46 and float64 is exact.
+    """
+    bits = p.bit_length() + _SHIFT + _STEP.bit_length()
+    hi = _dot(a, z >> _SHIFT, bits) % p
+    return ((hi << _SHIFT) + _dot(a, z & ((1 << _SHIFT) - 1), bits)) % p
+
+
+def _unit_lower_inverse(t: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of a stack of unit-lower-triangular s x s blocks whose
+    entries lie in [0, p), s a power of 2 at most `_STEP`, p < 2^26.
+
+    By 2 x 2 block recursion, all blocks and all pairs of one level at once:
+    once x holds the inverses of the diagonal b x b blocks of t,
+
+        [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]
+
+    fills its diagonal 2b x 2b blocks with two `_times` per level.
+    """
+    count, s, _ = t.shape
+    x = np.zeros_like(t)
+    x[:, np.arange(s), np.arange(s)] = 1
+    b = 1
+    while b < s:
+        pairs = np.arange(s // (2 * b))
+        shape = (count, len(pairs), 2, b, len(pairs), 2, b)
+        tv, xv = t.reshape(shape), x.reshape(shape)  # views: xv writes into x
+        c = tv[:, pairs, 1, :, pairs, 0, :]
+        a_inv, d_inv = xv[:, pairs, 0, :, pairs, 0, :], xv[:, pairs, 1, :, pairs, 1, :]
+        xv[:, pairs, 1, :, pairs, 0, :] = -_times(d_inv, _times(c, a_inv, p), p) % p
+        b *= 2
+    return x
+
+
+def _diagonal_block_inverses(
+    lu: np.ndarray, spans: list[tuple[int, int]], p: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Inverses mod p of the diagonal blocks lu[j0:j1, j0:j1], (j0, j1) in
+    `spans`, of the unit-lower L and of the upper U packed in `lu`: blocks
+    of at most `_STEP` rows, the first the largest; p < 2^26.
+
+    A U block is made unit by scaling its rows, U = D M, and reversed into
+    a lower one, so all blocks of both factors go through one stack of
+    `_unit_lower_inverse`; then U^-1 = M^-1 D^-1.  Smaller blocks are padded
+    with the identity.
+    """
+    size = 1 << (spans[0][1] - 1).bit_length()
+    dinv = np.array([pow(int(v), -1, p) for v in np.diagonal(lu)], dtype=np.int64)
+    stack = np.zeros((2 * len(spans), size, size), dtype=np.int64)
+    stack[:, np.arange(size), np.arange(size)] = 1
+    for i, (j0, j1) in enumerate(spans):
+        n, block = j1 - j0, lu[j0:j1, j0:j1]
+        stack[i, :n, :n] += np.tril(block, -1)
+        stack[len(spans) + i, :n, :n] += np.tril((block * dinv[j0:j1, None] % p)[::-1, ::-1], -1)
+    x = _unit_lower_inverse(stack, p)
+    linv = [x[i, :j1 - j0, :j1 - j0] for i, (j0, j1) in enumerate(spans)]
+    uinv = [
+        x[len(spans) + i, :j1 - j0, :j1 - j0][::-1, ::-1] * dinv[j0:j1] % p
+        for i, (j0, j1) in enumerate(spans)
+    ]
+    return linv, uinv
+
+
 def _lu_solver(lu: np.ndarray, p: int):
     """Solver of L U x = y (mod p), `lu` packing unit-lower L and upper U.
 
-    Blocked by 64 columns: the triangular diagonal blocks are inverted once,
-    so each solve is a sequence of block products, each taken with the
-    right-hand side split into two 13-bit limbs so that `_dot` stays exact in
-    float64.  Needs p < 2^26.
+    Blocked by `_STEP` columns: the triangular diagonal blocks are inverted
+    once (`_diagonal_block_inverses`), so each solve is a sequence of block
+    products (`_times`).  Needs p < 2^26.
     """
     r = lu.shape[0]
-    step, shift = 64, 13
-    bits = p.bit_length() + shift + step.bit_length()
-    blocks = [(j0, min(j0 + step, r)) for j0 in range(0, r, step)]
-
-    def times(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-        hi = _dot(a, z >> shift, bits) % p
-        return ((hi << shift) + _dot(a, z & ((1 << shift) - 1), bits)) % p
-
-    def inverse(t: np.ndarray, lower: bool) -> np.ndarray:
-        """Inverse mod p of a triangular block (unit diagonal when lower) by
-        substitution on the identity, with at most 63 lazy updates per row."""
-        n = t.shape[0]
-        x = np.eye(n, dtype=np.int64)
-        for j in range(n) if lower else range(n - 1, -1, -1):
-            x[j] = x[j] % p if lower else x[j] % p * pow(int(t[j, j]), -1, p) % p
-            rest = slice(j + 1, n) if lower else slice(0, j)
-            x[rest] -= t[rest, j, None] * x[j]
-        return x % p
-
-    linv = [inverse(lu[j0:j1, j0:j1], True) for j0, j1 in blocks]
-    uinv = [inverse(lu[j0:j1, j0:j1], False) for j0, j1 in blocks]
+    blocks = [(j0, min(j0 + _STEP, r)) for j0 in range(0, r, _STEP)]
+    linv, uinv = _diagonal_block_inverses(lu, blocks, p)
 
     def solve(y: np.ndarray) -> np.ndarray:
         z = y % p
         for (j0, j1), inv in zip(blocks, linv):
-            z[j0:j1] = times(inv, z[j0:j1])
-            z[j1:] = (z[j1:] - times(lu[j1:, j0:j1], z[j0:j1])) % p
+            z[j0:j1] = _times(inv, z[j0:j1], p)
+            z[j1:] = (z[j1:] - _times(lu[j1:, j0:j1], z[j0:j1], p)) % p
         for (j0, j1), inv in zip(reversed(blocks), reversed(uinv)):
-            z[j0:j1] = times(inv, z[j0:j1])
-            z[:j0] = (z[:j0] - times(lu[:j0, j0:j1], z[j0:j1])) % p
+            z[j0:j1] = _times(inv, z[j0:j1], p)
+            z[:j0] = (z[:j0] - _times(lu[:j0, j0:j1], z[j0:j1], p)) % p
         return z
 
     return solve
@@ -447,10 +499,40 @@ def _hadamard_bits(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.ceil(np.log2(squares) / 2 + 1).sum())
 
 
-def lift_kernel(b: np.ndarray, p: int) -> Optional[KernelLift]:
+class PLU(NamedTuple):
+    """An elimination of B mod p: its pivot columns P, its pivot rows Q in
+    pivot order, and `lu`, unit-lower L and upper U packed, B[Q, P] = L U."""
+
+    pivots: list[int]
+    rows: list[int]
+    lu: np.ndarray
+
+    def transpose(self, p: int) -> "PLU":
+        """The same elimination read as one of B^T, p < 2^31:
+        B^T[P', Q'] = U^T L^T = (U^T D^-1)(D L^T), D the diagonal of U."""
+        lu = self.lu.T.copy()
+        d = np.diagonal(lu).copy()
+        dinv = np.array([pow(int(v), -1, p) for v in d], dtype=np.int64)
+        lower = np.tri(len(d), k=-1, dtype=bool)
+        np.multiply(lu, dinv, out=lu, where=lower)
+        np.multiply(lu, d[:, None], out=lu, where=~lower)
+        lu %= p
+        np.fill_diagonal(lu, d)
+        return PLU(self.rows, self.pivots, lu)
+
+
+def factor(a: np.ndarray, p: int) -> PLU:
+    """The PLU over GF(p) of residues `a` (int64 in [0, p)), eliminated in place."""
+    pivots, order = _eliminate(a, p)
+    r = len(pivots)
+    return PLU(pivots, order[:r].tolist(), a[:r, pivots])
+
+
+def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[KernelLift]:
     """Certified rank and right kernel of integer matrix b via prime p < 2^26.
 
-    One PLU mod p gives the rank r, the pivot columns P and pivot rows Q.
+    One PLU mod p (`plu` when an elimination elsewhere already gave it) gives
+    the rank r, the pivot columns P and pivot rows Q.
     The kernel normalized on the free columns solves M x = y with
     M = b[Q, P] and y = -b[Q, free]; x is lifted p-adically (Dixon),
     reconstructed as rationals, and accepted per column once b v = 0
@@ -462,8 +544,7 @@ def lift_kernel(b: np.ndarray, p: int) -> Optional[KernelLift]:
     if p >= 1 << 26:
         raise ValueError("the lift needs a prime below 2^26")
     nrows, ncols = b.shape
-    lu = _mod(b, p)
-    pivots, order = _eliminate(lu, p)
+    pivots, rows_q, lu = factor(_mod(b, p), p) if plu is None else plu
     r = len(pivots)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -472,7 +553,6 @@ def lift_kernel(b: np.ndarray, p: int) -> Optional[KernelLift]:
     den = [1] * k
     if k == 0:
         return KernelLift(r, pivots, free, num, den)
-    rows_q = order[:r]
     in_q = np.zeros(nrows, dtype=bool)
     in_q[rows_q] = True
     pending = list(range(k))
@@ -491,7 +571,6 @@ def lift_kernel(b: np.ndarray, p: int) -> Optional[KernelLift]:
     if r == 0:
         return KernelLift(0, pivots, free, num, den) if verified(pending) == [] else None
 
-    lu = lu[:r, pivots]
     m = b[np.ix_(rows_q, pivots)]
     res = -b[np.ix_(rows_q, free)]
     # the residual stays below 2^(bits(b) + bits(r) + 1) in absolute value
@@ -562,11 +641,12 @@ def rank(m: ExactMatrix) -> int:
     return lifted_rank(m.array if m.ncols <= m.nrows else m.array.T)[0]
 
 
-def lifted_rank(b: np.ndarray) -> tuple[int, Optional[KernelLift]]:
+def lifted_rank(b: np.ndarray, plu: Optional[PLU] = None) -> tuple[int, Optional[KernelLift]]:
     """Certified rank of b with the lift of its right kernel, from the first
-    of `PRIMES` whose lift checks; `_rank_integer` with no lift when none does."""
+    of `PRIMES` whose lift checks; `_rank_integer` with no lift when none does.
+    `plu` is an elimination of b mod PRIMES[0] already at hand."""
     for p in PRIMES:
-        lift = lift_kernel(b, p)
+        lift = lift_kernel(b, p, plu if p == PRIMES[0] else None)
         if lift is not None:
             return lift.rank, lift
     return _rank_integer(b.tolist(), b.shape[1]), None

@@ -25,6 +25,23 @@ prime or a mismatch costs a lift (`linalg.lifted_rank`) and never a wrong
 rank; the lift's integer kernel restarts the chain.  Modular Strands and
 single rank requests rank each matrix directly.
 
+The lower ends rank_p J_m, m = 0..2N-2, all come from one elimination mod p
+of J_{2N-2} (`jacobian_rank_profile`: the column rank profile, after
+Jeannerod-Pernet-Storjohann, *Rank-profile revealing Gaussian elimination*,
+2013).  The index of x^a y^b z^c in the monomial basis depends on (b, c)
+alone, so column (i, x^e u) of J_{m+e}, which is x^e (f_i u), holds the
+entries of column (i, u) of J_m in the same rows and zeros below.  Taken by
+descending power of x in the multiplier, the first 3 dim S_m columns of
+J_{2N-2} are therefore J_m itself: the same integers, the same residues.
+`linalg._eliminate` takes the columns left to right with first-nonzero
+pivots, so a column is a pivot iff it is independent mod p of the columns
+before it, and the pivots among the first t columns number their rank.  The
+same elimination, read as one of J_{2N-2}^T (`linalg.PLU.transpose`), is the
+top lift's: its kernel is normalized on other free columns than a fresh
+elimination's, but it spans the same space mod p, so every contraction count
+is the same.  So the sweep eliminates J_{2N-2} once, when the first degree
+needs a rank, and builds J_m only where it lifts.
+
 An exact Strand given the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
 Strand's own exact census of the lines (`geometry.analyze_arrangement`),
@@ -57,19 +74,21 @@ independent computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 from math import comb
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .gradedmaps import contractions, jacobian_matrix, s_dim
 from .linalg import (
+    PLU,
     PRIMES,
     ExactMatrix,
+    _mod,
     _over_common_denominator,
-    _rank_mod_p,
     check_primes,
+    factor,
     lifted_rank,
     modular_rank_with_check,
     pivot_columns,
@@ -146,17 +165,20 @@ class Strand:
         """Certify rank J_m into the memo for m = 2N-2 down to 0, lifting
         only at the top and where the contraction bounds do not meet (see the
         module docstring).  A rank already in the memo is kept."""
-        p = PRIMES[0]
+        p, top = PRIMES[0], 2 * self.N - 2
         chain = None  # residues mod p of a basis of ann(J_{k+1}), as columns
-        for m in range(2 * self.N - 2, -1, -1):
+        ranks = None  # rank_p J_m, once a degree needs them
+        for m in range(top, -1, -1):
             k, found = m + self.N - 1, self._ranks.get((jacobian_matrix, m))
             known = found is not None
-            matrix = None if known else jacobian_matrix(self.f, m).array
+            if not known and ranks is None:
+                matrix = jacobian_matrix(self.f, top).array
+                ranks, top_plu = jacobian_rank_profile(matrix, top, p)
             if chain is not None:
                 candidates = contractions(chain, k + 1)
                 independent = pivot_columns(candidates, p)
                 if not known:
-                    found = _rank_mod_p(matrix, p)
+                    found = ranks[m]
                 if found == s_dim(k) - len(independent):
                     chain = candidates[:, independent]
                     if not known:
@@ -164,7 +186,10 @@ class Strand:
                     continue
             chain = None
             if not known:
-                found, lift = lifted_rank(matrix.T)
+                if m != top:
+                    matrix = jacobian_matrix(self.f, m).array
+                # the profile's elimination is the top lift's
+                found, lift = lifted_rank(matrix.T, top_plu if m == top else None)
                 if lift is not None:
                     chain = (lift.columns() % p).astype(np.int64)
                 self._store(jacobian_matrix, m, found, "lift")
@@ -173,6 +198,20 @@ class Strand:
         """True when the Hilbert function is read off the defects: the local
         check passed and def_{3N-5} = 0 (see the module docstring)."""
         return self.dual is not None and self.dual.defect(3 * self.N - 5) == 0
+
+
+def jacobian_rank_profile(top_matrix: np.ndarray, top: int, p: int) -> tuple[list[int], PLU]:
+    """rank_p J_m for m = 0..top from one elimination mod p of the matrix
+    `top_matrix` of J_top, with the elimination read as one of J_top^T.
+
+    Column (i, u) of J_top, slot-major, is taken at 3 index(u) + i: by
+    descending power of x in u (see the module docstring).
+    """
+    width = s_dim(top)
+    order = np.arange(3 * width).reshape(3, width).T.ravel()
+    plu = factor(_mod(top_matrix[:, order], p), p)
+    ranks = [bisect_left(plu.pivots, 3 * s_dim(m)) for m in range(top + 1)]
+    return ranks, PLU(order[plu.pivots].tolist(), plu.rows, plu.lu).transpose(p)
 
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -244,8 +283,7 @@ def smooth_reference_dim(N: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class HilbertFunction:
+class HilbertFunction(NamedTuple):
     """The sequence k -> dim M(f)_k with its stable value and thresholds.
 
     ct and mdr are None for a smooth curve (the series never leaves the

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 Monomial = tuple[int, int, int]
 
@@ -383,14 +383,12 @@ class CurveError(ValueError):
     """Invalid curve specification (inhomogeneous, proportional, empty...)."""
 
 
-@dataclass(frozen=True)
-class CurveFactor:
+class CurveFactor(NamedTuple):
     text: str
     genus: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(NamedTuple):
     """A curve given as a product of declared-irreducible factors."""
 
     factors: tuple[CurveFactor, ...]

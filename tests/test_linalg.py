@@ -542,3 +542,66 @@ class TestPivotKernel:
         a = np.array([[0, 0, 5, 1, 0]])
         assert linalg.pivot_columns(a, PRIMES[0]) == [2]
         assert linalg._rank_mod_p(a, PRIMES[0]) == 1
+
+
+def reference_triangular_inverse(t, p, lower):
+    """The triangular block inverse by substitution on the identity, one row
+    update per row (the loop `_diagonal_block_inverses` replaces)."""
+    n = t.shape[0]
+    x = np.eye(n, dtype=np.int64)
+    for j in range(n) if lower else range(n - 1, -1, -1):
+        x[j] = x[j] % p if lower else x[j] % p * pow(int(t[j, j]), -1, p) % p
+        rest = slice(j + 1, n) if lower else slice(0, j)
+        x[rest] -= t[rest, j, None] * x[j]
+    return x % p
+
+
+class TestTriangularInverse:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_substitution_loop(self, data):
+        """Every diagonal block of L and of U, for packed LU of any size: one
+        block, a partial last block, several blocks."""
+        p = data.draw(st.sampled_from([PRIMES[0], PRIMES[2], P1, 65521]))
+        r = data.draw(st.one_of(st.integers(1, 9), st.integers(60, 200)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        lu = rng.integers(0, p, size=(r, r), dtype=np.int64)
+        np.fill_diagonal(lu, rng.integers(1, p, size=r))
+        spans = [(j0, min(j0 + linalg._STEP, r)) for j0 in range(0, r, linalg._STEP)]
+        linv, uinv = linalg._diagonal_block_inverses(lu, spans, p)
+        assert len(linv) == len(uinv) == len(spans)
+        for (j0, j1), lower, upper in zip(spans, linv, uinv):
+            block = lu[j0:j1, j0:j1]
+            assert np.array_equal(lower, reference_triangular_inverse(block, p, True))
+            assert np.array_equal(upper, reference_triangular_inverse(block, p, False))
+
+    def test_extreme_residues(self):
+        """Entries p - 1 everywhere: every partial sum at its bound."""
+        p = PRIMES[0]
+        lu = np.full((linalg._STEP, linalg._STEP), p - 1, dtype=np.int64)
+        (lower,), (upper,) = linalg._diagonal_block_inverses(lu, [(0, linalg._STEP)], p)
+        assert np.array_equal(lower, reference_triangular_inverse(lu, p, True))
+        assert np.array_equal(upper, reference_triangular_inverse(lu, p, False))
+
+
+class TestFactorization:
+    @given(residue_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_transpose_factors_the_transpose(self, case):
+        """B[Q, P] = L U read as an elimination of B^T: B^T[P, Q] = L' U'."""
+        a, p = case
+        t = linalg.factor(a.copy(), p).transpose(p)
+        lower = (np.tril(t.lu, -1) + np.eye(len(t.rows), dtype=np.int64)).astype(object)
+        upper = np.triu(t.lu).astype(object)
+        assert np.array_equal(lower.dot(upper) % p, a.T[np.ix_(t.rows, t.pivots)] % p)
+
+    @given(st.one_of(structured_rows(), int64_rows()))
+    @settings(max_examples=80, deadline=None)
+    def test_lift_from_an_elimination_of_the_transpose(self, rows):
+        """Any nonsingular pivot block serves the lift: the elimination of b^T
+        gives the same certified rank and a kernel that b annihilates."""
+        b = ExactMatrix(rows).array
+        p = PRIMES[0]
+        lift = lift_kernel(b, p, linalg.factor(linalg._mod(b.T, p), p).transpose(p))
+        assert lift is not None and lift.rank == _rank_integer(rows, b.shape[1])
+        assert not _nonzero_entries(b, lift.columns()).any()

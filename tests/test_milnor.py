@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planecurves import (
     NonStabilizationError,
@@ -16,11 +18,11 @@ from planecurves import (
     smooth_reference_dim,
     tau,
 )
-from planecurves import Polynomial, cli, milnor, monomial_basis
+from planecurves import Polynomial, cli, gradedmaps, milnor, monomial_basis
 from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
 from planecurves.gradedmaps import contractions, jacobian_matrix, s_dim
-from planecurves.linalg import PRIMES, _nonzero_entries, lifted_rank, rank
-from planecurves.milnor import jacobian_rank
+from planecurves.linalg import PRIMES, _nonzero_entries, _rank_mod_p, lifted_rank, rank
+from planecurves.milnor import jacobian_rank, jacobian_rank_profile
 from tests.conftest import CORPUS, corpus_specs
 
 
@@ -230,6 +232,25 @@ def lifted_degrees(strand):
     return [m for _, m, how in strand.certified if how == "lift"]
 
 
+def assert_profile_is_every_rank(f):
+    """The rank profile of J_{2N-2} mod p is rank_p J_m for every m."""
+    top, p = 2 * f.degree() - 2, PRIMES[0]
+    ranks = [_rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
+    assert jacobian_rank_profile(jacobian_matrix(f, top).array, top, p)[0] == ranks
+
+
+@st.composite
+def products_of_lines_conics_and_cubics(draw):
+    """Products of random forms of degree 1, 2 and 3, of total degree 3..7."""
+    degrees = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=4))
+    assume(3 <= sum(degrees) <= 7)
+    f = Polynomial.constant(1)
+    for d in degrees:
+        f = f * Polynomial({mono: Fraction(draw(st.integers(-3, 3))) for mono in monomial_basis(d)})
+    assume(not f.is_zero())
+    return f
+
+
 class TestSweep:
     """The downward sweep certifies rank J_m from one lift at the top: the
     contractions of annihilators of J_{k+1} annihilate J_k (Macaulay's
@@ -272,6 +293,58 @@ class TestSweep:
         assert same == ranks
         assert lifted_degrees(clean) == [16, 7]
         assert lifted_degrees(corrupted) == [16, 15, 7]
+
+    @pytest.mark.parametrize("name", SWEEP_CURVES)
+    def test_rank_profile_is_every_rank_mod_p(self, name):
+        assert_profile_is_every_rank(sweep_curve(name))
+
+    @given(products_of_lines_conics_and_cubics())
+    @settings(max_examples=20, deadline=None)
+    def test_rank_profile_of_random_products(self, f):
+        assert_profile_is_every_rank(f)
+
+    def test_rank_profile_of_an_object_matrix(self):
+        f = parse_polynomial(f"(x^3+y^3+z^3)(x+{2**70}y+z)")
+        assert jacobian_matrix(f, 2 * f.degree() - 2).array.dtype == object
+        assert_profile_is_every_rank(f)
+
+    @pytest.mark.parametrize("name, built", [("lines9", [16]), ("degree9_cubics", [16, 7])])
+    def test_report_builds_only_the_lifted_degrees(self, monkeypatch, report_strands, name, built):
+        """J is built at the top, for the profile and the top lift, and where
+        a degree is lifted; the profile is eliminated once per Strand."""
+        degrees, profiles = [], []
+        build, profile = gradedmaps.multiplication_matrix, milnor.jacobian_rank_profile
+
+        def recording_build(gens, m, *args):
+            degrees.append(m)
+            return build(gens, m, *args)
+
+        def recording_profile(*args):
+            profiles.append(args[1])
+            return profile(*args)
+
+        monkeypatch.setattr(gradedmaps, "multiplication_matrix", recording_build)
+        monkeypatch.setattr(milnor, "jacobian_rank_profile", recording_profile)
+        report_json_bytes(CORPUS / f"{name}.curve")
+        (strand,) = report_strands
+        assert degrees == built == lifted_degrees(strand)
+        assert profiles == [16]
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_profile_value_ends_in_a_lift(self, monkeypatch, delta):
+        f = sweep_curve("degree9_cubics")
+        _, ranks = swept(f)
+        profile = milnor.jacobian_rank_profile
+
+        def corrupted(*args):
+            values, plu = profile(*args)
+            values[11] += delta
+            return values, plu
+
+        monkeypatch.setattr(milnor, "jacobian_rank_profile", corrupted)
+        strand, same = swept(f)
+        assert same == ranks
+        assert lifted_degrees(strand) == [16, 11, 7]
 
     def test_keeps_ranks_already_in_the_memo(self, curves):
         strand = Strand(curves["degree9"])
