@@ -3,10 +3,10 @@
 
 Usage: python scripts/run_examples.py [--modp]
 
-With --modp the rank computations run modulo two word-sized primes (faster
-for the degree-9 curves that are not line arrangements); without it every
-rank is exact and certified.  Each curve's Strand comes from
-`cli.resolve_strand`, as in the CLI.
+With --modp the rank computations run modulo two word-sized primes, without
+a certificate and more slowly than the exact path, which certifies most
+ranks by contraction; without it every rank is exact and certified.  Each
+curve's Strand comes from `cli.resolve_strand`, as in the CLI.
 """
 
 import argparse

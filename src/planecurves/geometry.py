@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
+from .linalg import _row_to_int
 from .milnor import Strand, tau
 from .polynomials import Polynomial
 
@@ -40,14 +40,7 @@ class ProjectivePoint(NamedTuple):
         fracs = [Fraction(x), Fraction(y), Fraction(z)]
         if all(v == 0 for v in fracs):
             raise GeometryError("(0,0,0) is not a projective point")
-        lcm = 1
-        for v in fracs:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in fracs]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
+        ints = _row_to_int(fracs)
         first = next(v for v in ints if v != 0)
         if first < 0:
             ints = [-v for v in ints]

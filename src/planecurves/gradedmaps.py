@@ -8,11 +8,10 @@ so pivoting and fixtures are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
-from .linalg import ExactMatrix, int_dtype
+from .linalg import ExactMatrix, _row_to_int, int_dtype
 from .polynomials import Polynomial, monomial_basis
 
 
@@ -25,21 +24,7 @@ def s_dim(d: int) -> int:
 
 def integer_scaled(p: Polynomial) -> dict[tuple[int, int, int], int]:
     """Term map of p scaled to coprime integer coefficients."""
-    if p.is_zero():
-        return {}
-    lcm = 1
-    for c in p.terms.values():
-        d = c.denominator
-        lcm = lcm * d // gcd(lcm, d)
-    ints = {m: int(c * lcm) for m, c in p.terms.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        ints = {m: v // g for m, v in ints.items()}
-    return ints
+    return dict(zip(p.terms, _row_to_int(list(p.terms.values()))))
 
 
 def _monomial_index(b, c):
@@ -76,39 +61,6 @@ def _assemble(blocks: list[tuple[dict, int, int]], m: int, shape: tuple[int, int
     return ExactMatrix(arr)
 
 
-def _cleared(gens: list[Polynomial]) -> list[dict]:
-    """Term maps of gens times one common denominator (kernel-preserving)."""
-    lcm = 1
-    for g in gens:
-        for c in g.terms.values():
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return [{mon: int(c * lcm) for mon, c in g.terms.items()} for g in gens]
-
-
-def multiplication_matrix(
-    gens: list[Polynomial], m: int, scale_generators: bool = True
-) -> ExactMatrix:
-    """Matrix of S_m^len(gens) -> S_{m+d}, (a_i) -> sum a_i * gens[i].
-
-    All generators must be homogeneous of one degree d.  With
-    scale_generators each generator is rescaled to primitive integers (a
-    column scaling: rank-preserving but kernel-distorting); pass False when
-    the kernel itself is wanted, and all generators are cleared by one common
-    denominator instead.
-    """
-    degs = {g.degree() for g in gens if not g.is_zero()}
-    if len(degs) != 1:
-        raise ValueError("generators must share one degree")
-    d = degs.pop()
-    if m < 0:
-        return ExactMatrix([], ncols=0)
-    ints = [integer_scaled(g) for g in gens] if scale_generators else _cleared(gens)
-    width = s_dim(m)
-    return _assemble(
-        [(g, 0, i * width) for i, g in enumerate(ints)], m, (s_dim(m + d), len(gens) * width)
-    )
-
-
 def jacobian_partials(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     return (
         f.partial_derivative("x"),
@@ -118,18 +70,23 @@ def jacobian_partials(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial
 
 
 def _integer_partials(f: Polynomial) -> list[dict]:
-    """Integer term maps of the partials of a single integer rescaling of f.
+    """Integer term maps of the partials of f scaled to coprime integers.
 
-    One global scale factor keeps every column of the d0/d1 matrices uniformly
-    scaled (per-partial scaling would mix factors within a column).
+    All three strand maps (jacobian, cross, gradient) are built from these,
+    so they share one scale of f: J_m C_{m-N+1} = 0 and C_m G_{m-N+1} = 0
+    hold as integer products, and every kernel is the kernel over Q.
     """
     fi = Polynomial({m: Fraction(c) for m, c in integer_scaled(f).items()})
     return [{m: int(c) for m, c in p.terms.items()} for p in jacobian_partials(fi)]
 
 
-def jacobian_matrix(f: Polynomial, m: int, scale_generators: bool = True) -> ExactMatrix:
+def jacobian_matrix(f: Polynomial, m: int) -> ExactMatrix:
     """Matrix of S_m^3 -> S_{m+N-1}, (a,b,c) -> a f_x + b f_y + c f_z."""
-    return multiplication_matrix(list(jacobian_partials(f)), m, scale_generators)
+    if m < 0:
+        return ExactMatrix([], ncols=0)
+    width = s_dim(m)
+    blocks = [(g, 0, s * width) for s, g in enumerate(_integer_partials(f))]
+    return _assemble(blocks, m, (s_dim(m + f.degree() - 1), 3 * width))
 
 
 def cross_matrix(f: Polynomial, m: int) -> ExactMatrix:

@@ -134,7 +134,7 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
         return []
     strand = Strand.of(f)
     f, N = strand.f, strand.N
-    matrix = jacobian_matrix(f, m, scale_generators=False)
+    matrix = jacobian_matrix(f, m)
     kernel = certified_kernel(matrix)
     strand.remember(jacobian_matrix, m, kernel.rank)
     acc = EchelonAccumulator(matrix.ncols)

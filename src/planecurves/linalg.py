@@ -11,7 +11,9 @@ integer elimination (`_rank_integer`) is the last resort.
 Modular mode (`modular_rank_with_check`) is the uncertified opt-in path: it
 trusts a rank on which all given primes agree.
 
-Pivoting is "first nonzero in column order" throughout, for determinism.
+Pivoting is deterministic: the eliminations mod p and over Q take the first
+nonzero entry of each column, and the fraction-free `_rank_integer` the
+smallest nonzero |v| (ties by row order), to bound coefficient growth.
 
 Every elimination mod p (the lifts, `pivot_columns`, `_rank_mod_p`) runs
 through `_eliminate`.  Its matrices are small and sparse, so its cost is the
@@ -103,12 +105,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.array.T)
-
-    def rank(self) -> int:
-        return rank(self)
-
-    def kernel_dim(self) -> int:
-        return kernel_dim(self)
 
 
 def _strip_content(arr: np.ndarray) -> np.ndarray:

@@ -68,16 +68,8 @@ class Polynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
-
-    @staticmethod
     def constant(c) -> "Polynomial":
         return Polynomial({(0, 0, 0): Fraction(c)})
-
-    @staticmethod
-    def monomial(m: Monomial, c=1) -> "Polynomial":
-        return Polynomial({m: Fraction(c)})
 
     @staticmethod
     def variable(v: str) -> "Polynomial":

@@ -3,7 +3,10 @@
 import argparse
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -293,6 +296,19 @@ def test_run_examples_script(corpus_dir, capsys):
     assert [line.split()[1] for line in headers] == [p.stem for p in sorted(corpus_dir.glob("*.curve"))]
     smooth = out[out.index(next(h for h in headers if h.split()[1] == "smooth4")) + 2].split()
     assert "ct=inf" in smooth and "mdr=inf" in smooth
+
+
+@pytest.mark.parametrize("script", ["run_examples.py", "bench_eliminate.py"])
+def test_script_exits_clean(corpus_dir, script):
+    """Each script runs as documented, in exact mode; bench_eliminate exits 1
+    when its repetitions disagree."""
+    root = corpus_dir.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / script)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
 
 
 class TestResolveStrand:

@@ -11,10 +11,9 @@ from planecurves.gradedmaps import (
     integer_scaled,
     jacobian_matrix,
     jacobian_partials,
-    multiplication_matrix,
 )
-from planecurves.polynomials import Polynomial, monomial_basis
-from tests.conftest import CORPUS, load_corpus_curve
+from planecurves.polynomials import Polynomial, monomial_basis, parse_polynomial
+from tests.conftest import CORPUS, corpus_specs, load_corpus_curve
 
 CURVES = ["degree5_D4", "triangle_cubic"]
 
@@ -61,24 +60,13 @@ def assert_same(built, expected):
 
 
 @pytest.mark.parametrize("f, m", cases())
-def test_jacobian_unscaled(f, m):
-    """The kernel-preserving form that feeds syzygy_basis: raw partials."""
-    N = f.degree()
-    parts = [int_terms(g) for g in jacobian_partials(f)]
-    width = len(monomial_basis(m))
-    nrows = len(monomial_basis(m + N - 1))
-    entries = [(g, 0, s * width) for s, g in enumerate(parts)]
-    expected = shifted(entries, m, N - 1, nrows, 3 * width)
-    assert_same(jacobian_matrix(f, m, scale_generators=False), expected)
-
-
-@pytest.mark.parametrize("f, m", cases())
 def test_jacobian_scaled(f, m):
+    """Slot s gets the s-th partial of f scaled to coprime integers: one
+    scale of f for all three slots, so the kernel is that over Q."""
     N = f.degree()
-    parts = [integer_scaled(g) for g in jacobian_partials(f)]
     width = len(monomial_basis(m))
     nrows = len(monomial_basis(m + N - 1))
-    entries = [(g, 0, s * width) for s, g in enumerate(parts)]
+    entries = [(g, 0, s * width) for s, g in enumerate(scaled_partials(f))]
     assert_same(jacobian_matrix(f, m), shifted(entries, m, N - 1, nrows, 3 * width))
 
 
@@ -116,8 +104,19 @@ def test_negative_degree_is_empty():
 
 
 def test_rational_coefficients_cleared_by_one_factor():
-    """Without generator scaling one common denominator clears every
-    generator, so the kernel of the map is unchanged."""
-    gens = [Polynomial({(1, 0, 0): Fraction(1, 2)}), Polynomial({(0, 1, 0): Fraction(1, 3)})]
-    built = multiplication_matrix(gens, 0, scale_generators=False)
-    assert built.rows == [[3, 0], [0, 2], [0, 0]]
+    """x^2/4 + y^2/6 + z^2 is scaled once, to 3x^2 + 2y^2 + 12z^2, so the
+    partials 6x, 4y, 24z keep their ratios and the kernel of the map."""
+    built = jacobian_matrix(parse_polynomial("1/4*x^2 + 1/6*y^2 + z^2"), 0)
+    assert built.rows == [[6, 0, 0], [0, 4, 0], [0, 0, 24]]
+
+
+@pytest.mark.parametrize("spec", corpus_specs(), ids=lambda spec: spec.stem)
+def test_strand_is_an_integer_complex(spec):
+    """J_m C_{m-N+1} = 0 and C_m G_{m-N+1} = 0 as products of the integer
+    matrices, at the first two degrees where the inner map is nonzero."""
+    f = load_corpus_curve(spec)[0].f
+    N = f.degree()
+    for m in (N - 1, N):
+        for outer, inner in ((jacobian_matrix, cross_matrix), (cross_matrix, gradient_column_matrix)):
+            product = outer(f, m).array.astype(object) @ inner(f, m - N + 1).array.astype(object)
+            assert not product.any(), (outer.__name__, m)

@@ -20,7 +20,7 @@ from planecurves import (
     trivial_syzygy_dim,
 )
 from planecurves import koszul, milnor
-from planecurves.gradedmaps import jacobian_partials, multiplication_matrix, s_dim
+from planecurves.gradedmaps import jacobian_partials, s_dim
 from planecurves.koszul import omega_dim
 from planecurves.linalg import EchelonAccumulator, KernelLift
 from planecurves.milnor import jacobian_rank

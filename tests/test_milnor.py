@@ -18,7 +18,7 @@ from planecurves import (
     smooth_reference_dim,
     tau,
 )
-from planecurves import Polynomial, cli, gradedmaps, milnor, monomial_basis
+from planecurves import Polynomial, cli, milnor, monomial_basis
 from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
 from planecurves.gradedmaps import contractions, jacobian_matrix, s_dim
 from planecurves.linalg import PRIMES, _nonzero_entries, _rank_mod_p, lifted_rank, rank
@@ -313,17 +313,17 @@ class TestSweep:
         """J is built at the top, for the profile and the top lift, and where
         a degree is lifted; the profile is eliminated once per Strand."""
         degrees, profiles = [], []
-        build, profile = gradedmaps.multiplication_matrix, milnor.jacobian_rank_profile
+        build, profile = milnor.jacobian_matrix, milnor.jacobian_rank_profile
 
-        def recording_build(gens, m, *args):
+        def recording_build(f, m):
             degrees.append(m)
-            return build(gens, m, *args)
+            return build(f, m)
 
         def recording_profile(*args):
             profiles.append(args[1])
             return profile(*args)
 
-        monkeypatch.setattr(gradedmaps, "multiplication_matrix", recording_build)
+        monkeypatch.setattr(milnor, "jacobian_matrix", recording_build)
         monkeypatch.setattr(milnor, "jacobian_rank_profile", recording_profile)
         report_json_bytes(CORPUS / f"{name}.curve")
         (strand,) = report_strands
