@@ -71,6 +71,25 @@ def test_jacobian_scaled(f, m):
 
 
 @pytest.mark.parametrize("f, m", cases())
+def test_jacobian_unscaled(f, m):
+    """The map is one nonzero rational multiple of the map built from the
+    raw partials of f, entry for entry, so the two have the same kernel."""
+    N = f.degree()
+    width = len(monomial_basis(m))
+    nrows = len(monomial_basis(m + N - 1))
+    raw = np.zeros((nrows, 3 * width), dtype=object)
+    index = {mono: i for i, mono in enumerate(monomial_basis(m + N - 1))}
+    for s, g in enumerate(jacobian_partials(f)):
+        for j, u in enumerate(monomial_basis(m)):
+            for mono, c in g.terms.items():
+                raw[index[tuple(a + b for a, b in zip(mono, u))], s * width + j] = Fraction(c)
+    built = jacobian_matrix(f, m).array.astype(object)
+    assert (built != 0).tolist() == (raw != 0).tolist()
+    ratios = {Fraction(int(b)) / r for b, r in zip(built.flat, raw.flat) if r != 0}
+    assert len(ratios) == 1
+
+
+@pytest.mark.parametrize("f, m", cases())
 def test_cross(f, m):
     """v -> grad(f) x v: component i gets eps(i, j, s) f_j times slot s."""
     N = f.degree()
