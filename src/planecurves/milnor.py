@@ -48,7 +48,7 @@ Strand's own exact census of the lines (`geometry.analyze_arrangement`),
 taken only when f is their product, so they are all the singular points of f
 and each is a node or an ordinary triple point.  `tjurina.TjurinaDual` holds
 tau functionals, a basis of the dual of the sum of the local Tjurina algebras
-T_p, checked once to kill the Jacobian ideal J.  W_k is their matrix on S_k;
+T_p, read off the kernel of the Jacobian ideal J at each point.  W_k is their matrix on S_k;
 its kernel is I_k, the degree-k part of the saturation I of J, and
 def_k = tau - rank W_k, so dim (S/I)_k = tau - def_k.
 
@@ -67,8 +67,8 @@ N(f)_k = 0 for k > 3N-6.  On such a derived Strand:
 So tau = n + 4t holds by construction there.  `koszul.er_dim(N-2)` stays a
 direct Jacobian rank, and the report compares it with dim M(f)_{2N-3} - g
 (the ER identity): that is the independent check of the derived series.  A
-point on four or more lines, a failed local check, lines whose product is
-not f and a modular Strand keep the direct path, so `--modp` stays an
+point on four or more lines, a local kernel of the wrong dimension, lines
+whose product is not f and a modular Strand keep the direct path, so `--modp` stays an
 independent computation.
 """
 
@@ -116,10 +116,11 @@ class Strand:
     primes it is `modular_rank_with_check`, the uncertified opt-in path, and
     the primes must pass `check_primes` (ValueError otherwise).  `lines`, the
     linear factors of an arrangement, give the Strand their `census` (see
-    `_census`) and an exact Strand its `dual` (None when the local check
-    fails), from which the Hilbert function is derived.  `certified` lists
-    (map, degree, certificate) for every rank the Strand answers:
-    "contraction", "lift" or "memo" ("modular" on a modular Strand).
+    `_census`) and an exact Strand its `dual` (None when a point's local
+    kernel has the wrong dimension), from which the Hilbert function is
+    derived.  `certified` lists (map, degree, certificate) for every rank
+    the Strand answers: "contraction", "lift" or "memo" ("modular" on a
+    modular Strand).
     """
 
     def __init__(self, f: Polynomial, primes: tuple[int, ...] = (), lines: Sequence[Polynomial] = ()):

@@ -12,18 +12,19 @@ the expanded product.  In the chart a line is the affine form
 L(p) + L(e_i) s + L(e_j) t: only the lines through p vanish at p, and every
 other factor is a unit there.
 
-* A node (A1) has T_p = C, dual to c_00.
-* An ordinary triple point (D4) has T_p = O_p / (m^3 + the quadratic parts
-  of the chart derivatives of the cubic part g of f), dual to c_00, c_10,
-  c_01 and sum lambda_ab c_ab over a + b = 2, with lambda orthogonal to both
-  quadratic parts.  g is a unit times the product of the three lines through
-  p, and lambda is quadratic in g, so the primitive lambda is read off that
-  product alone.
+An ordinary m-fold point is quasi-homogeneous with tau_p = (m-1)^2, and
+J contains every term of order > D = 2m - 4, the socle degree of the Milnor
+algebra of its tangent cone.  So the dual of T_p is Macaulay's inverse
+system of J at p (Iarrobino-Kanev 1999): the functionals sum lambda_ab c_ab
+over a + b <= D with lambda(h f_w) = 0 for every h = s^alpha t^beta,
+alpha + beta <= D, and w in {x, y, z}.  `point_functionals` takes that
+kernel exactly, with the D-jets of the partials taken from the factors.  Its
+dimension is that of O_p / (J + m^(D+1)), at most tau_p, and it is kept only
+when it reaches (m-1)^2: then m^(D+1) lies in J, the functionals span the
+whole dual and they kill J_k in every degree k.  A node gives c_00, a triple
+point c_00, c_10, c_01 and one quadric in c_20, c_11, c_02.
 
-A functional of order <= 2 kills J_k for every k iff it kills the 2-jets of
-h f_w for h in {1, s, t, s^2, st, t^2} and w in {x, y, z}; `TjurinaDual.of`
-checks that once, exactly, with the 2-jets of the partials taken from the
-factors.  W_k is the tau x dim S_k matrix of the functionals on the monomials
+W_k is the tau x dim S_k matrix of the functionals on the monomials
 of degree k, and def_k = tau - rank W_k, the failure of the points to impose
 independent conditions on degree-k forms.  The span of the functionals at p
 is closed under multiplication by forms, and a linear form missing every
@@ -33,19 +34,16 @@ point acts invertibly on it, so def_k never increases: once it is 0 it stays
 
 from __future__ import annotations
 
-from math import gcd
+from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .gradedmaps import integer_scaled, jacobian_matrix, s_dim
-from .linalg import PRIMES, ExactMatrix, _rank_mod_p, int_dtype, rank
+from .linalg import PRIMES, ExactMatrix, _rank_mod_p, _row_to_int, int_dtype, rank, rref_fraction
 from .polynomials import Polynomial, monomial_basis
 
 Line = tuple[int, int, int]
-
-# The multipliers h of the local check: 1, s, t, s^2, st, t^2.
-_JET2 = [(a, b) for a in range(3) for b in range(3 - a)]
 
 
 class Functional(NamedTuple):
@@ -68,13 +66,13 @@ def _chart_forms(lines: Sequence[Line], point) -> list[Line]:
     return [(sum(c * x for c, x in zip(line, point)), line[i], line[j]) for line in lines]
 
 
-def _partial_jets(lines: Sequence[Line], point) -> list[dict[tuple[int, int], int]]:
-    """The coefficients c_ab, a + b <= 2, of f_x, f_y and f_z for f the
+def _partial_jets(lines: Sequence[Line], point, order: int) -> list[dict[tuple[int, int], int]]:
+    """The coefficients c_ab, a + b <= order, of f_x, f_y and f_z for f the
     product of the lines: f_w is the coefficient of e in the product of the
     L(p + s e_i + t e_j + e e_w), with e^2 = 0.
 
     A jet maps (a, b, w) to a coefficient, w = 3 for the e-free part.  The
-    lines through p go first, so that truncating at order 2 keeps it short.
+    lines through p go first, so that truncating at the order keeps it short.
     """
     forms = _chart_forms(lines, point)
     jet = {(0, 0, 3): 1}
@@ -83,7 +81,7 @@ def _partial_jets(lines: Sequence[Line], point) -> list[dict[tuple[int, int], in
         nxt: dict[tuple[int, int, int], int] = {}
         for (a, b, w), v in jet.items():
             for da, db, c in steps:
-                if a + b + da + db <= 2:
+                if a + b + da + db <= order:
                     key = (a + da, b + db, w)
                     nxt[key] = nxt.get(key, 0) + v * c
             if w == 3:
@@ -95,44 +93,45 @@ def _partial_jets(lines: Sequence[Line], point) -> list[dict[tuple[int, int], in
 
 
 def point_functionals(lines: Sequence[Line], point: tuple[int, int, int]) -> list[Functional]:
-    """The dual basis of T_p at a node (1 functional) or a triple point (4)
-    of the product of the lines.
+    """The dual basis of T_p at an ordinary m-fold point p of the product of
+    the lines: (m-1)^2 functionals of order <= D = 2m - 4, the kernel of the
+    conditions lambda(h f_w) = 0, one per free column of its RREF.
 
-    Empty when p lies on neither two nor three of the lines, or when the
-    two quadrics of a triple point are proportional (it is not ordinary);
-    `TjurinaDual.of` then gives up on the curve.
+    Empty when p lies on fewer than two of the lines or the kernel has any
+    other dimension; `TjurinaDual.of` then gives up on the curve.
     """
-    through = [(a, b) for c, a, b in _chart_forms(lines, point) if c == 0]
-    if len(through) == 2:
-        return [Functional(point, (((0, 0), 1),))]
-    if len(through) != 3:
+    m = sum(1 for c, _, _ in _chart_forms(lines, point) if c == 0)
+    if m < 2:
         return []
-    g = [1]  # coefficients of s^3, s^2 t, s t^2, t^3 in the product of the lines through p
-    for a, b in through:
-        g = [u * a + v * b for u, v in zip(g + [0], [0] + g)]
-    # quadratic parts of d/ds and d/dt of the cubic part, on s^2, st, t^2
-    q_s = (3 * g[0], 2 * g[1], g[2])
-    q_t = (g[1], 2 * g[2], 3 * g[3])
-    lam = (
-        q_s[1] * q_t[2] - q_s[2] * q_t[1],
-        q_s[2] * q_t[0] - q_s[0] * q_t[2],
-        q_s[0] * q_t[1] - q_s[1] * q_t[0],
-    )
-    if not any(lam):
-        return []
-    content = gcd(*lam)
-    quad = tuple((ab, v // content) for ab, v in zip(((2, 0), (1, 1), (0, 2)), lam) if v)
-    return [Functional(point, ((ab, 1),)) for ab in ((0, 0), (1, 0), (0, 1))] + [
-        Functional(point, quad)
+    order = 2 * m - 4
+    monos = [(a, d - a) for d in range(order + 1) for a in range(d, -1, -1)]
+    # c_ab(h f_w) = c_(a - alpha, b - beta)(f_w) for h = s^alpha t^beta
+    rows = [
+        [jet.get((a - alpha, b - beta), 0) for a, b in monos]
+        for jet in _partial_jets(lines, point, order)
+        for alpha, beta in monos
     ]
+    rref, pivots = rref_fraction(rows, len(monos))
+    free = [col for col in range(len(monos)) if col not in pivots]
+    if len(free) != (m - 1) ** 2:
+        return []
+    functionals = []
+    for col in free:
+        vec = [0] * len(monos)
+        vec[col] = 1
+        for row, pivot in zip(rref, pivots):
+            vec[pivot] = -row[col]
+        weights = zip(monos, _row_to_int(vec))
+        functionals.append(Functional(point, tuple((ab, w) for ab, w in weights if w)))
+    return functionals
 
 
 class TjurinaDual:
     """The tau functionals of the singular points of f, the product of
     `lines`, and the ranks of W_k.
 
-    Built by `of`, which returns None unless every functional passes the
-    local check.  `defect(k)` is tau - rank W_k over Q, computed upwards from
+    Built by `of`, which returns None unless every point gets its whole
+    local dual.  `defect(k)` is tau - rank W_k over Q, computed upwards from
     k = 0 until it reaches 0.  `certified` lists ("W", k, certificate) for
     every rank of W_k: "full" (full rank mod p), "jacobian bound" or "exact".
     """
@@ -143,7 +142,6 @@ class TjurinaDual:
         self.functionals = tuple(functionals)
         self.tau = len(self.functionals)
         self._defects: list[int] = []
-        self._kills: Optional[bool] = None
         self.certified: list[tuple[str, int, str]] = []
 
     @classmethod
@@ -159,51 +157,25 @@ class TjurinaDual:
             if not local:
                 return None
             functionals += local
-        dual = cls(f, vectors, functionals)
-        return dual if dual.kills_jacobian() else None
-
-    def kills_jacobian(self) -> bool:
-        """True iff every functional kills h f_w for every 2-jet multiplier h.
-
-        The 2-jet of a f_w depends only on the 2-jets of a and f_w, so this
-        one exact check covers J_k in every degree k.  The jets are those of
-        the product of the lines, a nonzero multiple of f, which leaves every
-        verdict unchanged.
-        """
-        if self._kills is None:
-            self._kills = self._check()
-        return self._kills
-
-    def _check(self) -> bool:
-        jets: dict[tuple[int, int, int], list[dict]] = {}
-        for fn in self.functionals:
-            if fn.point not in jets:
-                jets[fn.point] = _partial_jets(self.lines, fn.point)
-            for jet in jets[fn.point]:
-                for alpha, beta in _JET2:
-                    value = sum(
-                        w * jet.get((a - alpha, b - beta), 0)
-                        for (a, b), w in fn.weights
-                        if a >= alpha and b >= beta
-                    )
-                    if value != 0:
-                        return False
-        return True
+        return cls(f, vectors, functionals)
 
     def matrix(self, k: int, p: Optional[int] = None) -> np.ndarray:
         """W_k: row r is functional r on monomial_basis(k); residues mod p,
         or exact Python ints when p is None (entries grow like coord^k)."""
         basis = np.array(monomial_basis(k), dtype=np.int64).reshape(-1, 3)
         out = np.zeros((self.tau, len(basis)), dtype=np.int64 if p else object)
-        e = np.arange(k + 1)
-        binoms = [np.ones(k + 1, dtype=np.int64), e, e * (e - 1) // 2]  # C(e, 0..2)
+        top = max((max(ab) for fn in self.functionals for ab, _ in fn.weights), default=0)
+        binoms = [  # C(e, a) for e = 0..k
+            np.array([comb(e, a) % p if p else comb(e, a) for e in range(k + 1)], dtype=out.dtype)
+            for a in range(top + 1)
+        ]
         powers: dict[int, np.ndarray] = {}
 
         def pw(c: int) -> np.ndarray:
             """c^e for e = 0..k, mod p when p is given."""
             if c not in powers:
                 vals = [pow(c, n, p) if p else c ** n for n in range(k + 1)]
-                powers[c] = np.array(vals, dtype=np.int64 if p else object)
+                powers[c] = np.array(vals, dtype=out.dtype)
             return powers[c]
 
         def times(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -226,9 +198,10 @@ class TjurinaDual:
         """Exact rank of W_k.
 
         The rank mod a prime never exceeds the rank over Q, so it is exact
-        when it reaches min(tau, dim S_k).  After the local check J_k lies in
-        the kernel of W_k, so rank W_k <= dim S_k - rank_Q J_k <= dim S_k -
-        rank_p J_k, and a rank mod p equal to that bound is exact too.
+        when it reaches min(tau, dim S_k).  The functionals kill J, so J_k
+        lies in the kernel of W_k, rank W_k <= dim S_k - rank_Q J_k <=
+        dim S_k - rank_p J_k, and a rank mod p equal to that bound is exact
+        too.
         Otherwise the certified `linalg.rank` answers.
         """
         full = min(self.tau, s_dim(k))
@@ -237,11 +210,7 @@ class TjurinaDual:
         m = k - self.f.degree() + 1
         if found == full:
             certificate = "full"
-        elif (
-            m >= 0
-            and self.kills_jacobian()
-            and found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p)
-        ):
+        elif m >= 0 and found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p):
             certificate = "jacobian bound"
         else:
             exact = self.matrix(k)

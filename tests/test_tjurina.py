@@ -1,9 +1,10 @@
 """Local duality at the singular points of an arrangement: the Hilbert
-function read off the defects, the local check from the line factors, the
+function read off the defects, the local duals from the line factors, the
 certified ranks of W_k, the soundness of the derived path, and the stable
 Jacobian ranks as an audit of the theorem behind it."""
 
 import functools
+import itertools
 import json
 import operator
 import random
@@ -16,10 +17,10 @@ from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim,
 from planecurves import milnor, tjurina
 from planecurves.cli import main
 from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
-from planecurves.linalg import PRIMES, _rank_mod_p
+from planecurves.linalg import PRIMES, _rank_mod_p, rref_fraction
 from planecurves.milnor import jacobian_rank
 from planecurves.tjurina import Functional, TjurinaDual
-from tests.conftest import CORPUS, load_corpus_curve, random_arrangement
+from tests.conftest import CORPUS, _cross, load_corpus_curve, random_arrangement
 
 # x y (x+y) (x+2z) (y+3z): one triple point at (0, 0, 1) and seven nodes
 TRIPLE = ["x", "y", "x+y", "x+2z", "y+3z"]
@@ -83,8 +84,10 @@ def test_stable_jacobian_ranks_audit(sweep):
             assert jacobian_rank(strand, k - N + 1) == s_dim(k) - profile.tau_expected, str(strand.f)
 
 
-# The local check as it was done before the line factors: expand f and its
-# partials at every point.
+# The local duals as they were built before the inverse system: expand f
+# at every point, c_00 at a node, and at a triple point c_00, c_10, c_01 and
+# the quadric lambda orthogonal to the quadratic parts of the chart
+# derivatives of the cubic part.
 def expanded_jet(g, point, order):
     l, i, j = tjurina._chart(point)
     out = {}
@@ -115,11 +118,17 @@ def expanded_functionals(f, point, multiplicity):
     ]
 
 
+# The multipliers h of an order-2 check: 1, s, t, s^2, st, t^2.
+JET2 = [(a, b) for a in range(3) for b in range(3 - a)]
+
+
 def expanded_kills(f, functionals):
+    """True iff every functional, of order <= 2, kills h f_w for each
+    h in JET2, with the partials of the expanded f."""
     partials = _integer_partials(f)
     for fn in functionals:
         for jet in (expanded_jet(fw, fn.point, 2) for fw in partials):
-            for alpha, beta in tjurina._JET2:
+            for alpha, beta in JET2:
                 value = sum(
                     w * jet.get((a - alpha, b - beta), 0)
                     for (a, b), w in fn.weights
@@ -130,20 +139,58 @@ def expanded_kills(f, functionals):
     return True
 
 
-def test_local_check_from_factors_matches_the_expansion(sweep_arrangements):
-    for lines, f, profile in sweep_arrangements:
+def span_dim(functionals):
+    """Dimension of the span of functionals at one point, on c_ab for a + b <= 4."""
+    monos = [(a, b) for a in range(5) for b in range(5 - a)]
+    rows = [[dict(fn.weights).get(ab, 0) for ab in monos] for fn in functionals]
+    return len(rref_fraction(rows, len(monos))[1])
+
+
+def test_local_check_from_factors_matches_the_expansion(sweep_arrangements, eight_lines):
+    """At every point the kernel from the factors' jets spans the dual that
+    the expansion's lambda formula gives, and kills the expanded J."""
+    for lines, f, profile in sweep_arrangements + [eight_lines]:
         dual = TjurinaDual.of(f, lines, coords(profile))
         assert dual is not None, str(f)
-        expected = [
-            fn for p in profile.points for fn in expanded_functionals(f, p.location.coords, p.multiplicity)
-        ]
-        assert list(dual.functionals) == expected, str(f)
-        assert expanded_kills(f, expected)
-        # c_10 + c_01 kills J at a triple point, not at a node
+        assert expanded_kills(f, dual.functionals), str(f)
         for p in profile.points:
+            got = [fn for fn in dual.functionals if fn.point == p.location.coords]
+            expected = expanded_functionals(f, p.location.coords, p.multiplicity)
+            assert expanded_kills(f, expected)
+            assert len(got) == span_dim(got) == span_dim(expected) == span_dim(got + expected), (str(f), p)
+            # c_10 + c_01 kills J at a triple point, not at a node
             probe = [Functional(p.location.coords, (((1, 0), 1), ((0, 1), 1)))]
-            verdict = TjurinaDual(f, dual.lines, probe).kills_jacobian()
-            assert verdict == expanded_kills(f, probe) == (p.multiplicity == 3), (str(f), p)
+            in_span = span_dim(got + probe) == len(got)
+            assert in_span == expanded_kills(f, probe) == (p.multiplicity == 3), (str(f), p)
+
+
+# B3, the reflection arrangement xyz(x+-y)(x+-z)(y+-z): three 4-fold points,
+# four triple points and six nodes, tau = 3 * 9 + 4 * 4 + 6 = 49.
+B3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+
+
+def test_every_multiplicity_gets_its_whole_dual():
+    points = {}
+    for u, v in itertools.combinations(B3, 2):
+        p = _cross(u, v)
+        p = tuple(c // gcd(*p) for c in p)
+        points[p if next(c for c in p if c) > 0 else tuple(-c for c in p)] = None
+    found = []
+    for p in points:
+        m = sum(1 for line in B3 if sum(a * b for a, b in zip(line, p)) == 0)
+        local = tjurina.point_functionals(B3, p)
+        assert len(local) == span_dim(local) == (m - 1) ** 2, (p, m)
+        assert max(a + b for fn in local for (a, b), _ in fn.weights) == 2 * m - 4
+        found.append(m)
+    assert sorted(found) == [2] * 6 + [3] * 4 + [4] * 3
+
+
+def test_point_on_fewer_than_two_lines_has_no_functionals():
+    lines, f = arrangement(TRIPLE)
+    vectors = derived_strand(lines, f).dual.lines
+    for point in ((1, 1, 1), (0, 1, 5)):  # off every line; on x = 0 only
+        assert tjurina.point_functionals(vectors, point) == []
+        assert TjurinaDual.of(f, lines, [point]) is None
 
 
 @pytest.fixture
@@ -170,13 +217,13 @@ def test_short_w_rank_certified_by_jacobian(exact_ranks):
     assert dual.certified == [("W", 5, "jacobian bound")] + [("W", k, how) for k, how in enumerate(hows)]
 
 
-def test_uncertified_short_rank_falls_back_to_exact(monkeypatch, exact_ranks):
-    """Without the local check the J_k bound proves nothing, so the exact
-    rank answers."""
+def test_uncertified_short_rank_falls_back_to_exact(exact_ranks):
+    """A rank mod p that meets neither min(tau, dim S_k) nor the J_k bound
+    proves nothing, so the exact rank answers: paired with x^6 + y^6, whose
+    J_5 has rank 2, the bound reads 19 against lines6's W_5 rank 18."""
     curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
-    checked = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
-    dual = TjurinaDual(curve.f, checked.lines, checked.functionals)
-    monkeypatch.setattr(dual, "kills_jacobian", lambda: False)
+    local = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+    dual = TjurinaDual(parse_polynomial("x^6+y^6"), local.lines, local.functionals)
     assert dual.rank(5) == 18 and exact_ranks == [19]
     assert dual.certified == [("W", 5, "exact")]
 
@@ -198,32 +245,29 @@ def test_short_w_rank_beyond_the_jacobian_bound_is_ranked_exactly(exact_ranks):
 
 
 class TestHonestFallback:
-    def test_corrupted_functional_fails_local_check(self, monkeypatch):
+    def test_corrupted_jet_gives_up_on_the_curve(self, monkeypatch):
+        # A jet whose kernel has the wrong dimension at some point leaves no
+        # dual at all, and the Strand keeps the direct path.
         lines, f = arrangement(TRIPLE)
-        dual = derived_strand(lines, f).dual
-        assert dual.kills_jacobian() and dual.tau == 11
-        quad = next(i for i, fn in enumerate(dual.functionals) if len(fn.weights) > 1)
-        fn = dual.functionals[quad]
-        bent = fn._replace(weights=((fn.weights[0][0], fn.weights[0][1] + 1),) + fn.weights[1:])
-        corrupted = list(dual.functionals)
-        corrupted[quad] = bent
-        assert not TjurinaDual(f, dual.lines, corrupted).kills_jacobian()
+        assert derived_strand(lines, f).dual.tau == 11
+        direct = hilbert_series(Strand(f))
+        original = tjurina._partial_jets
 
-        original = tjurina.point_functionals
+        def unit_f_x(vectors, point, order):  # shrinks every kernel
+            jets = original(vectors, point, order)
+            jets[0][0, 0] = jets[0].get((0, 0), 0) + 1
+            return jets
 
-        def corrupting(vectors, point):
-            return [bent if g == fn else g for g in original(vectors, point)]
+        def flat_triple(vectors, point, order):  # grows the kernel at the triple point
+            jets = original(vectors, point, order)
+            return [{}, {}, {}] if order == 2 else jets
 
-        monkeypatch.setattr(tjurina, "point_functionals", corrupting)
-        strand = Strand(f, lines=lines)
-        assert strand.dual is None and not strand.derived()
-        assert hilbert_series(strand) == hilbert_series(Strand(f))
-
-    def test_node_functional_off_the_curve_fails(self):
-        lines, f = arrangement(TRIPLE)
-        dual = derived_strand(lines, f).dual
-        off = Functional((1, 1, 1), (((0, 0), 1),))
-        assert not TjurinaDual(f, dual.lines, [off]).kills_jacobian()
+        for corrupt in (unit_f_x, flat_triple):
+            monkeypatch.setattr(tjurina, "_partial_jets", corrupt)
+            assert TjurinaDual.of(f, lines, coords(analyze_arrangement(lines))) is None
+            strand = Strand(f, lines=lines)
+            assert strand.census is not None and strand.dual is None and not strand.derived()
+            assert hilbert_series(strand) == direct
 
     def test_incomplete_or_foreign_lines_never_derive(self):
         # The points come only from the Strand's own census of f's lines, so
@@ -258,7 +302,7 @@ class TestHonestFallback:
         profile = analyze_arrangement(lines)
         nodes = [p for p in profile.points if p.multiplicity == 2]
         partial = TjurinaDual.of(f, lines, [p.location.coords for p in profile.points if p != nodes[0]])
-        assert partial is not None and partial.kills_jacobian()
+        assert partial is not None and expanded_kills(f, partial.functionals)
         assert partial.tau == 10 != tau(f)
 
     def test_modular_strand_keeps_the_direct_path(self):
