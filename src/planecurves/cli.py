@@ -219,7 +219,6 @@ def report_payload(curve: Curve, data: dict, args) -> dict:
     table = spectral_table(strand)
     thm2 = theorem2_report(strand, profile)
     ed = hodge.ed_polynomial
-    g = (profile.N - 1) * (profile.N - 2) // 2
     audits = [
         Check("ED polynomial u-coefficient == gr1", ed.get((1, 0), 0), hodge.gr1),
         Check(
@@ -228,11 +227,6 @@ def report_payload(curve: Curve, data: dict, args) -> dict:
             hodge.gr2,
         ),
         Check("b2 == gr1 + gr2", hodge.b2, hodge.gr1 + hodge.gr2),
-        Check(
-            "sum g_j - t == g - tau + r - 1",
-            profile.sum_genus - profile.t,
-            g - h.stable_value + profile.r - 1,
-        ),
     ]
     if profile.points:
         audits.append(Check("Bezout pair count", *bezout_audit(profile)))
