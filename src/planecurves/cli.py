@@ -24,7 +24,7 @@ from .geometry import (
     genus_from_counts,
     validate_profile,
 )
-from .hodge import ed_poly_str, hodge_deligne_U, mixed_hodge_numbers, theorem2_report
+from .hodge import ed_poly_str, mixed_hodge_numbers, theorem2_report
 from .koszul import spectral_table
 from .linalg import LinalgError
 from .milnor import NonStabilizationError, Strand, hilbert_series
