@@ -1,14 +1,23 @@
 """Command line interface: spec files, output formats, exit codes, corpus check."""
 
 import argparse
+import contextlib
+import copy
+import functools
 import importlib.util
+import io
 import json
+import operator
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from planecurves import cli, geometry
 from planecurves.cli import (
@@ -22,6 +31,7 @@ from planecurves.cli import (
     report_json_bytes,
     resolve_strand,
 )
+from tests.conftest import CORPUS
 
 
 def write_spec(tmp_path, name, payload):
@@ -325,3 +335,78 @@ class TestResolveStrand:
         assert self.strand(["x", "x^3+y^3+z^3"]).dual is None
         assert self.strand(["x", "y", "x+y", "x-y"]).dual is None  # a quadruple point
         assert self.strand(["x", "y", "z"], modp="1060937").dual is None
+
+
+# The input contract: a mutated spec of a small corpus curve ends in a
+# documented exit code, never a traceback.
+SMALL_SPECS = [
+    json.loads(path.read_text())
+    for path in sorted(CORPUS.glob("*.curve"))
+    if build_from_spec(json.loads(path.read_text())).N <= 6
+]
+JUNK = st.one_of(
+    st.sampled_from([None, True, False, "", "3", "x+", "x+1", "x^2y", [], [1], [[]], {}]),
+    st.sampled_from([{"poly": 1}, {"poly": "x", "genus": -1}, [{"degree": "1"}], ["x"], [3]]),
+    st.integers(-3, 40),
+    st.floats(-3, 40),
+    st.sampled_from([float("nan"), float("inf"), 1e300]),
+    st.text("xyz+-^0123(){}", max_size=6),
+)
+PRIMES_JUNK = st.one_of(
+    JUNK,
+    st.lists(st.one_of(st.integers(-5, 1 << 32), st.floats(0, 1 << 21), st.text("0123", max_size=3)), max_size=3),
+)
+# Keys the corpus specs may lack, each set to junk when drawn.
+EXTRA_PATHS = [
+    ("options",), ("options", "field"), ("options", "k_max"), ("profile",), ("profile", "components"),
+    ("profile", "n"), ("profile", "t"), ("profile", "s"), ("profile", "t_prime"),
+]
+
+
+def spec_paths(node, prefix=()):
+    """Every path of keys and indices into the spec, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from spec_paths(child, prefix + (key,))
+
+
+def set_path(node, path, value):
+    """node with value at path; a parent that cannot take the next key
+    becomes an object."""
+    if not path:
+        return value
+    key = path[0]
+    if not (isinstance(node, dict) or isinstance(node, list) and isinstance(key, int) and key < len(node)):
+        node = {}
+    node[key] = set_path(node[key] if isinstance(node, list) or key in node else None, path[1:], value)
+    return node
+
+
+@st.composite
+def mutated_specs(draw):
+    spec = copy.deepcopy(draw(st.sampled_from(SMALL_SPECS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(spec_paths(spec)) + EXTRA_PATHS))
+        if path and draw(st.booleans()) and path in list(spec_paths(spec)):
+            parent = functools.reduce(operator.getitem, path[:-1], spec)
+            del parent[path[-1]]
+        else:
+            spec = set_path(spec, path, copy.deepcopy(draw(JUNK)))
+    if draw(st.booleans()):
+        options = {"field": draw(st.sampled_from(["modp", "exact", 3])), "primes": copy.deepcopy(draw(PRIMES_JUNK))}
+        spec = set_path(spec, ("options",), options)
+    return spec
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=mutated_specs(), command=st.sampled_from(["report", "hilbert"]))
+def test_mutated_specs_end_in_a_documented_exit_code(spec, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.curve"
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--format", "json"])
+    assert code in range(6), (spec, code)
+    assert (code == EXIT_PARSE) <= err.getvalue().startswith("error: "), err.getvalue()
