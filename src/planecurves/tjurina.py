@@ -201,8 +201,7 @@ class TjurinaDual:
         when it reaches min(tau, dim S_k).  The functionals kill J, so J_k
         lies in the kernel of W_k, rank W_k <= dim S_k - rank_Q J_k <=
         dim S_k - rank_p J_k, and a rank mod p equal to that bound is exact
-        too.
-        Otherwise the certified `linalg.rank` answers.
+        too.  Otherwise the certified `linalg.rank` answers.
         """
         full = min(self.tau, s_dim(k))
         p = PRIMES[0]
