@@ -387,8 +387,9 @@ def set_path(node, path, value):
 def mutated_specs(draw):
     spec = copy.deepcopy(draw(st.sampled_from(SMALL_SPECS)))
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(spec_paths(spec)) + EXTRA_PATHS))
-        if path and draw(st.booleans()) and path in list(spec_paths(spec)):
+        present = list(spec_paths(spec))
+        path = draw(st.sampled_from(present + EXTRA_PATHS))
+        if path in present[1:] and draw(st.booleans()):
             parent = functools.reduce(operator.getitem, path[:-1], spec)
             del parent[path[-1]]
         else:
