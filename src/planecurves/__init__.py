@@ -2,6 +2,9 @@
 points: Milnor algebra Hilbert series, Jacobian syzygies, Koszul cohomology,
 and the Hodge-theoretic dimensions of the complement."""
 
+import atexit
+import gc
+
 from .geometry import (
     Check,
     Component,
@@ -55,3 +58,12 @@ from .polynomials import (
 )
 
 __version__ = "0.1.0"
+
+# At exit, move every live object to the permanent generation, so that the
+# full collections of interpreter finalization skip them: over the ~22 000
+# objects of numpy, the standard library and this package they take about
+# 30 ms of every process on 2 vCPUs, and none of those objects is garbage.
+# Nothing is frozen before exit.  Objects in unreachable cycles at exit are
+# not collected, so their __del__ does not run (CPython does not promise
+# that it does); `atexit.unregister(gc.freeze)` opts out.
+atexit.register(gc.freeze)

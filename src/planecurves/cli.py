@@ -29,6 +29,7 @@ from .koszul import spectral_table
 from .linalg import LinalgError
 from .milnor import NonStabilizationError, Strand, hilbert_series
 from .polynomials import (
+    MAX_K_MAX,
     Curve,
     CurveError,
     CurveFactor,
@@ -191,17 +192,24 @@ def resolve_strand(curve: Curve, data: dict, args) -> Strand:
 
 
 def resolve_k_max(data: dict, args) -> Optional[int]:
-    """--k-max, else options.k_max: the last degree to report, an integer >= 0."""
+    """--k-max, else options.k_max: the last degree to report, an integer
+    from 0 to MAX_K_MAX."""
     k_max = getattr(args, "k_max", None)
     if k_max is not None:
         if k_max < 0:
             raise SpecFileError(f"--k-max must be an integer >= 0, got {k_max}")
-        return k_max
-    return _int_field(data.get("options") or {}, "k_max", "options")
+        source = "--k-max"
+    else:
+        k_max = _int_field(data.get("options") or {}, "k_max", "options")
+        source = "options.k_max"
+    if k_max is not None and k_max > MAX_K_MAX:
+        raise SpecFileError(f"{source} is {k_max}, above the limit of {MAX_K_MAX}")
+    return k_max
 
 
 def hilbert_payload(curve: Curve, data: dict, args) -> dict:
-    h = hilbert_series(resolve_strand(curve, data, args), k_max=resolve_k_max(data, args))
+    k_max = resolve_k_max(data, args)
+    h = hilbert_series(resolve_strand(curve, data, args), k_max=k_max)
     payload = {"name": data.get("name"), "N": curve.N, "r": curve.r}
     payload.update(h.to_json())
     payload["series"] = h.series_str()
@@ -209,8 +217,9 @@ def hilbert_payload(curve: Curve, data: dict, args) -> dict:
 
 
 def report_payload(curve: Curve, data: dict, args) -> dict:
+    k_max = resolve_k_max(data, args)
     strand = resolve_strand(curve, data, args)
-    h = hilbert_series(strand, k_max=resolve_k_max(data, args))
+    h = hilbert_series(strand, k_max=k_max)
     profile = resolve_profile(curve, data, strand.census)
     validation = validate_profile(strand, profile)
     if not validation.ok:

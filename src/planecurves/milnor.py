@@ -94,7 +94,7 @@ from .linalg import (
     pivot_columns,
     rank,
 )
-from .polynomials import Polynomial
+from .polynomials import MAX_K_MAX, Polynomial
 from .tjurina import TjurinaDual
 
 if TYPE_CHECKING:
@@ -338,8 +338,8 @@ def hilbert_series(f: Polynomial | Strand, k_max: Optional[int] = None) -> Hilbe
     N = strand.N
     if N < 3 or not strand.f.is_homogeneous():
         raise ValueError("need a homogeneous curve of degree >= 3")
-    if k_max is not None and k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    if k_max is not None and not 0 <= k_max <= MAX_K_MAX:
+        raise ValueError(f"k_max must be between 0 and {MAX_K_MAX}, got {k_max}")
     if not strand.primes and not strand.derived():
         strand.sweep()
     top = 3 * N - 3

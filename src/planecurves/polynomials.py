@@ -222,6 +222,10 @@ MAX_NESTING = 100
 # as degree 1 in a power), so `(x+y+z)^100` fails at once instead of
 # stalling; the largest expansion it admits, `(x+y+z)^60`, takes about 2 s.
 MAX_DEGREE = 60
+# The last degree a Hilbert function may be reported to (`k_max`).  Degrees
+# past 3N-3 <= 177 are all tau, and each one is a list entry and a line of
+# the JSON report, so a larger k_max asks for memory and says nothing more.
+MAX_K_MAX = 100_000
 
 
 class _Parser:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planecurves import cli, geometry
+from planecurves import cli, geometry, hilbert_series, parse_polynomial
 from planecurves.cli import (
     EXIT_MULTIPLICITY,
     EXIT_NONSTABLE,
@@ -31,6 +31,7 @@ from planecurves.cli import (
     report_json_bytes,
     resolve_strand,
 )
+from planecurves.polynomials import MAX_K_MAX
 from tests.conftest import CORPUS
 
 
@@ -68,6 +69,10 @@ class TestHilbertCommand:
         assert main(["hilbert", str(spec), "--format", "json"]) == EXIT_OK
         dims = json.loads(capsys.readouterr().out)["dims"]
         assert len(dims) == 100001 and dims[:2] == [1, 3] and set(dims[1:]) == {3}
+
+    def test_library_refuses_k_max_above_the_limit(self):
+        with pytest.raises(ValueError, match=f"between 0 and {MAX_K_MAX}, got 1000000000"):
+            hilbert_series(parse_polynomial("xyz"), k_max=10**9)
 
     def test_modular_mode_matches(self, generic4_spec, capsys):
         main(["hilbert", str(generic4_spec), "--format", "json"])
@@ -246,6 +251,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: options.k_max") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, source", [("hilbert", "flag"), ("hilbert", "options"), ("report", "options")])
+    @pytest.mark.parametrize("k_max", [MAX_K_MAX + 1, 10**9])
+    def test_k_max_above_the_limit(self, tmp_path, capsys, monkeypatch, command, source, k_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Strand was built for a k_max above the limit")
+
+        monkeypatch.setattr(cli, "resolve_strand", refuse)
+        options = {"k_max": k_max} if source == "options" else {}
+        spec = write_spec(tmp_path, "bigk", {"factors": ["x", "y", "z"], "options": options})
+        argv = [command, str(spec)] + (["--k-max", str(k_max)] if source == "flag" else [])
+        assert main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        name = "--k-max" if source == "flag" else "options.k_max"
+        assert err == f"error: {name} is {k_max}, above the limit of {MAX_K_MAX}\n"
+
     def test_invalid_options_primes(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,
@@ -308,17 +328,60 @@ def test_run_examples_script(corpus_dir, capsys):
     assert "ct=inf" in smooth and "mdr=inf" in smooth
 
 
-@pytest.mark.parametrize("script", ["run_examples.py", "bench_eliminate.py"])
-def test_script_exits_clean(corpus_dir, script):
+def src_env(root):
+    return dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("run_examples.py", []), ("bench_eliminate.py", []), ("bench_phases.py", ["--reps", "1", "lines6"])],
+    ids=["run_examples.py", "bench_eliminate.py", "bench_phases.py"],
+)
+def test_script_exits_clean(corpus_dir, script, args):
     """Each script runs as documented, in exact mode; bench_eliminate exits 1
-    when its repetitions disagree."""
+    when its repetitions disagree, bench_phases when a report differs from
+    its fixture."""
     root = corpus_dir.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     out = subprocess.run(
-        [sys.executable, str(root / "scripts" / script)],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, str(root / "scripts" / script), *args],
+        cwd=root, env=src_env(root), capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
+
+
+# Registered before planecurves is imported, so it runs after the package's
+# exit hook (atexit runs handlers last in, first out).
+FREEZE_PROBE = """\
+import atexit, contextlib, gc, io
+atexit.register(lambda: print("exit", gc.get_freeze_count()))
+from planecurves import cli
+print("import", gc.get_freeze_count())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["report", "corpus/lines6.curve", "--format", "json"])
+print("report", code, gc.get_freeze_count())
+"""
+
+
+def test_heap_is_frozen_only_at_exit(corpus_dir):
+    root = corpus_dir.parent
+    out = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE],
+        cwd=root, env=src_env(root), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = [line.split() for line in out.stdout.splitlines()]
+    assert lines[:2] == [["import", "0"], ["report", "0", "0"]]
+    assert lines[2][0] == "exit" and int(lines[2][1]) > 0 and len(lines) == 3
+
+
+def test_module_entry_point_prints_the_fixture(corpus_dir):
+    root = corpus_dir.parent
+    out = subprocess.run(
+        [sys.executable, "-m", "planecurves.cli", "report", "corpus/lines6.curve", "--format", "json"],
+        cwd=root, env=src_env(root), capture_output=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (corpus_dir / "lines6.expected.json").read_bytes()
 
 
 class TestResolveStrand:
@@ -348,6 +411,7 @@ JUNK = st.one_of(
     st.sampled_from([None, True, False, "", "3", "x+", "x+1", "x^2y", [], [1], [[]], {}]),
     st.sampled_from([{"poly": 1}, {"poly": "x", "genus": -1}, [{"degree": "1"}], ["x"], [3]]),
     st.integers(-3, 40),
+    st.sampled_from([MAX_K_MAX + 1, 10**9]),
     st.floats(-3, 40),
     st.sampled_from([float("nan"), float("inf"), 1e300]),
     st.text("xyz+-^0123(){}", max_size=6),
