@@ -9,7 +9,6 @@ Tjurina number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -47,13 +46,19 @@ class ProjectivePoint(NamedTuple):
         return ProjectivePoint(coords=(ints[0], ints[1], ints[2]))
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class _SingularPoint(NamedTuple):
     location: ProjectivePoint
     multiplicity: int
     incident_components: frozenset[int]
 
-    def __post_init__(self):
+
+class SingularPoint(_SingularPoint):
+    """A node or an ordinary triple point; any other multiplicity raises."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.multiplicity not in (2, 3):
             raise MultiplicityError(
                 f"multiplicity {self.multiplicity} at {self.location.coords}: "
@@ -61,6 +66,7 @@ class SingularPoint:
             )
         if len(self.incident_components) > self.multiplicity:
             raise GeometryError("more incident components than branches")
+        return self
 
     @property
     def type_tag(self) -> str:
@@ -74,20 +80,34 @@ class Component(NamedTuple):
     triples: int = 0
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
-    """The geometric census: components, singular points, and totals.
-
-    s counts triple points shared by exactly two components, t_prime those
-    shared by three; t = sum of interior triples + s + t_prime.
-    """
-
+class _SingularityProfile(NamedTuple):
     components: tuple[Component, ...]
     n: int
     t: int
     s: int
     t_prime: int
     points: tuple[SingularPoint, ...] = ()
+
+
+class SingularityProfile(_SingularityProfile):
+    """The geometric census: components, singular points, and totals.
+
+    s counts triple points shared by exactly two components, t_prime those
+    shared by three; t = sum of interior triples + s + t_prime, else
+    GeometryError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        interior = sum(c.triples for c in self.components)
+        if self.t != interior + self.s + self.t_prime:
+            raise GeometryError(
+                f"t = {self.t} but interior {interior} + s {self.s} + "
+                f"t' {self.t_prime} = {interior + self.s + self.t_prime}"
+            )
+        return self
 
     @property
     def r(self) -> int:
@@ -104,14 +124,6 @@ class SingularityProfile:
     @property
     def tau_expected(self) -> int:
         return self.n + 4 * self.t
-
-    def __post_init__(self):
-        interior = sum(c.triples for c in self.components)
-        if self.t != interior + self.s + self.t_prime:
-            raise GeometryError(
-                f"t = {self.t} but interior {interior} + s {self.s} + "
-                f"t' {self.t_prime} = {interior + self.s + self.t_prime}"
-            )
 
     def to_json(self) -> dict:
         return {

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from .linalg import ExactMatrix, _row_to_int, int_dtype
+from .linalg import ExactMatrix, _row_to_int, int_dtype, np
 from .polynomials import Polynomial, monomial_basis
 
 

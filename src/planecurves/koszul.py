@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-import numpy as np
-
 from .gradedmaps import (
     cross_matrix,
     gradient_column_matrix,
@@ -29,7 +27,7 @@ from .gradedmaps import (
     jacobian_partials,
     s_dim,
 )
-from .linalg import EchelonAccumulator, _nonzero_entries, certified_kernel
+from .linalg import EchelonAccumulator, _nonzero_entries, certified_kernel, np
 from .milnor import Strand, hilbert_series, jacobian_rank, smooth_reference_dim
 from .polynomials import Monomial, Polynomial, monomial_basis
 

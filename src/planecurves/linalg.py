@@ -18,16 +18,46 @@ smallest nonzero |v| (ties by row order), to bound coefficient growth.
 Every elimination mod p (the lifts, `pivot_columns`, `_rank_mod_p`) runs
 through `_eliminate`.  Its matrices are small and sparse, so its cost is the
 number of numpy calls, not arithmetic: per column one reduction and one
-nonzero scan, per pivot one gather and one scatter of the multipliers.
+nonzero scan, per pivot one gather and one scatter of the multipliers.  The
+one exception is `rank_mod_p_rows`, a plain-Python rank mod p for the
+smallest matrices, which `tjurina` uses so that numpy need not load.
+
+numpy is loaded lazily, here, on its first use; the other modules take `np`
+from this module.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from array import array
+from bisect import insort
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
+
+def _lazy_module(name: str):
+    """The module `name`, executed on its first attribute access
+    (`importlib.util.LazyLoader`).
+
+    A missing module raises ImportError here, at import, not on first use.
+    On Python 3.11 the first access is not thread-safe: two threads that
+    touch the module first at the same time may see it half-executed.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_module("numpy")
 
 # The three largest primes below 2^26: a product of two residues summed over
 # up to 2^11 terms still fits in int64, so updates mod p can stay lazy.
@@ -705,6 +735,51 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     """Rank over GF(p) for a prime accepted by `check_primes`, eliminated
     along the short side (a, or a^T when a is wide)."""
     return len(pivot_columns(a if a.shape[1] <= a.shape[0] else a.T, p))
+
+
+_SLOT = (1 << 64) - 1  # one entry of a packed row
+
+
+def _pack(values: list[int]) -> int:
+    """The values, each in [0, 2^64), as the 64-bit slots of one int."""
+    return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
+
+
+def rank_mod_p_rows(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p) of integer rows, in plain Python, for a prime
+    p < 2^26 and fewer than 2^11 rows or columns: a small matrix, on which
+    `_rank_mod_p`'s cost is numpy's per-call overhead and its first call
+    loads numpy.
+
+    Each row is packed into one int, 64 bits per entry, so a row operation
+    is one multiply-add of ints.  A pivot row is reduced mod p, zero before
+    its pivot column and 1 there.  Each row is reduced against the pivot
+    rows in increasing order of their pivot columns: the row's entry e at a
+    pivot column is cleared by adding p - e times that pivot row.  Every
+    addition is below p^2 per entry, so an entry stays below 2^63 and never
+    carries into the next.  A row left nonzero mod p becomes a pivot row at
+    its first nonzero column.
+    """
+    width = len(rows[0]) if rows else 0
+    if p >= 1 << 26 or min(len(rows), width) >= 1 << 11:
+        raise ValueError("the packed rank needs p < 2^26 and fewer than 2^11 rows or columns")
+    pivots: list[int] = []
+    leads: dict[int, int] = {}  # pivot column -> its packed pivot row
+    for row in rows:
+        if len(pivots) == width:
+            break
+        packed = _pack([v % p for v in row])
+        for c in pivots:
+            e = (packed >> (64 * c) & _SLOT) % p
+            if e:
+                packed += (p - e) * leads[c]
+        residues = [v % p for v in memoryview(packed.to_bytes(8 * width, sys.byteorder)).cast("Q")]
+        col = next((c for c, v in enumerate(residues) if v), None)
+        if col is not None:
+            inv = pow(residues[col], -1, p)
+            leads[col] = _pack([v * inv % p for v in residues])
+            insort(pivots, col)
+    return len(pivots)
 
 
 def modular_rank_with_check(m: ExactMatrix, primes: Sequence[int]) -> int:

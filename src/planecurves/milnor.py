@@ -78,8 +78,6 @@ from bisect import bisect_left
 from math import comb
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .gradedmaps import contractions, jacobian_matrix, s_dim
 from .linalg import (
     PLU,
@@ -91,6 +89,7 @@ from .linalg import (
     factor,
     lifted_rank,
     modular_rank_with_check,
+    np,
     pivot_columns,
     rank,
 )

@@ -7,7 +7,6 @@ with x > y > z.  Polynomials are immutable term maps; all arithmetic is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -390,19 +389,20 @@ class CurveSpec(NamedTuple):
     factors: tuple[CurveFactor, ...]
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     """Parsed and validated curve: f = product of the parsed factors."""
 
     f: Polynomial
     factor_polys: tuple[Polynomial, ...]
     spec: CurveSpec
-    N: int = field(init=False)
-    r: int = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "N", self.f.degree())
-        object.__setattr__(self, "r", len(self.factor_polys))
+    @property
+    def N(self) -> int:
+        return self.f.degree()
+
+    @property
+    def r(self) -> int:
+        return len(self.factor_polys)
 
     @property
     def factor_degrees(self) -> tuple[int, ...]:

@@ -30,6 +30,14 @@ independent conditions on degree-k forms.  The span of the functionals at p
 is closed under multiplication by forms, and a linear form missing every
 point acts invertibly on it, so def_k never increases: once it is 0 it stays
 0.
+
+W_k mod p is built two ways with the same entries: `TjurinaDual.matrix`
+writes a numpy array, `TjurinaDual.rows` lists of Python ints.  A W_k of at
+most `PLAIN_CELLS` entries is ranked mod p in plain Python
+(`linalg.rank_mod_p_rows`), a larger one by numpy's elimination: the faster
+way at each size.  numpy loads on first use, so the Hilbert
+series of an arrangement whose W_k are all that small and of full rank mod
+p runs without it; the J_k bound and the exact fallback use numpy.
 """
 
 from __future__ import annotations
@@ -37,13 +45,30 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .gradedmaps import integer_scaled, jacobian_matrix, s_dim
-from .linalg import PRIMES, ExactMatrix, _rank_mod_p, _row_to_int, int_dtype, rank, rref_fraction
+from .linalg import (
+    PRIMES,
+    ExactMatrix,
+    _rank_mod_p,
+    _row_to_int,
+    int_dtype,
+    np,
+    rank,
+    rank_mod_p_rows,
+    rref_fraction,
+)
 from .polynomials import Polynomial, monomial_basis
 
 Line = tuple[int, int, int]
+
+# Largest W_k, in entries tau * dim S_k, whose rank mod p is taken in plain
+# Python (`TjurinaDual.rows`, `linalg.rank_mod_p_rows`); larger ones go
+# through numpy.  From `scripts/bench_wk.py` (BENCH_lazy_numpy.json): over
+# the 223 W_k of the corpus arrangements and of 7- to 20-line draws, plain
+# Python was faster on every one below 1755 entries, and on 117 of the 120
+# up to 2500 entries and at most 1.11 times slower on the rest; numpy was
+# faster on every one above 11778 entries, by up to 3.8 times.
+PLAIN_CELLS = 2500
 
 
 class Functional(NamedTuple):
@@ -194,6 +219,34 @@ class TjurinaDual:
                 out[row] %= p
         return out
 
+    def rows(self, k: int, p: int) -> list[list[int]]:
+        """W_k mod p as lists of residues, in plain Python: the entries of
+        `matrix(k, p)`, built without numpy."""
+        basis = monomial_basis(k)
+        top = max((max(ab) for fn in self.functionals for ab, _ in fn.weights), default=0)
+        binoms = [[comb(e, a) % p for e in range(k + 1)] for a in range(top + 1)]
+        powers: dict[int, list[int]] = {}
+
+        def pw(c: int) -> list[int]:
+            """c^e mod p for e = 0..k."""
+            if c not in powers:
+                powers[c] = [pow(c, n, p) for n in range(k + 1)]
+            return powers[c]
+
+        out = []
+        for fn in self.functionals:
+            l, i, j = _chart(fn.point)
+            base, pi, pj = pw(fn.point[l]), pw(fn.point[i]), pw(fn.point[j])
+            row = [0] * len(basis)
+            for (a, b), w in fn.weights:
+                ca, cb = binoms[a], binoms[b]
+                for n, e in enumerate(basis):
+                    ei, ej = e[i], e[j]
+                    if ei >= a and ej >= b:
+                        row[n] += w * base[e[l]] * ca[ei] * pi[ei - a] * cb[ej] * pj[ej - b]
+            out.append([v % p for v in row])
+        return out
+
     def rank(self, k: int) -> int:
         """Exact rank of W_k.
 
@@ -201,11 +254,16 @@ class TjurinaDual:
         when it reaches min(tau, dim S_k).  The functionals kill J, so J_k
         lies in the kernel of W_k, rank W_k <= dim S_k - rank_Q J_k <=
         dim S_k - rank_p J_k, and a rank mod p equal to that bound is exact
-        too.  Otherwise the certified `linalg.rank` answers.
+        too.  Otherwise the certified `linalg.rank` answers.  The rank mod p
+        is taken in plain Python (`rows`) up to `PLAIN_CELLS` entries, else
+        with numpy (`matrix`).
         """
         full = min(self.tau, s_dim(k))
         p = PRIMES[0]
-        found = _rank_mod_p(self.matrix(k, p), p) if full else 0
+        if self.tau * s_dim(k) <= PLAIN_CELLS:
+            found = rank_mod_p_rows(self.rows(k, p), p)
+        else:
+            found = _rank_mod_p(self.matrix(k, p), p)
         m = k - self.f.degree() + 1
         if found == full:
             certificate = "full"

@@ -9,6 +9,7 @@ import io
 import json
 import operator
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planecurves import cli, geometry, hilbert_series, parse_polynomial
+from planecurves import cli, geometry, hilbert_series, parse_polynomial, tjurina
 from planecurves.cli import (
     EXIT_MULTIPLICITY,
     EXIT_NONSTABLE,
@@ -32,7 +33,7 @@ from planecurves.cli import (
     resolve_strand,
 )
 from planecurves.polynomials import MAX_K_MAX
-from tests.conftest import CORPUS
+from tests.conftest import CORPUS, random_arrangement
 
 
 def write_spec(tmp_path, name, payload):
@@ -334,13 +335,18 @@ def src_env(root):
 
 @pytest.mark.parametrize(
     "script, args",
-    [("run_examples.py", []), ("bench_eliminate.py", []), ("bench_phases.py", ["--reps", "1", "lines6"])],
-    ids=["run_examples.py", "bench_eliminate.py", "bench_phases.py"],
+    [
+        ("run_examples.py", []),
+        ("bench_eliminate.py", []),
+        ("bench_phases.py", ["--reps", "1", "lines6"]),
+        ("bench_wk.py", ["--reps", "1", "--sizes", "7", "8"]),
+    ],
+    ids=["run_examples.py", "bench_eliminate.py", "bench_phases.py", "bench_wk.py"],
 )
 def test_script_exits_clean(corpus_dir, script, args):
     """Each script runs as documented, in exact mode; bench_eliminate exits 1
     when its repetitions disagree, bench_phases when a report differs from
-    its fixture."""
+    its fixture, bench_wk when its two ranks of a W_k differ."""
     root = corpus_dir.parent
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / script), *args],
@@ -382,6 +388,81 @@ def test_module_entry_point_prints_the_fixture(corpus_dir):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == (corpus_dir / "lines6.expected.json").read_bytes()
+
+
+# numpy loads on first use.  Probed in fresh interpreters, because pytest
+# and hypothesis may import numpy first.
+LAZY_PROBE = """\
+import contextlib, io, json, sys
+from planecurves import cli
+runs = [["import", "numpy.linalg" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), "numpy.linalg" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+HIDDEN_NUMPY = """\
+import sys
+class Hide:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, Hide())
+try:
+    import planecurves
+except ImportError as exc:
+    print("ImportError", exc.name)
+"""
+
+
+def probe_lazy(root, argvs):
+    """Whether numpy is loaded after `import planecurves.cli`, then (exit
+    code, output, numpy loaded) after each command, in one fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, json.dumps(argvs)],
+        cwd=root, env=src_env(root), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    (_, imported), *runs = json.loads(out.stdout)
+    return imported, runs
+
+
+class TestLazyNumpy:
+    def test_arrangement_hilbert_never_loads_numpy(
+        self, corpus_dir, generic4_spec, tmp_path, monkeypatch, capsys
+    ):
+        """Every W_k of generic4 and of an 8-line draw is small and of full
+        rank mod p, so numpy never loads; the output is that of the numpy
+        path (cutoff 0) in this process."""
+        lines, _ = random_arrangement(random.Random(8), 8)
+        eight = write_spec(tmp_path, "eight", {"factors": [str(line) for line in lines]})
+        argvs = [["hilbert", str(spec), "--format", "json"] for spec in (generic4_spec, eight)]
+        imported, runs = probe_lazy(corpus_dir.parent, argvs)
+        assert not imported
+        monkeypatch.setattr(tjurina, "PLAIN_CELLS", 0)
+        for argv, (code, out, loaded) in zip(argvs, runs):
+            assert main(argv) == code == EXIT_OK
+            assert out == capsys.readouterr().out and not loaded
+
+    def test_report_loads_numpy(self, corpus_dir):
+        imported, [(code, out, loaded)] = probe_lazy(
+            corpus_dir.parent, [["report", "corpus/lines6.curve", "--format", "json"]])
+        assert not imported and code == EXIT_OK and loaded
+        assert out == (corpus_dir / "lines6.expected.json").read_text()
+
+    def test_missing_numpy_fails_the_import(self, corpus_dir):
+        """Hidden by a meta-path finder, numpy is missing when planecurves is
+        imported, not when a rank first needs it."""
+        root = corpus_dir.parent
+        out = subprocess.run(
+            [sys.executable, "-c", HIDDEN_NUMPY],
+            cwd=root, env=src_env(root), capture_output=True, text=True, timeout=60,
+        )
+        assert (out.returncode, out.stdout) == (0, "ImportError numpy\n"), out.stderr
 
 
 class TestResolveStrand:

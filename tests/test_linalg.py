@@ -605,3 +605,65 @@ class TestFactorization:
         lift = lift_kernel(b, p, linalg.factor(linalg._mod(b.T, p), p).transpose(p))
         assert lift is not None and lift.rank == _rank_integer(rows, b.shape[1])
         assert not _nonzero_entries(b, lift.columns()).any()
+
+
+# -- the plain-Python rank mod p against the numpy one -------------------------
+
+
+def seeded_rows(seed, kind, p):
+    """A small seeded matrix of one kind, as lists of Python ints."""
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+    if kind == "tall":
+        nrows, ncols = max(nrows, ncols) + 5, min(nrows, ncols)
+    elif kind == "wide":
+        nrows, ncols = min(nrows, ncols), max(nrows, ncols) + 5
+    if kind == "rank-deficient":
+        r = rng.randint(0, min(nrows, ncols) - 1)
+        left = [[rng.randrange(p) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(r)]
+        return [[sum(left[i][t] * right[t][j] for t in range(r)) for j in range(ncols)] for i in range(nrows)]
+    rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "zero rows":
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            rows[i] = [0] * ncols
+    elif kind == "repeated rows":
+        rows += [[v * rng.randint(1, 5) for v in rows[rng.randrange(nrows)]] for _ in range(nrows)]
+        rng.shuffle(rows)
+    elif kind == "out of range":
+        rows = [[v + p * rng.randint(-3, 3) - rng.randint(0, 1) * p for v in row] for row in rows]
+    return rows
+
+
+RANK_KINDS = ["tall", "wide", "zero rows", "repeated rows", "rank-deficient", "out of range"]
+
+
+class TestPlainRankModP:
+    @pytest.mark.parametrize("kind", RANK_KINDS)
+    @pytest.mark.parametrize("p", [PRIMES[0], P1, 3])
+    def test_matches_numpy(self, kind, p):
+        for seed in range(40):
+            rows = seeded_rows(seed, kind, p)
+            assert linalg.rank_mod_p_rows(rows, p) == linalg._rank_mod_p(np.array(rows, dtype=object), p), (
+                kind, seed)
+
+    def test_largest_residues(self):
+        """Entries p - 1 and p - 2 everywhere: the largest additions into a
+        packed entry, over 40 pivot rows."""
+        p = PRIMES[0]
+        rng = random.Random(5)
+        rows = [[p - rng.randint(1, 2) for _ in range(40)] for _ in range(60)]
+        assert linalg.rank_mod_p_rows(rows, p) == linalg._rank_mod_p(np.array(rows), p) == 40
+
+    def test_empty_and_zero(self):
+        assert linalg.rank_mod_p_rows([], PRIMES[0]) == 0
+        assert linalg.rank_mod_p_rows([[]], PRIMES[0]) == 0
+        assert linalg.rank_mod_p_rows([[0, 0], [0, 0]], PRIMES[0]) == 0
+        assert linalg.rank_mod_p_rows([[P1, -P1]], P1) == 0
+
+    def test_refuses_what_the_packing_cannot_hold(self):
+        with pytest.raises(ValueError):
+            linalg.rank_mod_p_rows([[1]], 67108879)  # the first prime past 2^26
+        square = [[0] * 2048] * 2048
+        with pytest.raises(ValueError):
+            linalg.rank_mod_p_rows(square, PRIMES[0])

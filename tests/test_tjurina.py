@@ -17,7 +17,7 @@ from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim,
 from planecurves import milnor, tjurina
 from planecurves.cli import main
 from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
-from planecurves.linalg import PRIMES, _rank_mod_p, rref_fraction
+from planecurves.linalg import PRIMES, _rank_mod_p, rank_mod_p_rows, rref_fraction
 from planecurves.milnor import jacobian_rank
 from planecurves.tjurina import Functional, TjurinaDual
 from tests.conftest import CORPUS, _cross, load_corpus_curve, random_arrangement
@@ -226,6 +226,55 @@ def test_uncertified_short_rank_falls_back_to_exact(exact_ranks):
     dual = TjurinaDual(parse_polynomial("x^6+y^6"), local.lines, local.functionals)
     assert dual.rank(5) == 18 and exact_ranks == [19]
     assert dual.certified == [("W", 5, "exact")]
+
+
+def test_plain_w_matches_numpy_at_every_degree_of_the_scan(sweep_arrangements):
+    """W_k mod p built in plain Python equals the numpy matrix entry for
+    entry, and the two ranks mod p agree, at every degree the defect scan
+    visits, on every arrangement of the sweep (the corpus ones first)."""
+    p = PRIMES[0]
+    assert len(sweep_arrangements) > 50
+    for lines, f, _ in sweep_arrangements:
+        dual = derived_strand(lines, f).dual
+        for k in sorted({k for _, k, _ in dual.certified}):
+            rows, matrix = dual.rows(k, p), dual.matrix(k, p)
+            assert rows == matrix.tolist(), (str(f), k)
+            assert rank_mod_p_rows(rows, p) == _rank_mod_p(matrix, p), (str(f), k)
+
+
+def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements, monkeypatch):
+    """With PLAIN_CELLS = 0 every W_k goes through numpy, as before the
+    plain path existed: the same series and the same certificates."""
+    def outcomes():
+        strands = [Strand(f, lines=lines) for lines, f, _ in sweep_arrangements]
+        return [(hilbert_series(s), s.dual.certified, s.certified) for s in strands]
+
+    plain = outcomes()
+    monkeypatch.setattr(tjurina, "PLAIN_CELLS", 0)
+    assert outcomes() == plain
+
+
+def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
+    """The 10-line draw of the test generator ranks W_0..W_8 (at most 2205
+    entries) in plain Python and W_9 (49 x 55 = 2695) with numpy."""
+    cells = {"plain": [], "numpy": []}
+    plain, fast = tjurina.rank_mod_p_rows, tjurina._rank_mod_p
+
+    def logged_plain(rows, p):
+        cells["plain"].append(len(rows) * len(rows[0]))
+        return plain(rows, p)
+
+    def logged_numpy(a, p):
+        cells["numpy"].append(a.size)
+        return fast(a, p)
+
+    monkeypatch.setattr(tjurina, "rank_mod_p_rows", logged_plain)
+    monkeypatch.setattr(tjurina, "_rank_mod_p", logged_numpy)
+    lines, profile = random_arrangement(random.Random(10), 10)
+    dual = TjurinaDual.of(functools.reduce(operator.mul, lines), lines, coords(profile))
+    assert dual.defect(25) == 0 and dual.certified == [("W", k, "full") for k in range(10)]
+    assert cells == {"plain": [49 * s_dim(k) for k in range(9)], "numpy": [49 * 55]}
+    assert max(cells["plain"]) <= tjurina.PLAIN_CELLS < min(cells["numpy"])
 
 
 # 11 lines with N(f)_10 != 0: I_10 is larger than J_10
