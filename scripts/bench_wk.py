@@ -5,15 +5,17 @@ Usage: PYTHONPATH=src python scripts/bench_wk.py [--reps N] [--sizes N ...]
 
 The inputs are the corpus arrangements that have a local dual and one draw
 of `perfbench/arrangements.py` per size (`random.Random(size)`, default 7 to
-20 lines).  For each, the scan of `TjurinaDual.defect` fixes the degrees k;
-at every one the script builds W_k mod p and ranks it both ways,
-`rank_mod_p_rows(rows(k, p))` and `_rank_mod_p(matrix(k, p))`, and keeps
-the best of the repetitions.  It prints one line per matrix (cells = tau x
-dim S_k, the two times in ms and the rank), then the crossover: the largest
-matrix on which plain Python is faster, the smallest on which numpy is,
-and how plain Python fares up to `tjurina.PLAIN_CELLS`, which is set from
-that output.  The script exits 1 when the two ranks of a matrix differ.  It
-is a measuring tool, not a test.
+20 lines).  For each, at every degree k = 0..3N-5 (not only at the degrees
+the defect scan ranks, so that the crossover keeps its sample) the script
+builds W_k mod p once with `TjurinaDual.rows(k, p)` and ranks those rows
+both ways, `rank_mod_p_rows(rows)` and
+`_rank_mod_p(np.array(rows, dtype=np.int64))` (the conversion counts on the
+numpy side), keeping the best of the repetitions.  It prints one line per
+matrix (cells = tau x dim S_k, the two times in ms and the rank), then the
+crossover: the largest matrix on which plain Python is faster, the smallest
+on which numpy is, and how plain Python fares up to `tjurina.PLAIN_CELLS`,
+which is set from that output.  The script exits 1 when the two ranks of a
+matrix differ.  It is a measuring tool, not a test.
 """
 
 import argparse
@@ -74,10 +76,10 @@ def main(argv=None) -> int:
         dual = Strand(f, lines=lines).dual
         if dual is None:
             continue
-        dual.defect(3 * f.degree() - 5)
-        for k in sorted({k for _, k, _ in dual.certified}):
-            plain, got = best(lambda: rank_mod_p_rows(dual.rows(k, p), p), args.reps)
-            fast, want = best(lambda: _rank_mod_p(dual.matrix(k, p), p), args.reps)
+        for k in range(3 * f.degree() - 4):
+            rows = dual.rows(k, p)
+            plain, got = best(lambda: rank_mod_p_rows(rows, p), args.reps)
+            fast, want = best(lambda: _rank_mod_p(np.array(rows, dtype=np.int64), p), args.reps)
             cells = dual.tau * s_dim(k)
             samples.append((cells, plain, fast))
             shape = f"{dual.tau} x {s_dim(k)}"

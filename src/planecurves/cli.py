@@ -229,13 +229,11 @@ def report_payload(curve: Curve, data: dict, args) -> dict:
     thm2 = theorem2_report(strand, profile)
     ed = hodge.ed_polynomial
     audits = [
-        Check("ED polynomial u-coefficient == gr1", ed.get((1, 0), 0), hodge.gr1),
         Check(
             "ED polynomial v-coefficient + constant == gr2",
             ed.get((0, 1), 0) + ed.get((0, 0), 0),
             hodge.gr2,
         ),
-        Check("b2 == gr1 + gr2", hodge.b2, hodge.gr1 + hodge.gr2),
     ]
     if profile.points:
         audits.append(Check("Bezout pair count", *bezout_audit(profile)))

@@ -29,15 +29,19 @@ of degree k, and def_k = tau - rank W_k, the failure of the points to impose
 independent conditions on degree-k forms.  The span of the functionals at p
 is closed under multiplication by forms, and a linear form missing every
 point acts invertibly on it, so def_k never increases: once it is 0 it stays
-0.
+0.  The kernel of W is an ideal I, so once W_k is injective every W_j below
+it is too (a nonzero g in I_j would give l^(k-j) g != 0 in I_k) and
+def_j = tau - dim S_j.  `TjurinaDual.defect` therefore ranks W_k only from
+K, the largest k with dim S_k <= tau, down to the first injective W_k and
+up to the first zero defect.
 
-W_k mod p is built two ways with the same entries: `TjurinaDual.matrix`
-writes a numpy array, `TjurinaDual.rows` lists of Python ints.  A W_k of at
-most `PLAIN_CELLS` entries is ranked mod p in plain Python
-(`linalg.rank_mod_p_rows`), a larger one by numpy's elimination: the faster
-way at each size.  numpy loads on first use, so the Hilbert
-series of an arrangement whose W_k are all that small and of full rank mod
-p runs without it; the J_k bound and the exact fallback use numpy.
+W_k is built one way, as lists of Python ints (`TjurinaDual.rows`: residues
+mod p, or exact entries for the fallback).  Its rank mod p is taken by one
+of two engines by size: up to `PLAIN_CELLS` entries in plain Python
+(`linalg.rank_mod_p_rows`), above that by numpy's elimination on the same
+rows.  numpy loads on first use, so the Hilbert series of an arrangement
+whose ranked W_k are all that small and of full rank mod p runs without it;
+the J_k bound and the exact fallback use numpy.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from .linalg import (
     ExactMatrix,
     _rank_mod_p,
     _row_to_int,
-    int_dtype,
     np,
     rank,
     rank_mod_p_rows,
@@ -62,12 +65,14 @@ from .polynomials import Polynomial, monomial_basis
 Line = tuple[int, int, int]
 
 # Largest W_k, in entries tau * dim S_k, whose rank mod p is taken in plain
-# Python (`TjurinaDual.rows`, `linalg.rank_mod_p_rows`); larger ones go
-# through numpy.  From `scripts/bench_wk.py` (BENCH_lazy_numpy.json): over
-# the 223 W_k of the corpus arrangements and of 7- to 20-line draws, plain
-# Python was faster on every one below 1755 entries, and on 117 of the 120
-# up to 2500 entries and at most 1.11 times slower on the rest; numpy was
-# faster on every one above 11778 entries, by up to 3.8 times.
+# Python (`linalg.rank_mod_p_rows`); larger ones go through numpy.  From
+# `scripts/bench_wk.py`, both engines on the same rows, numpy's conversion
+# included: over the 579 W_k, k = 0..3N-5, of the corpus arrangements and of
+# 7- to 20-line draws, plain Python was faster on 113 of the 144 up to 2500
+# entries and at most 1.65 times (0.72 ms) slower on the rest; numpy was
+# faster on every one above 11778 entries, by up to 4.9 times.  Near 2000
+# entries numpy starts to win on square W_k, but by less than 1 ms, while
+# a process that ranks only small W_k never loads numpy (about 0.1 s).
 PLAIN_CELLS = 2500
 
 
@@ -156,9 +161,10 @@ class TjurinaDual:
     `lines`, and the ranks of W_k.
 
     Built by `of`, which returns None unless every point gets its whole
-    local dual.  `defect(k)` is tau - rank W_k over Q, computed upwards from
-    k = 0 until it reaches 0.  `certified` lists ("W", k, certificate) for
-    every rank of W_k: "full" (full rank mod p), "jacobian bound" or "exact".
+    local dual.  `defect(k)` is tau - rank W_k over Q, ranked only where it
+    can change (`_lower_defects`, then upwards until it reaches 0).
+    `certified` lists ("W", k, certificate) for every rank of W_k: "full"
+    (full rank mod p), "jacobian bound" or "exact".
     """
 
     def __init__(self, f: Polynomial, lines: Sequence[Line], functionals: Sequence[Functional]):
@@ -184,53 +190,22 @@ class TjurinaDual:
             functionals += local
         return cls(f, vectors, functionals)
 
-    def matrix(self, k: int, p: Optional[int] = None) -> np.ndarray:
-        """W_k: row r is functional r on monomial_basis(k); residues mod p,
-        or exact Python ints when p is None (entries grow like coord^k)."""
-        basis = np.array(monomial_basis(k), dtype=np.int64).reshape(-1, 3)
-        out = np.zeros((self.tau, len(basis)), dtype=np.int64 if p else object)
-        top = max((max(ab) for fn in self.functionals for ab, _ in fn.weights), default=0)
-        binoms = [  # C(e, a) for e = 0..k
-            np.array([comb(e, a) % p if p else comb(e, a) for e in range(k + 1)], dtype=out.dtype)
-            for a in range(top + 1)
-        ]
-        powers: dict[int, np.ndarray] = {}
+    def rows(self, k: int, p: Optional[int] = None) -> list[list[int]]:
+        """W_k as lists of ints: row r is functional r on monomial_basis(k),
+        residues mod p, or exact when p is None (entries grow like coord^k)."""
 
-        def pw(c: int) -> np.ndarray:
-            """c^e for e = 0..k, mod p when p is given."""
-            if c not in powers:
-                vals = [pow(c, n, p) if p else c ** n for n in range(k + 1)]
-                powers[c] = np.array(vals, dtype=out.dtype)
-            return powers[c]
+        def reduce(v: int) -> int:
+            return v % p if p else v
 
-        def times(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-            return u * v % p if p else u * v
-
-        for row, fn in enumerate(self.functionals):
-            l, i, j = _chart(fn.point)
-            base = pw(fn.point[l])[basis[:, l]]
-            for (a, b), w in fn.weights:
-                col = times(base, binoms[a][basis[:, i]])
-                col = times(col, pw(fn.point[i])[np.maximum(basis[:, i] - a, 0)])
-                col = times(col, binoms[b][basis[:, j]])
-                col = times(col, pw(fn.point[j])[np.maximum(basis[:, j] - b, 0)])
-                out[row] += times(col, w % p if p else w)
-            if p:
-                out[row] %= p
-        return out
-
-    def rows(self, k: int, p: int) -> list[list[int]]:
-        """W_k mod p as lists of residues, in plain Python: the entries of
-        `matrix(k, p)`, built without numpy."""
         basis = monomial_basis(k)
         top = max((max(ab) for fn in self.functionals for ab, _ in fn.weights), default=0)
-        binoms = [[comb(e, a) % p for e in range(k + 1)] for a in range(top + 1)]
+        binoms = [[reduce(comb(e, a)) for e in range(k + 1)] for a in range(top + 1)]
         powers: dict[int, list[int]] = {}
 
         def pw(c: int) -> list[int]:
-            """c^e mod p for e = 0..k."""
+            """c^e for e = 0..k, mod p when p is given."""
             if c not in powers:
-                powers[c] = [pow(c, n, p) for n in range(k + 1)]
+                powers[c] = [reduce(c ** n) for n in range(k + 1)]
             return powers[c]
 
         out = []
@@ -244,7 +219,7 @@ class TjurinaDual:
                     ei, ej = e[i], e[j]
                     if ei >= a and ej >= b:
                         row[n] += w * base[e[l]] * ca[ei] * pi[ei - a] * cb[ej] * pj[ej - b]
-            out.append([v % p for v in row])
+            out.append([reduce(v) for v in row])
         return out
 
     def rank(self, k: int) -> int:
@@ -254,29 +229,46 @@ class TjurinaDual:
         when it reaches min(tau, dim S_k).  The functionals kill J, so J_k
         lies in the kernel of W_k, rank W_k <= dim S_k - rank_Q J_k <=
         dim S_k - rank_p J_k, and a rank mod p equal to that bound is exact
-        too.  Otherwise the certified `linalg.rank` answers.  The rank mod p
-        is taken in plain Python (`rows`) up to `PLAIN_CELLS` entries, else
-        with numpy (`matrix`).
+        too.  Otherwise the certified `linalg.rank` answers.  W_k mod p is
+        ranked in plain Python up to `PLAIN_CELLS` entries, else with numpy.
         """
         full = min(self.tau, s_dim(k))
         p = PRIMES[0]
+        rows = self.rows(k, p)
         if self.tau * s_dim(k) <= PLAIN_CELLS:
-            found = rank_mod_p_rows(self.rows(k, p), p)
+            found = rank_mod_p_rows(rows, p)
         else:
-            found = _rank_mod_p(self.matrix(k, p), p)
+            found = _rank_mod_p(np.array(rows, dtype=np.int64), p)
         m = k - self.f.degree() + 1
         if found == full:
             certificate = "full"
         elif m >= 0 and found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p):
             certificate = "jacobian bound"
         else:
-            exact = self.matrix(k)
-            found, certificate = rank(ExactMatrix(exact.astype(int_dtype(exact.flat)))), "exact"
+            found, certificate = rank(ExactMatrix(self.rows(k))), "exact"
         self.certified.append(("W", k, certificate))
         return found
 
     def defect(self, k: int) -> int:
         """def_k = tau - rank W_k for k >= 0."""
-        while len(self._defects) <= k and (not self._defects or self._defects[-1]):
+        if not self._defects:
+            self._defects = self._lower_defects()
+        while len(self._defects) <= k and self._defects[-1]:
             self._defects.append(self.tau - self.rank(len(self._defects)))
         return self._defects[k] if k < len(self._defects) else 0
+
+    def _lower_defects(self) -> list[int]:
+        """def_0..def_K for K the largest k with dim S_k <= tau, ranked from
+        W_K down to the first injective W_k, below which every W_j is
+        injective (the kernel is an ideal); [0] when tau = 0."""
+        if not self.tau:
+            return [0]
+        top = 0
+        while s_dim(top + 1) <= self.tau:
+            top += 1
+        defects = [self.tau - s_dim(j) for j in range(top + 1)]
+        for k in range(top, -1, -1):
+            defects[k] = self.tau - self.rank(k)
+            if defects[k] == self.tau - s_dim(k):
+                break
+        return defects

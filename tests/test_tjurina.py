@@ -17,8 +17,9 @@ from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim,
 from planecurves import milnor, tjurina
 from planecurves.cli import main
 from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
-from planecurves.linalg import PRIMES, _rank_mod_p, rank_mod_p_rows, rref_fraction
+from planecurves.linalg import PRIMES, _rank_mod_p, np, rank_mod_p_rows, rref_fraction
 from planecurves.milnor import jacobian_rank
+from planecurves.polynomials import monomial_basis
 from planecurves.tjurina import Functional, TjurinaDual
 from tests.conftest import CORPUS, _cross, load_corpus_curve, random_arrangement
 
@@ -209,12 +210,13 @@ def test_short_w_rank_certified_by_jacobian(exact_ranks):
     curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
     dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
     p = PRIMES[0]
-    assert dual.tau == 19 and _rank_mod_p(dual.matrix(5, p), p) == 18
+    assert dual.tau == 19 and rank_mod_p_rows(dual.rows(5, p), p) == 18
     assert dual.rank(5) == 18
     assert [dual.defect(k) for k in range(7)] == [18, 16, 13, 9, 4, 1, 0]
     assert exact_ranks == []
-    hows = ["full"] * 5 + ["jacobian bound", "full"]
-    assert dual.certified == [("W", 5, "jacobian bound")] + [("W", k, how) for k, how in enumerate(hows)]
+    # the scan ranks W_4 (dim S_4 = 15 <= tau, injective), then W_5 and W_6
+    hows = [(4, "full"), (5, "jacobian bound"), (6, "full")]
+    assert dual.certified == [("W", 5, "jacobian bound")] + [("W", k, how) for k, how in hows]
 
 
 def test_uncertified_short_rank_falls_back_to_exact(exact_ranks):
@@ -228,18 +230,41 @@ def test_uncertified_short_rank_falls_back_to_exact(exact_ranks):
     assert dual.certified == [("W", 5, "exact")]
 
 
-def test_plain_w_matches_numpy_at_every_degree_of_the_scan(sweep_arrangements):
-    """W_k mod p built in plain Python equals the numpy matrix entry for
-    entry, and the two ranks mod p agree, at every degree the defect scan
-    visits, on every arrangement of the sweep (the corpus ones first)."""
+def oracle_w(dual, k):
+    """W_k from the expansion: functional (point, weights) on the monomial
+    x^e is sum w * c_ab(x^e), with c_ab read off `expanded_jet`."""
+    order = max((a + b for fn in dual.functionals for (a, b), _ in fn.weights), default=0)
+    jets = {}
+    out = []
+    for fn in dual.functionals:
+        row = []
+        for e in monomial_basis(k):
+            if (fn.point, e) not in jets:
+                jets[fn.point, e] = expanded_jet({e: 1}, fn.point, order)
+            row.append(sum(w * jets[fn.point, e].get(ab, 0) for ab, w in fn.weights))
+        out.append(row)
+    return out
+
+
+def test_w_entries_match_the_expansion_at_every_degree(random_arrangements):
+    """rows(k, p) and rows(k) equal W_k from the expansion, mod p and
+    exactly, and the plain and numpy ranks mod p of rows(k, p) agree, at
+    every degree 0..3N-5: on the corpus arrangements and a seeded tenth of
+    the random ones."""
     p = PRIMES[0]
-    assert len(sweep_arrangements) > 50
-    for lines, f, _ in sweep_arrangements:
-        dual = derived_strand(lines, f).dual
-        for k in sorted({k for _, k, _ in dual.certified}):
-            rows, matrix = dual.rows(k, p), dual.matrix(k, p)
-            assert rows == matrix.tolist(), (str(f), k)
-            assert rank_mod_p_rows(rows, p) == _rank_mod_p(matrix, p), (str(f), k)
+    cases = []
+    for name in ("generic4", "lines6", "pappus_a1", "pappus_a2"):
+        curve, profile = load_corpus_curve(CORPUS / f"{name}.curve")
+        cases.append((curve.factor_polys, curve.f, profile))
+    for lines, profile in random.Random(23).sample(random_arrangements, 5):
+        cases.append((lines, functools.reduce(operator.mul, lines), profile))
+    for lines, f, profile in cases:
+        dual = TjurinaDual.of(f, lines, coords(profile))
+        for k in range(3 * f.degree() - 4):
+            want, rows = oracle_w(dual, k), dual.rows(k, p)
+            assert rows == [[v % p for v in row] for row in want], (str(f), k)
+            assert dual.rows(k) == want, (str(f), k)
+            assert rank_mod_p_rows(rows, p) == _rank_mod_p(np.array(rows, dtype=np.int64), p), (str(f), k)
 
 
 def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements, monkeypatch):
@@ -255,8 +280,9 @@ def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements,
 
 
 def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
-    """The 10-line draw of the test generator ranks W_0..W_8 (at most 2205
-    entries) in plain Python and W_9 (49 x 55 = 2695) with numpy."""
+    """The 10-line draw of the test generator (tau = 49) ranks W_8
+    (49 x 45 = 2205 entries, injective) in plain Python and W_9
+    (49 x 55 = 2695) with numpy."""
     cells = {"plain": [], "numpy": []}
     plain, fast = tjurina.rank_mod_p_rows, tjurina._rank_mod_p
 
@@ -272,8 +298,8 @@ def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
     monkeypatch.setattr(tjurina, "_rank_mod_p", logged_numpy)
     lines, profile = random_arrangement(random.Random(10), 10)
     dual = TjurinaDual.of(functools.reduce(operator.mul, lines), lines, coords(profile))
-    assert dual.defect(25) == 0 and dual.certified == [("W", k, "full") for k in range(10)]
-    assert cells == {"plain": [49 * s_dim(k) for k in range(9)], "numpy": [49 * 55]}
+    assert dual.defect(25) == 0 and dual.certified == [("W", 8, "full"), ("W", 9, "full")]
+    assert cells == {"plain": [49 * 45], "numpy": [49 * 55]}
     assert max(cells["plain"]) <= tjurina.PLAIN_CELLS < min(cells["numpy"])
 
 
@@ -291,6 +317,40 @@ def test_short_w_rank_beyond_the_jacobian_bound_is_ranked_exactly(exact_ranks):
     assert [c for c in dual.certified if c[2] != "full"] == [("W", 10, "exact")]
     # def_10 enters dim M(f)_k at k = 3N-6-10 = 17
     assert milnor_dim(Strand(f, lines=lines), 17) == milnor_dim(Strand(f), 17)
+
+
+class TestScan:
+    """`defect` ranks W_k from K, the largest k with dim S_k <= tau, down to
+    the first injective W_k and up to the first zero defect."""
+
+    def test_defects_equal_every_rank(self, sweep_arrangements):
+        """The scan's defects equal tau - rank W_k ranked at every degree."""
+        ten, profile = random_arrangement(random.Random(10), 10)
+        eleven, f = arrangement(ELEVEN)
+        cases = sweep_arrangements + [
+            (ten, functools.reduce(operator.mul, ten), profile),
+            (eleven, f, analyze_arrangement(eleven)),
+        ]
+        for lines, f, profile in cases:
+            dual, fresh = (TjurinaDual.of(f, lines, coords(profile)) for _ in range(2))
+            degrees = range(3 * f.degree() - 4)
+            assert [dual.defect(k) for k in degrees] == [fresh.tau - fresh.rank(k) for k in degrees], str(f)
+            assert {k for _, k, _ in dual.certified} < set(degrees)
+
+    def test_ranked_degrees(self):
+        """pappus_a1 (tau = 45 = dim S_8) ranks W_8, short of injective, then
+        the injective W_7, then W_9 and W_10; lines6's degrees are pinned in
+        test_short_w_rank_certified_by_jacobian."""
+        curve, profile = load_corpus_curve(CORPUS / "pappus_a1.curve")
+        dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+        assert dual.defect(3 * curve.N - 5) == 0
+        hows = [(8, "jacobian bound"), (7, "full"), (9, "exact"), (10, "full")]
+        assert dual.certified == [("W", k, how) for k, how in hows]
+
+    def test_no_points_no_defects(self):
+        lines, f = arrangement(TRIPLE)
+        dual = TjurinaDual(f, derived_strand(lines, f).dual.lines, [])
+        assert [dual.defect(k) for k in range(12)] == [0] * 12 and dual.certified == []
 
 
 class TestHonestFallback:
