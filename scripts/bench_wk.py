@@ -13,9 +13,10 @@ both ways, `rank_mod_p_rows(rows)` and
 numpy side), keeping the best of the repetitions.  It prints one line per
 matrix (cells = tau x dim S_k, the two times in ms and the rank), then the
 crossover: the largest matrix on which plain Python is faster, the smallest
-on which numpy is, and how plain Python fares up to `tjurina.PLAIN_CELLS`,
-which is set from that output.  The script exits 1 when the two ranks of a
-matrix differ.  It is a measuring tool, not a test.
+on which numpy is, and how plain Python fares up to `linalg.PLAIN_CELLS`
+(which `scripts/bench_plain.py` sets, numpy's load counted).  The script
+exits 1 when the two ranks of a matrix differ.  It is a measuring tool, not
+a test.
 """
 
 import argparse
@@ -29,9 +30,8 @@ from pathlib import Path
 
 from planecurves import Strand, parse_polynomial
 from planecurves.gradedmaps import s_dim
-from planecurves.linalg import PRIMES, _rank_mod_p, np, rank_mod_p_rows
+from planecurves.linalg import PLAIN_CELLS, PRIMES, _rank_mod_p, np, rank_mod_p_rows
 from planecurves.polynomials import MAX_DEGREE
-from planecurves.tjurina import PLAIN_CELLS
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))

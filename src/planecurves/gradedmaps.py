@@ -1,15 +1,17 @@
 """Matrix builders for the graded multiplication maps used everywhere.
 
-Each matrix is written straight into one integer ndarray.  Columns are indexed
-slot-major in monomial_basis order, rows block-major in monomial_basis order,
-so pivoting and fixtures are reproducible.
+Each matrix is built as what the engine that ranks it takes
+(`linalg.is_plain`): rows of Python ints for the plain engine, one integer
+ndarray for numpy's.  Columns are indexed slot-major in monomial_basis order, rows
+block-major in monomial_basis order, so pivoting and fixtures are
+reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import ExactMatrix, _row_to_int, int_dtype, np
+from .linalg import ExactMatrix, _row_to_int, int_dtype, is_plain, np
 from .polynomials import Polynomial, monomial_basis
 
 
@@ -31,31 +33,48 @@ def _monomial_index(b, c):
     return e * (e + 1) // 2 + c
 
 
-def contractions(phi: np.ndarray, k: int) -> np.ndarray:
-    """x⌟φ, y⌟φ and z⌟φ side by side, for the columns φ of phi, functionals
-    on S_k in the monomial basis: (x⌟φ)(u) = φ(x u) for u in S_{k-1}.
+def contractions(phi: np.ndarray | list[list[int]], k: int) -> np.ndarray | list[list[int]]:
+    """x⌟φ, y⌟φ and z⌟φ, functionals on S_k in the monomial basis:
+    (x⌟φ)(u) = φ(x u) for u in S_{k-1}.  phi holds the φ as its columns (an
+    ndarray, and so does the result, x⌟ first) or is their list (and so is
+    the result, in the same order).
 
     Only re-indexing, so it commutes with reduction mod p: x u has the index
     of u, and y u, z u those of (b+1, c), (b, c+1).
     """
-    basis = np.array(monomial_basis(k - 1), dtype=np.int64).reshape(-1, 3)
-    b, c = basis[:, 1], basis[:, 2]
-    return np.hstack([phi[: len(basis)], phi[_monomial_index(b + 1, c)], phi[_monomial_index(b, c + 1)]])
+    basis = monomial_basis(k - 1)
+    indices = [
+        range(len(basis)),
+        [_monomial_index(b + 1, c) for _, b, c in basis],
+        [_monomial_index(b, c + 1) for _, b, c in basis],
+    ]
+    if isinstance(phi, list):
+        return [[f[i] for i in index] for index in indices for f in phi]
+    return np.hstack([phi[list(index)] for index in indices])
 
 
 def _assemble(blocks: list[tuple[dict, int, int]], m: int, shape: tuple[int, int]) -> ExactMatrix:
     """Matrix in which each (gen, row0, col0) block maps the degree-m monomial
     u (column col0 + its index) to gen * u (rows row0 + monomial index).
 
-    Built straight into one ndarray: int64 when every coefficient fits,
-    object (Python ints) otherwise.
+    Built as what its engine takes (`linalg.is_plain`): lists of Python ints
+    for the plain engine, else straight into one ndarray, int64 when every
+    coefficient fits and object (Python ints) otherwise.
     """
+    basis = monomial_basis(m)
+    if is_plain(shape[0] * shape[1]):
+        rows = [[0] * shape[1] for _ in range(shape[0])]
+        for gen, row0, col0 in blocks:
+            for (_, db, dc), coeff in gen.items():
+                for col, (_, b, c) in enumerate(basis):
+                    rows[row0 + _monomial_index(b + db, c + dc)][col0 + col] = coeff
+        return ExactMatrix(rows, ncols=shape[1])
     arr = np.zeros(shape, dtype=int_dtype(c for gen, _, _ in blocks for c in gen.values()))
-    basis = np.array(monomial_basis(m), dtype=np.int64).reshape(-1, 3)
+    exponents = np.array(basis, dtype=np.int64).reshape(-1, 3)
     cols = np.arange(len(basis))
     for gen, row0, col0 in blocks:
         for (_, b, c), coeff in gen.items():
-            arr[row0 + _monomial_index(basis[:, 1] + b, basis[:, 2] + c), col0 + cols] = coeff
+            arr[row0 + _monomial_index(exponents[:, 1] + b, exponents[:, 2] + c), col0 + cols] = coeff
     return ExactMatrix(arr)
 
 

@@ -27,7 +27,7 @@ from .gradedmaps import (
     jacobian_partials,
     s_dim,
 )
-from .linalg import EchelonAccumulator, _nonzero_entries, certified_kernel, np
+from .linalg import EchelonAccumulator, annihilates, certified_kernel
 from .milnor import Strand, hilbert_series, jacobian_rank, smooth_reference_dim
 from .polynomials import Monomial, Polynomial, monomial_basis
 
@@ -136,16 +136,14 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     kernel = certified_kernel(matrix)
     strand.remember(jacobian_matrix, m, kernel.rank)
     acc = EchelonAccumulator(matrix.ncols)
-    for col in cross_matrix(f, m - N + 1).array.T.tolist():
+    for col in cross_matrix(f, m - N + 1).transpose().rows:
         acc.add(col)
     chosen = []
-    for vec in kernel.columns().T.tolist():
+    for vec in kernel.vectors():
         if acc.add(vec):
             chosen.append(len(acc.rows) - 1)
-    if chosen:
-        classes = np.array([acc.rows[i] for i in chosen], dtype=object).T
-        if _nonzero_entries(matrix.array, classes).any():
-            raise AssertionError("kernel vector is not a syzygy")
+    if not annihilates(matrix.rows, [acc.rows[i] for i in chosen]):
+        raise AssertionError("kernel vector is not a syzygy")
     expected = er_dim(strand, m)
     if len(chosen) != expected:
         raise AssertionError(

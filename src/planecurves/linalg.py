@@ -1,12 +1,26 @@
 """Exact rank and kernel computations for graded linear maps.
 
-Ranks and kernels over Q come from one certified engine.  It eliminates once
-modulo a prime p < 2^26 and lifts the normalized kernel of the pivot block
-p-adically (Dixon), then accepts the rank r only after every lifted vector v
-satisfies A·v = 0 exactly: the pivot block, nonsingular mod p, gives
-r <= rank_Q, and the ncols - r verified kernel vectors give rank_Q <= r.  A
-prime that fails the check is unlucky and the next one is tried; fraction-free
-integer elimination (`_rank_integer`) is the last resort.
+Ranks and kernels over Q come from two certified engines, one in plain
+Python for small matrices and one on numpy.  One size rule picks between
+them (`is_plain`, the constant `PLAIN_CELLS`): the entries of the matrix for
+`rank`, `certified_kernel` and `rank_mod_p`, the entries of J_{2N-2} for a
+sweep of `milnor`.  Both accept a rank r only with two certificates: a pivot
+block nonsingular mod a prime gives r <= rank_Q, and ncols - r kernel
+vectors v with A·v = 0 exactly give rank_Q <= r.
+
+The plain certificate (`_plain_lift`) eliminates once mod PRIMES[0]
+(`echelon`, each row packed into one int), reads the kernel normalized on
+the free columns off the reduced rows and reconstructs it as rationals.
+When a column does not reconstruct or a vector fails the exact check, it
+eliminates mod PRIMES[1], then PRIMES[2], and combines the residues by CRT.
+A prime with other pivot columns, or the end of the primes, hands the
+matrix over to the numpy engine: no rank is guessed.
+
+The numpy engine eliminates once modulo a prime p < 2^26 and lifts the
+normalized kernel of the pivot block p-adically (Dixon), then accepts the
+rank only after every lifted vector passes the exact check.  A prime that
+fails the check is unlucky and the next one is tried; fraction-free integer
+elimination (`_rank_integer`) is the last resort.
 
 Modular mode (`modular_rank_with_check`) is the uncertified opt-in path: it
 trusts a rank on which all given primes agree.
@@ -15,15 +29,14 @@ Pivoting is deterministic: the eliminations mod p and over Q take the first
 nonzero entry of each column, and the fraction-free `_rank_integer` the
 smallest nonzero |v| (ties by row order), to bound coefficient growth.
 
-Every elimination mod p (the lifts, `pivot_columns`, `_rank_mod_p`) runs
-through `_eliminate`.  Its matrices are small and sparse, so its cost is the
-number of numpy calls, not arithmetic: per column one reduction and one
-nonzero scan, per pivot one gather and one scatter of the multipliers.  The
-one exception is `rank_mod_p_rows`, a plain-Python rank mod p for the
-smallest matrices, which `tjurina` uses so that numpy need not load.
+Every elimination mod p on numpy (the lifts, `pivot_columns`, `_rank_mod_p`)
+runs through `_eliminate`.  Its matrices are small and sparse, so its cost is
+the number of numpy calls, not arithmetic: per column one reduction and one
+nonzero scan, per pivot one gather and one scatter of the multipliers.
 
 numpy is loaded lazily, here, on its first use; the other modules take `np`
-from this module.
+from this module, and a process whose matrices all go to the plain engine
+never loads it.
 """
 
 from __future__ import annotations
@@ -93,23 +106,27 @@ def int_dtype(values: Iterable[int]):
 
 
 class ExactMatrix:
-    """Dense integer matrix held as one 2-D ndarray (rationals are cleared on input).
+    """Integer matrix (rationals are cleared on input), given as rows or as
+    an ndarray.
 
-    `array` is int64 when every entry fits and object (Python ints) otherwise;
-    `rows` is the same matrix as lists of Python ints.
+    `rows` is the matrix as lists of Python ints, for the plain engine;
+    `array` is it as one ndarray, int64 when every entry fits and object
+    (Python ints) otherwise, for the numpy engine.  Each is built from the
+    other on its first use and kept.
     """
 
-    __slots__ = ("nrows", "ncols", "array")
+    __slots__ = ("nrows", "ncols", "_rows", "_array")
 
     def __init__(self, rows: Iterable[Sequence] | np.ndarray, ncols: Optional[int] = None):
-        if isinstance(rows, np.ndarray):
-            self.array = rows
+        self._rows = self._array = None
+        if getattr(rows, "ndim", None) == 2:  # an ndarray; isinstance would load numpy
+            self._array = rows
             self.nrows, self.ncols = rows.shape
             return
         cleaned = []
         for row in rows:
             row = list(row)
-            if all(type(v) is int for v in row):
+            if set(map(type, row)) <= {int}:
                 cleaned.append(row)
             elif any(isinstance(v, Fraction) and v.denominator != 1 for v in row):
                 cleaned.append(_row_to_int(row))
@@ -124,17 +141,34 @@ class ExactMatrix:
                 raise ValueError("ncols mismatch")
         else:
             width = 0 if ncols is None else ncols
-        self.array = np.zeros((len(cleaned), width), dtype=int_dtype(v for r in cleaned for v in r))
-        if cleaned and width:
-            self.array[:, :] = cleaned
-        self.nrows, self.ncols = self.array.shape
+        self._rows = cleaned
+        self.nrows, self.ncols = len(cleaned), width
 
     @property
     def rows(self) -> list[list[int]]:
-        return self.array.tolist()
+        if self._rows is None:
+            self._rows = self._array.tolist()
+        return self._rows
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            shape, values = (self.nrows, self.ncols), self._rows
+            try:
+                arr = np.array(values, dtype=np.int64).reshape(shape)
+            except OverflowError:
+                arr = None
+            # as `int_dtype`: -2^63 fits int64 but its negation does not
+            if arr is None or (arr.size and arr.min() == -_INT64_LIMIT):
+                arr = np.array(values, dtype=object).reshape(shape)
+            self._array = arr
+        return self._array
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.array.T)
+        if self._rows is None:
+            return ExactMatrix(self._array.T)
+        columns = [list(col) for col in zip(*self._rows)] if self.nrows else [[]] * self.ncols
+        return ExactMatrix(columns, ncols=self.nrows)
 
 
 def _strip_content(arr: np.ndarray) -> np.ndarray:
@@ -391,22 +425,25 @@ def _ratrecon(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _reconstruct(u: np.ndarray, m: int, den: int = 1) -> Optional[tuple[np.ndarray, int]]:
-    """Integer numerators w and one denominator d with w/d = u (mod m), or None.
+def _reconstruct(u: Iterable[int], m: int, den: int = 1) -> Optional[tuple[list[int], int]]:
+    """Integer numerators w and the least denominator d with w/d = u (mod m),
+    or None.
 
     Bounds are |w_i|, d <= sqrt(m/2).  The denominator starts at `den` and is
     grown one reconstructed entry at a time, so most entries cost one
-    multiplication.
+    multiplication; the common factor of w and d is divided out at the end.
     """
     bound = isqrt(m >> 1)
     half = m >> 1
+    u = [int(v) for v in u]
     while True:
-        w = u * den % m
-        w = np.where(w > half, w - m, w)
-        big = np.flatnonzero(np.abs(w) > bound)
-        if big.size == 0:
-            return w, den
-        pair = _ratrecon(int(w[big[0]]), m, bound)
+        w = [v * den % m for v in u]
+        big = next((v for v in w if bound < v < m - bound), None)
+        if big is None:
+            w = [v - m if v > half else v for v in w]
+            g = gcd(den, *w)
+            return [v // g for v in w], den // g
+        pair = _ratrecon(big, m, bound)
         if pair is None:
             return None
         den *= pair[1]
@@ -482,13 +519,15 @@ def _nonzero_entries(b: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class KernelLift(NamedTuple):
-    """A certified right kernel of B: v_P = num[:, j] / den[j] on the pivot
-    columns P, 1 on free column free[j], 0 on the other free columns."""
+    """A certified right kernel of B: v_P = num[i][j] / den[j] on pivot
+    column P[i], 1 on free column free[j], 0 on the other free columns;
+    num has a row per pivot and a column per free column, den[j] is the
+    least common denominator of v_j."""
 
     rank: int
     pivots: list[int]
     free: list[int]
-    num: np.ndarray
+    num: list[list[int]]
     den: list[int]
 
     def is_rref(self) -> bool:
@@ -497,21 +536,31 @@ class KernelLift(NamedTuple):
         Then the pivot columns mod p are the pivot columns over Q, and the
         vectors are the kernel basis read off the RREF over Q.
         """
-        later = np.array(self.pivots, dtype=int)[:, None] > np.array(self.free, dtype=int)[None, :]
-        return not (later & (self.num != 0)).any()
+        return not any(
+            v for c, row in zip(self.pivots, self.num) for f, v in zip(self.free, row) if c > f
+        )
+
+    def vectors(self, cols: Optional[Iterable[int]] = None) -> list[list[int]]:
+        """The integer vectors den[j] v_j, j in cols (default all)."""
+        out = []
+        for j in range(len(self.free)) if cols is None else cols:
+            v = [0] * (len(self.pivots) + len(self.free))
+            for c, row in zip(self.pivots, self.num):
+                v[c] = row[j]
+            v[self.free[j]] = self.den[j]
+            out.append(v)
+        return out
 
     def columns(self, cols: Optional[Sequence[int]] = None) -> np.ndarray:
-        """The integer vectors den[j] v_j, j in cols (default all), as the
-        columns of an object array."""
-        cols = range(len(self.free)) if cols is None else cols
-        z = np.zeros((len(self.pivots) + len(self.free), len(cols)), dtype=object)
-        for t, j in enumerate(cols):
-            z[self.pivots, t] = self.num[:, j]
-            z[self.free[j], t] = self.den[j]
+        """`vectors(cols)` as the columns of an object array."""
+        vectors = self.vectors(cols)
+        z = np.zeros((len(self.pivots) + len(self.free), len(vectors)), dtype=object)
+        for t, v in enumerate(vectors):
+            z[:, t] = v
         return z
 
     def basis(self) -> list[list[Fraction]]:
-        return [[Fraction(v, d) for v in col] for col, d in zip(self.columns().T.tolist(), self.den)]
+        return [[Fraction(v, d) for v in vec] for vec, d in zip(self.vectors(), self.den)]
 
 
 def _hadamard_bits(a: np.ndarray, b: np.ndarray) -> int:
@@ -578,14 +627,17 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
     num = np.zeros((r, k), dtype=object)
     den = [1] * k
     if k == 0:
-        return KernelLift(r, pivots, free, num, den)
+        return KernelLift(r, pivots, free, [[] for _ in pivots], den)
     in_q = np.zeros(nrows, dtype=bool)
     in_q[rows_q] = True
     pending = list(range(k))
 
     def verified(cols: list[int]) -> Optional[list[int]]:
         """Columns whose candidate failed on Q; None if one failed only off Q."""
-        bad = _nonzero_entries(b, KernelLift(r, pivots, free, num, den).columns(cols))
+        z = np.zeros((ncols, len(cols)), dtype=object)
+        z[pivots] = num[:, cols]
+        z[[free[j] for j in cols], range(len(cols))] = [den[j] for j in cols]
+        bad = _nonzero_entries(b, z)
         retry = []
         for t, j in enumerate(cols):
             if bad[in_q, t].any():
@@ -595,7 +647,7 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
         return retry
 
     if r == 0:
-        return KernelLift(0, pivots, free, num, den) if verified(pending) == [] else None
+        return KernelLift(0, pivots, free, [], den) if verified(pending) == [] else None
 
     m = b[np.ix_(rows_q, pivots)]
     res = -b[np.ix_(rows_q, free)]
@@ -650,7 +702,196 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
                 return None
             done = set(ready) - set(retry)
             pending = [j for j in pending if j not in done]
-    return KernelLift(r, pivots, free, num, den)
+    return KernelLift(r, pivots, free, num.tolist(), den)
+
+
+# -- plain Python, for small matrices ---------------------------------------
+
+# Largest matrix, in entries, that the entry points work in plain Python; a
+# sweep goes by the entries of its top matrix J_{2N-2}.  From
+# `scripts/bench_plain.py` (each Strand's ranks in fresh interpreters, numpy's
+# load counted): plain Python was faster on every corpus curve up to
+# triangle_cubic's sweep (26928 entries, about 30 against 110 ms) and numpy on
+# the sweeps of lines9 and degree9_cubics (149175 entries); the corpus has
+# nothing between.
+PLAIN_CELLS = 30000
+
+
+def is_plain(cells: int) -> bool:
+    """Whether a matrix of `cells` entries goes to the plain engine."""
+    return cells <= PLAIN_CELLS
+
+
+_SLOT = (1 << 64) - 1  # one entry of a packed row
+
+
+def _pack(values: Iterable[int]) -> int:
+    """The values, each in [0, 2^64), as the 64-bit slots of one int."""
+    return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, width: int) -> memoryview:
+    """The `width` 64-bit slots of a packed row."""
+    return memoryview(packed.to_bytes(8 * width, sys.byteorder)).cast("Q")
+
+
+class Echelon(NamedTuple):
+    """A row echelon form over GF(p) of integer rows (`echelon`).
+
+    `pivots` are its pivot columns in increasing order, the first columns
+    independent mod p; `rows` the rows independent mod p of the rows before
+    them, in order; `leads` maps a pivot column to its pivot row, packed,
+    with residues mod p, 0 before the pivot column and 1 there.
+    """
+
+    p: int
+    width: int
+    pivots: list[int]
+    rows: list[int]
+    leads: dict[int, int]
+
+
+def echelon(rows: Sequence[Sequence[int]], p: int, width: Optional[int] = None) -> Echelon:
+    """Row echelon form over GF(p) of integer rows, `width` entries each, in
+    plain Python, for a prime p < 2^26 and fewer than 2^11 rows or columns:
+    on such small matrices numpy's cost is its per-call overhead and its
+    first call loads it.
+
+    Each row is packed into one int, 64 bits per entry, so a row operation
+    is one multiply-add of ints.  Each row is reduced against the pivot
+    rows in increasing order of their pivot columns: the row's entry e at a
+    pivot column is cleared by adding p - e times that pivot row.  Every
+    addition is below p^2 per entry, so an entry stays below 2^63 and never
+    carries into the next.  A row left nonzero mod p becomes a pivot row at
+    its first nonzero column.
+    """
+    width = (len(rows[0]) if rows else 0) if width is None else width
+    if p >= 1 << 26 or min(len(rows), width) >= 1 << 11:
+        raise ValueError("the packed elimination needs p < 2^26 and fewer than 2^11 rows or columns")
+    pivots: list[int] = []
+    independent: list[int] = []
+    leads: dict[int, int] = {}
+    for n, row in enumerate(rows):
+        if len(pivots) == width:
+            break
+        packed = _pack([v % p for v in row])
+        for c in pivots:
+            e = (packed >> (64 * c) & _SLOT) % p
+            if e:
+                packed += (p - e) * leads[c]
+        residues = [v % p for v in _unpack(packed, width)]
+        col = next((c for c, v in enumerate(residues) if v), None)
+        if col is not None:
+            inv = pow(residues[col], -1, p)
+            leads[col] = _pack([v * inv % p for v in residues])
+            insort(pivots, col)
+            independent.append(n)
+    return Echelon(p, width, pivots, independent, leads)
+
+
+def rank_mod_p_rows(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over GF(p) of integer rows, in plain Python (`echelon`)."""
+    return len(echelon(rows, p).pivots)
+
+
+def _kernel_mod_p(e: Echelon) -> tuple[list[int], list[list[int]]]:
+    """(free, num): the free columns of e and the right kernel mod p
+    normalized on them, num[i][j] its entry at pivots[i] in the vector that
+    is 1 at free[j] and 0 at the other free columns.
+
+    Read off the reduced echelon form: the pivot rows are taken from the
+    last up, each reduced mod p and cleared from the pivot rows above it
+    (at most one addition below p^2 per entry from each row below, so the
+    packing holds), and then num[i][j] = -R[i][free[j]].
+    """
+    p, pivots, leads = e.p, e.pivots, dict(e.leads)
+    for t in range(len(pivots) - 1, -1, -1):
+        c = pivots[t]
+        row = leads[c] = _pack([v % p for v in _unpack(leads[c], e.width)])
+        for above in pivots[:t]:
+            x = (leads[above] >> (64 * c) & _SLOT) % p
+            if x:
+                leads[above] += (p - x) * row
+    pivot_set = set(pivots)
+    free = [c for c in range(e.width) if c not in pivot_set]
+    num = []
+    for c in pivots:
+        slots = _unpack(leads[c], e.width)
+        num.append([-slots[f] % p for f in free])
+    return free, num
+
+
+def annihilates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
+    """True iff row . v = 0 exactly for every integer row and vector.
+
+    The vectors are packed into one int per column, W_c = sum_t v_t[c] 2^(s t),
+    with s so wide that |row . v_t| < 2^(s-1); then row . W = sum_t
+    (row . v_t) 2^(s t) is 0 iff every row . v_t is, and a row costs one
+    product per nonzero entry.
+    """
+    if not rows or not vectors:
+        return True
+    s = (
+        max(abs(v) for row in rows for v in row).bit_length()
+        + max(abs(v) for vec in vectors for v in vec).bit_length()
+        + len(vectors[0]).bit_length() + 1
+    )
+    packed = [0] * len(vectors[0])
+    for vec in reversed(vectors):
+        packed = [(w << s) + v for w, v in zip(packed, vec)]
+    return not any(sum(v * w for v, w in zip(row, packed) if v) for row in rows)
+
+
+def _plain_lift(
+    rows: Sequence[Sequence[int]], width: int, first: Optional[Echelon] = None
+) -> Optional[KernelLift]:
+    """Certified rank and right kernel of integer rows in plain Python, or
+    None, which hands the matrix over to the numpy engine.
+
+    One `echelon` mod PRIMES[0] (`first`, when an elimination elsewhere
+    already gave it) gives the rank r and the kernel mod p normalized on the
+    free columns.  Its entries are reconstructed as rationals; while one
+    column fails to reconstruct or a vector fails the exact check B v = 0,
+    the next prime is eliminated too and the residues are combined by CRT.
+    The pivot block, nonsingular mod p, gives r <= rank_Q, and the ncols - r
+    verified vectors give rank_Q <= r; they are the kernel read off the RREF
+    over Q.  None when a prime has other pivot columns than the first or
+    the primes run out.
+    """
+    residues, modulus, pivots = None, 1, None
+    for p in PRIMES:
+        e = first if first is not None and first.p == p else echelon(rows, p, width)
+        if pivots is not None and e.pivots != pivots:
+            return None
+        pivots = e.pivots
+        free, kernel = _kernel_mod_p(e)
+        if residues is None:
+            residues = kernel
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [
+                [u + modulus * ((w - u) * inv % p) for u, w in zip(old, new)]
+                for old, new in zip(residues, kernel)
+            ]
+        modulus *= p
+        num = [[0] * len(free) for _ in pivots]
+        den, hint = [], 1
+        for j in range(len(free)):
+            column = [row[j] for row in residues]
+            got = _reconstruct(column, modulus, hint)
+            if got is None and hint > 1:
+                got = _reconstruct(column, modulus)
+            if got is None:
+                break
+            for row, v in zip(num, got[0]):
+                row[j] = v
+            den.append(got[1])
+            hint = got[1]
+        else:
+            lift = KernelLift(len(pivots), pivots, free, num, den)
+            if annihilates(rows, lift.vectors()):
+                return lift
+    return None
 
 
 # -- public entry points ----------------------------------------------------
@@ -664,13 +905,27 @@ def rank(m: ExactMatrix) -> int:
     """
     if m.nrows == 0 or m.ncols == 0:
         return 0
-    return lifted_rank(m.array if m.ncols <= m.nrows else m.array.T)[0]
+    wide = m.ncols > m.nrows
+    if is_plain(m.nrows * m.ncols):
+        return lifted_rank(m.transpose() if wide else m)[0]
+    return lifted_rank(m.array.T if wide else m.array)[0]
 
 
-def lifted_rank(b: np.ndarray, plu: Optional[PLU] = None) -> tuple[int, Optional[KernelLift]]:
-    """Certified rank of b with the lift of its right kernel, from the first
-    of `PRIMES` whose lift checks; `_rank_integer` with no lift when none does.
-    `plu` is an elimination of b mod PRIMES[0] already at hand."""
+def lifted_rank(
+    b: ExactMatrix | np.ndarray, plu: Optional[PLU | Echelon] = None
+) -> tuple[int, Optional[KernelLift]]:
+    """Certified rank of b with the lift of its right kernel.
+
+    An ExactMatrix goes to the plain engine (`_plain_lift`) first, an
+    ndarray or what the plain engine hands over to the numpy one: the first
+    of `PRIMES` whose lift checks, `_rank_integer` with no lift when none
+    does.  `plu` is an elimination of b mod PRIMES[0] already at hand, an
+    Echelon for the plain engine or a PLU for numpy's."""
+    if isinstance(b, ExactMatrix):
+        lift = _plain_lift(b.rows, b.ncols, plu)
+        if lift is not None:
+            return lift.rank, lift
+        b, plu = b.array, None
     for p in PRIMES:
         lift = lift_kernel(b, p, plu if p == PRIMES[0] else None)
         if lift is not None:
@@ -725,9 +980,12 @@ def check_primes(primes: Iterable[int]) -> tuple[int, ...]:
     return tuple(checked)
 
 
-def pivot_columns(a: np.ndarray, p: int) -> list[int]:
-    """The pivot columns of integer a over GF(p), p < 2^31: the first columns,
-    in order, that are independent mod p."""
+def pivot_columns(a: np.ndarray | list[list[int]], p: int) -> list[int]:
+    """The pivot columns of integer a over GF(p): the first columns, in
+    order, that are independent mod p.  `a` is an ndarray (p < 2^31) or the
+    list of its columns, eliminated in plain Python (p < 2^26)."""
+    if isinstance(a, list):
+        return echelon(a, p).rows
     return _eliminate(_mod(a, p), p)[0]
 
 
@@ -737,49 +995,12 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     return len(pivot_columns(a if a.shape[1] <= a.shape[0] else a.T, p))
 
 
-_SLOT = (1 << 64) - 1  # one entry of a packed row
-
-
-def _pack(values: list[int]) -> int:
-    """The values, each in [0, 2^64), as the 64-bit slots of one int."""
-    return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
-
-
-def rank_mod_p_rows(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) of integer rows, in plain Python, for a prime
-    p < 2^26 and fewer than 2^11 rows or columns: a small matrix, on which
-    `_rank_mod_p`'s cost is numpy's per-call overhead and its first call
-    loads numpy.
-
-    Each row is packed into one int, 64 bits per entry, so a row operation
-    is one multiply-add of ints.  A pivot row is reduced mod p, zero before
-    its pivot column and 1 there.  Each row is reduced against the pivot
-    rows in increasing order of their pivot columns: the row's entry e at a
-    pivot column is cleared by adding p - e times that pivot row.  Every
-    addition is below p^2 per entry, so an entry stays below 2^63 and never
-    carries into the next.  A row left nonzero mod p becomes a pivot row at
-    its first nonzero column.
-    """
-    width = len(rows[0]) if rows else 0
-    if p >= 1 << 26 or min(len(rows), width) >= 1 << 11:
-        raise ValueError("the packed rank needs p < 2^26 and fewer than 2^11 rows or columns")
-    pivots: list[int] = []
-    leads: dict[int, int] = {}  # pivot column -> its packed pivot row
-    for row in rows:
-        if len(pivots) == width:
-            break
-        packed = _pack([v % p for v in row])
-        for c in pivots:
-            e = (packed >> (64 * c) & _SLOT) % p
-            if e:
-                packed += (p - e) * leads[c]
-        residues = [v % p for v in memoryview(packed.to_bytes(8 * width, sys.byteorder)).cast("Q")]
-        col = next((c for c, v in enumerate(residues) if v), None)
-        if col is not None:
-            inv = pow(residues[col], -1, p)
-            leads[col] = _pack([v * inv % p for v in residues])
-            insort(pivots, col)
-    return len(pivots)
+def rank_mod_p(m: ExactMatrix, p: int) -> int:
+    """Rank over GF(p), p < 2^26: in plain Python (`rank_mod_p_rows`) up to
+    `PLAIN_CELLS` entries, else with numpy (`_rank_mod_p`)."""
+    if is_plain(m.nrows * m.ncols):
+        return rank_mod_p_rows(m.rows, p)
+    return _rank_mod_p(m.array, p)
 
 
 def modular_rank_with_check(m: ExactMatrix, primes: Sequence[int]) -> int:
@@ -835,8 +1056,14 @@ def certified_kernel(m: ExactMatrix) -> KernelLift:
 
     The lift of the first prime whose pivot columns are those over Q (a prime
     whose pivot columns differ is rejected like an unlucky one); the last
-    resort reads the kernel off `rref_fraction`.
+    resort reads the kernel off `rref_fraction`.  A matrix of at most
+    `PLAIN_CELLS` entries goes to the plain engine first, whose kernel is
+    always that basis.
     """
+    if is_plain(m.nrows * m.ncols):
+        lift = _plain_lift(m.rows, m.ncols)
+        if lift is not None:
+            return lift
     for p in PRIMES:
         lift = lift_kernel(m.array, p)
         if lift is not None and lift.is_rref():
@@ -844,13 +1071,9 @@ def certified_kernel(m: ExactMatrix) -> KernelLift:
     rref, pivots = rref_fraction(m.rows, m.ncols)
     pivot_set = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivot_set]
-    num = np.zeros((len(pivots), len(free)), dtype=object)
-    den = []
-    for j, col in enumerate(free):
-        ints, d = _over_common_denominator([-row[col] for row in rref])
-        num[:, j] = ints
-        den.append(d)
-    return KernelLift(len(pivots), pivots, free, num, den)
+    columns = [_over_common_denominator([-row[col] for row in rref]) for col in free]
+    num = [list(row) for row in zip(*(ints for ints, _ in columns))] or [[] for _ in pivots]
+    return KernelLift(len(pivots), pivots, free, num, [d for _, d in columns])
 
 
 def kernel_basis(m: ExactMatrix) -> list[list[Fraction]]:

@@ -40,7 +40,11 @@ same elimination, read as one of J_{2N-2}^T (`linalg.PLU.transpose`), is the
 top lift's: its kernel is normalized on other free columns than a fresh
 elimination's, but it spans the same space mod p, so every contraction count
 is the same.  So the sweep eliminates J_{2N-2} once, when the first degree
-needs a rank, and builds J_m only where it lifts.
+needs a rank, and builds J_m only where it lifts.  A sweep whose J_{2N-2} is
+within `linalg.PLAIN_CELLS` does all of this in plain Python: `linalg.echelon`
+of the columns of J_{2N-2}, in the same order, keeps the columns independent
+of those before (the same rank profile), and its reduced form is that of
+J_{2N-2}^T, whose kernel the top lift reads.
 
 An exact Strand given the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
@@ -82,11 +86,14 @@ from .gradedmaps import contractions, jacobian_matrix, s_dim
 from .linalg import (
     PLU,
     PRIMES,
+    Echelon,
     ExactMatrix,
     _mod,
     _over_common_denominator,
     check_primes,
+    echelon,
     factor,
+    is_plain,
     lifted_rank,
     modular_rank_with_check,
     np,
@@ -164,33 +171,41 @@ class Strand:
     def sweep(self) -> None:
         """Certify rank J_m into the memo for m = 2N-2 down to 0, lifting
         only at the top and where the contraction bounds do not meet (see the
-        module docstring).  A rank already in the memo is kept."""
+        module docstring).  A rank already in the memo is kept.  The sweep
+        runs in plain Python when J_{2N-2} is small (`linalg.is_plain`):
+        its matrices go to the engines as ExactMatrix, its chain is a list of
+        functionals; else as ndarrays, the chain their columns."""
         p, top = PRIMES[0], 2 * self.N - 2
-        chain = None  # residues mod p of a basis of ann(J_{k+1}), as columns
+        plain = is_plain(s_dim(top + self.N - 1) * 3 * s_dim(top))
+        chain = None  # residues mod p of a basis of ann(J_{k+1})
         ranks = None  # rank_p J_m, once a degree needs them
         for m in range(top, -1, -1):
             k, found = m + self.N - 1, self._ranks.get((jacobian_matrix, m))
             known = found is not None
             if not known and ranks is None:
-                matrix = jacobian_matrix(self.f, top).array
-                ranks, top_plu = jacobian_rank_profile(matrix, top, p)
+                matrix = jacobian_matrix(self.f, top)
+                ranks, top_elimination = jacobian_rank_profile(matrix if plain else matrix.array, top, p)
             if chain is not None:
                 candidates = contractions(chain, k + 1)
                 independent = pivot_columns(candidates, p)
                 if not known:
                     found = ranks[m]
                 if found == s_dim(k) - len(independent):
-                    chain = candidates[:, independent]
+                    chain = [candidates[i] for i in independent] if plain else candidates[:, independent]
                     if not known:
                         self._store(jacobian_matrix, m, found, "contraction")
                     continue
             chain = None
             if not known:
                 if m != top:
-                    matrix = jacobian_matrix(self.f, m).array
+                    matrix = jacobian_matrix(self.f, m)
                 # the profile's elimination is the top lift's
-                found, lift = lifted_rank(matrix.T, top_plu if m == top else None)
-                if lift is not None:
+                found, lift = lifted_rank(
+                    matrix.transpose() if plain else matrix.array.T, top_elimination if m == top else None
+                )
+                if lift is not None and plain:
+                    chain = [[v % p for v in vec] for vec in lift.vectors()]
+                elif lift is not None:
                     chain = (lift.columns() % p).astype(np.int64)
                 self._store(jacobian_matrix, m, found, "lift")
 
@@ -200,14 +215,23 @@ class Strand:
         return self.dual is not None and self.dual.defect(3 * self.N - 5) == 0
 
 
-def jacobian_rank_profile(top_matrix: np.ndarray, top: int, p: int) -> tuple[list[int], PLU]:
+def jacobian_rank_profile(
+    top_matrix: ExactMatrix | np.ndarray, top: int, p: int
+) -> tuple[list[int], Echelon | PLU]:
     """rank_p J_m for m = 0..top from one elimination mod p of the matrix
     `top_matrix` of J_top, with the elimination read as one of J_top^T.
 
     Column (i, u) of J_top, slot-major, is taken at 3 index(u) + i: by
-    descending power of x in u (see the module docstring).
+    descending power of x in u (see the module docstring).  An ExactMatrix
+    is eliminated in plain Python with its columns as the rows
+    (`linalg.echelon`, whose pivot rows are the columns independent of the
+    ones before), an ndarray by numpy.
     """
     width = s_dim(top)
+    if isinstance(top_matrix, ExactMatrix):
+        columns = top_matrix.transpose().rows
+        e = echelon([columns[s * width + i] for i in range(width) for s in range(3)], p)
+        return [bisect_left(e.rows, 3 * s_dim(m)) for m in range(top + 1)], e
     order = np.arange(3 * width).reshape(3, width).T.ravel()
     plu = factor(_mod(top_matrix[:, order], p), p)
     ranks = [bisect_left(plu.pivots, 3 * s_dim(m)) for m in range(top + 1)]

@@ -36,12 +36,11 @@ K, the largest k with dim S_k <= tau, down to the first injective W_k and
 up to the first zero defect.
 
 W_k is built one way, as lists of Python ints (`TjurinaDual.rows`: residues
-mod p, or exact entries for the fallback).  Its rank mod p is taken by one
-of two engines by size: up to `PLAIN_CELLS` entries in plain Python
-(`linalg.rank_mod_p_rows`), above that by numpy's elimination on the same
-rows.  numpy loads on first use, so the Hilbert series of an arrangement
-whose ranked W_k are all that small and of full rank mod p runs without it;
-the J_k bound and the exact fallback use numpy.
+mod p, or exact entries for the fallback).  Its rank mod p, the J_k bound
+and the exact fallback go through `linalg`, which picks plain Python or
+numpy by the size of each matrix (`linalg.PLAIN_CELLS`), so the Hilbert
+series of an arrangement whose ranked matrices are all small runs without
+numpy.
 """
 
 from __future__ import annotations
@@ -50,31 +49,10 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .gradedmaps import integer_scaled, jacobian_matrix, s_dim
-from .linalg import (
-    PRIMES,
-    ExactMatrix,
-    _rank_mod_p,
-    _row_to_int,
-    np,
-    rank,
-    rank_mod_p_rows,
-    rref_fraction,
-)
+from .linalg import PRIMES, ExactMatrix, _row_to_int, rank, rank_mod_p, rref_fraction
 from .polynomials import Polynomial, monomial_basis
 
 Line = tuple[int, int, int]
-
-# Largest W_k, in entries tau * dim S_k, whose rank mod p is taken in plain
-# Python (`linalg.rank_mod_p_rows`); larger ones go through numpy.  From
-# `scripts/bench_wk.py`, both engines on the same rows, numpy's conversion
-# included: over the 579 W_k, k = 0..3N-5, of the corpus arrangements and of
-# 7- to 20-line draws, plain Python was faster on 113 of the 144 up to 2500
-# entries and at most 1.65 times (0.72 ms) slower on the rest; numpy was
-# faster on every one above 11778 entries, by up to 4.9 times.  Near 2000
-# entries numpy starts to win on square W_k, but by less than 1 ms, while
-# a process that ranks only small W_k never loads numpy (about 0.1 s).
-PLAIN_CELLS = 2500
-
 
 class Functional(NamedTuple):
     """g -> sum of w * c_ab(g) over weights ((a, b), w), in the chart at point."""
@@ -192,7 +170,13 @@ class TjurinaDual:
 
     def rows(self, k: int, p: Optional[int] = None) -> list[list[int]]:
         """W_k as lists of ints: row r is functional r on monomial_basis(k),
-        residues mod p, or exact when p is None (entries grow like coord^k)."""
+        residues mod p, or exact when p is None (entries grow like coord^k).
+
+        A weight ((a, b), w) of a functional at p takes the value
+        w C(e_i, a) p_i^(e_i - a) C(e_j, b) p_j^(e_j - b) p_l^(e_l) at x^e.
+        The factors in e_i and in e_j are tabulated once per weight, so a
+        monomial costs three lookups and two products per weight.
+        """
 
         def reduce(v: int) -> int:
             return v % p if p else v
@@ -201,6 +185,7 @@ class TjurinaDual:
         top = max((max(ab) for fn in self.functionals for ab, _ in fn.weights), default=0)
         binoms = [[reduce(comb(e, a)) for e in range(k + 1)] for a in range(top + 1)]
         powers: dict[int, list[int]] = {}
+        exponents: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
 
         def pw(c: int) -> list[int]:
             """c^e for e = 0..k, mod p when p is given."""
@@ -210,16 +195,19 @@ class TjurinaDual:
 
         out = []
         for fn in self.functionals:
-            l, i, j = _chart(fn.point)
+            chart = l, i, j = _chart(fn.point)
+            if chart not in exponents:
+                exponents[chart] = [(e[i], e[j], e[l]) for e in basis]
             base, pi, pj = pw(fn.point[l]), pw(fn.point[i]), pw(fn.point[j])
-            row = [0] * len(basis)
+            row = None
             for (a, b), w in fn.weights:
-                ca, cb = binoms[a], binoms[b]
-                for n, e in enumerate(basis):
-                    ei, ej = e[i], e[j]
-                    if ei >= a and ej >= b:
-                        row[n] += w * base[e[l]] * ca[ei] * pi[ei - a] * cb[ej] * pj[ej - b]
-            out.append([reduce(v) for v in row])
+                fa = [0] * a + [reduce(w * c * v) for c, v in zip(binoms[a][a:], pi)]
+                fb = [0] * b + [c * v for c, v in zip(binoms[b][b:], pj)]
+                if row is None:
+                    row = [fa[ei] * fb[ej] * base[el] for ei, ej, el in exponents[chart]]
+                else:
+                    row = [v + fa[ei] * fb[ej] * base[el] for v, (ei, ej, el) in zip(row, exponents[chart])]
+            out.append([v % p for v in row] if p else row)
         return out
 
     def rank(self, k: int) -> int:
@@ -229,20 +217,15 @@ class TjurinaDual:
         when it reaches min(tau, dim S_k).  The functionals kill J, so J_k
         lies in the kernel of W_k, rank W_k <= dim S_k - rank_Q J_k <=
         dim S_k - rank_p J_k, and a rank mod p equal to that bound is exact
-        too.  Otherwise the certified `linalg.rank` answers.  W_k mod p is
-        ranked in plain Python up to `PLAIN_CELLS` entries, else with numpy.
+        too.  Otherwise the certified `linalg.rank` answers.
         """
         full = min(self.tau, s_dim(k))
         p = PRIMES[0]
-        rows = self.rows(k, p)
-        if self.tau * s_dim(k) <= PLAIN_CELLS:
-            found = rank_mod_p_rows(rows, p)
-        else:
-            found = _rank_mod_p(np.array(rows, dtype=np.int64), p)
+        found = rank_mod_p(ExactMatrix(self.rows(k, p)), p)
         m = k - self.f.degree() + 1
         if found == full:
             certificate = "full"
-        elif m >= 0 and found == s_dim(k) - _rank_mod_p(jacobian_matrix(self.f, m).array, p):
+        elif m >= 0 and found == s_dim(k) - rank_mod_p(jacobian_matrix(self.f, m), p):
             certificate = "jacobian bound"
         else:
             found, certificate = rank(ExactMatrix(self.rows(k))), "exact"

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planecurves import cli, geometry, hilbert_series, parse_polynomial, tjurina
+from planecurves import cli, geometry, hilbert_series, linalg, parse_polynomial, syzygy_basis
 from planecurves.cli import (
     EXIT_MULTIPLICITY,
     EXIT_NONSTABLE,
@@ -340,13 +340,15 @@ def src_env(root):
         ("bench_eliminate.py", []),
         ("bench_phases.py", ["--reps", "1", "lines6"]),
         ("bench_wk.py", ["--reps", "1", "--sizes", "7", "8"]),
+        ("bench_plain.py", ["--reps", "1", "--names", "generic4", "triangle_cubic"]),
     ],
-    ids=["run_examples.py", "bench_eliminate.py", "bench_phases.py", "bench_wk.py"],
+    ids=["run_examples.py", "bench_eliminate.py", "bench_phases.py", "bench_wk.py", "bench_plain.py"],
 )
 def test_script_exits_clean(corpus_dir, script, args):
     """Each script runs as documented, in exact mode; bench_eliminate exits 1
     when its repetitions disagree, bench_phases when a report differs from
-    its fixture, bench_wk when its two ranks of a W_k differ."""
+    its fixture, bench_wk when its two ranks of a W_k differ, bench_plain
+    when its two paths differ in a rank, a certificate or a kernel."""
     root = corpus_dir.parent
     out = subprocess.run(
         [sys.executable, str(root / "scripts" / script), *args],
@@ -419,6 +421,36 @@ except ImportError as exc:
 """
 
 
+SYZYGY_PROBE = """\
+import json, sys
+from pathlib import Path
+from planecurves import cli, syzygy_basis
+runs = []
+for spec, degrees in json.loads(sys.argv[1]):
+    f = cli.build_from_spec(cli.load_spec(Path(spec))).f
+    runs.append([[[str(c) for c in syzygy_basis(f, m)] for m in degrees], "numpy.linalg" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def syzygy_degrees(corpus_dir, name):
+    """m from mdr to N-2, as in the benchmark's syzygy workload (none when
+    mdr is infinite)."""
+    h = json.loads((corpus_dir / f"{name}.expected.json").read_text())["hilbert"]
+    return [] if h["mdr"] is None else list(range(min(h["mdr"], h["N"] - 2), h["N"] - 1))
+
+
+def probe_syzygies(root, jobs):
+    """(classes as text per degree, numpy loaded) after `syzygy_basis` on
+    each (spec, degrees) of jobs, in one fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", SYZYGY_PROBE, json.dumps(jobs)],
+        cwd=root, env=src_env(root), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def probe_lazy(root, argvs):
     """Whether numpy is loaded after `import planecurves.cli`, then (exit
     code, output, numpy loaded) after each command, in one fresh interpreter."""
@@ -443,16 +475,37 @@ class TestLazyNumpy:
         argvs = [["hilbert", str(spec), "--format", "json"] for spec in (generic4_spec, eight)]
         imported, runs = probe_lazy(corpus_dir.parent, argvs)
         assert not imported
-        monkeypatch.setattr(tjurina, "PLAIN_CELLS", 0)
+        monkeypatch.setattr(linalg, "PLAIN_CELLS", 0)
         for argv, (code, out, loaded) in zip(argvs, runs):
             assert main(argv) == code == EXIT_OK
             assert out == capsys.readouterr().out and not loaded
 
-    def test_report_loads_numpy(self, corpus_dir):
+    def test_small_curves_never_load_numpy(self, corpus_dir, monkeypatch):
+        """`report` on the corpus curves of degree <= 6 and `syzygy_basis` on
+        them, from mdr to N-2, rank only matrices within `PLAIN_CELLS`, so
+        numpy never loads; the output is that of the numpy path (cutoff 0)
+        in this process."""
+        names = ["generic4", "smooth4", "nodal4", "lines6", "degree5_D4", "triangle_cubic"]
+        argvs = [["report", f"corpus/{name}.curve", "--format", "json"] for name in names]
+        jobs = [[str(corpus_dir / f"{name}.curve"), syzygy_degrees(corpus_dir, name)] for name in names]
+        imported, runs = probe_lazy(corpus_dir.parent, argvs)
+        syzygies = probe_syzygies(corpus_dir.parent, jobs)
+        assert not imported and sum(len(degrees) for _, degrees in jobs) >= 5
+        monkeypatch.setattr(linalg, "PLAIN_CELLS", 0)
+        for argv, (code, out, loaded) in zip(argvs, runs):
+            with contextlib.redirect_stdout(io.StringIO()) as numpy_out:
+                assert main(argv) == code == EXIT_OK
+            assert out == numpy_out.getvalue() and not loaded
+        for (spec, degrees), (texts, loaded) in zip(jobs, syzygies):
+            f = cli.build_from_spec(cli.load_spec(Path(spec))).f
+            assert texts == [[str(c) for c in syzygy_basis(f, m)] for m in degrees] and not loaded
+
+    def test_report_lines9_loads_numpy(self, corpus_dir):
+        """J_16 of lines9 is above `PLAIN_CELLS`: its sweep runs on numpy."""
         imported, [(code, out, loaded)] = probe_lazy(
-            corpus_dir.parent, [["report", "corpus/lines6.curve", "--format", "json"]])
+            corpus_dir.parent, [["report", "corpus/lines9.curve", "--format", "json"]])
         assert not imported and code == EXIT_OK and loaded
-        assert out == (corpus_dir / "lines6.expected.json").read_text()
+        assert out == (corpus_dir / "lines9.expected.json").read_text()
 
     def test_missing_numpy_fails_the_import(self, corpus_dir):
         """Hidden by a meta-path finder, numpy is missing when planecurves is

@@ -200,8 +200,8 @@ class TestSyzygyBasis:
 
         def corrupted(matrix):
             lift = real(matrix)
-            num = lift.num.copy()
-            num[0, 0] += 1
+            num = [list(row) for row in lift.num]
+            num[0][0] += 1
             return KernelLift(lift.rank, lift.pivots, lift.free, num, lift.den)
 
         monkeypatch.setattr(koszul, "certified_kernel", corrupted)

@@ -1,6 +1,7 @@
 """Exact and modular rank/kernel computations."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, prod
 
@@ -10,8 +11,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecurves import ExactMatrix, kernel_basis, kernel_dim, modular_rank_with_check, rank
+from planecurves import (
+    ExactMatrix,
+    Polynomial,
+    kernel_basis,
+    kernel_dim,
+    modular_rank_with_check,
+    monomial_basis,
+    rank,
+)
 from planecurves import linalg
+from planecurves.gradedmaps import jacobian_matrix
 from planecurves.linalg import (
     PRIMES,
     EchelonAccumulator,
@@ -21,6 +31,7 @@ from planecurves.linalg import (
     lift_kernel,
     rref_fraction,
 )
+from planecurves.milnor import jacobian_rank_profile
 
 P1 = 1060937
 P2 = 536969711
@@ -667,3 +678,150 @@ class TestPlainRankModP:
         square = [[0] * 2048] * 2048
         with pytest.raises(ValueError):
             linalg.rank_mod_p_rows(square, PRIMES[0])
+
+
+# -- the plain certificate against the numpy engine -----------------------------
+
+
+@contextmanager
+def numpy_only():
+    """Every entry point on the numpy engine (cutoff 0)."""
+    saved = linalg.PLAIN_CELLS
+    linalg.PLAIN_CELLS = 0
+    try:
+        yield
+    finally:
+        linalg.PLAIN_CELLS = saved
+
+
+@st.composite
+def sparse_rows(draw, max_dim=12):
+    """Tall or wide, mostly zero, with small entries; some rows are sums of
+    two earlier ones, so the rank is often deficient."""
+    nrows = draw(st.integers(min_value=1, max_value=max_dim))
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(min_value=-4, max_value=4))
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(2, nrows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [u + v for u, v in zip(rows[a], rows[b])]
+    return rows
+
+
+def primes_used(rows):
+    """(the plain lift of rows, the primes it eliminated with)."""
+    used = []
+    real = linalg.echelon
+
+    def logged(rows, p, width=None):
+        used.append(p)
+        return real(rows, p, width)
+
+    linalg.echelon = logged
+    try:
+        return linalg._plain_lift(rows, len(rows[0])), used
+    finally:
+        linalg.echelon = real
+
+
+class TestPlainCertificate:
+    @given(st.one_of(sparse_rows(), structured_rows(), int64_rows()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_numpy_engine(self, rows):
+        """Where the plain lift answers, it is the numpy lift: the same rank,
+        pivots and kernel columns; `certified_kernel` and `rank` are those
+        of the numpy path either way."""
+        m = ExactMatrix(rows)
+        plain = linalg._plain_lift(rows, m.ncols)
+        rank_np, lift_np = linalg.lifted_rank(np.array(rows, dtype=object))
+        if plain is not None:
+            assert plain.rank == rank_np == _rank_integer(rows, m.ncols)
+            assert plain == lift_np and plain.is_rref()
+        with numpy_only():
+            kernel_np, rank_q = certified_kernel(m), rank(m)
+        assert certified_kernel(m) == kernel_np and rank(m) == rank_q
+        assert linalg.lifted_rank(m) == (rank_np, lift_np)
+
+    def test_small_entries_take_the_plain_path(self):
+        """Sparse small matrices reconstruct from the primes: the plain lift
+        answers on every one of a seeded batch."""
+        rng = random.Random(11)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+            rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(ncols)] for _ in range(nrows)]
+            lift = linalg._plain_lift(rows, ncols)
+            assert lift is not None and lift == linalg.lifted_rank(np.array(rows))[1]
+
+    @pytest.mark.parametrize("bits, primes", [(8, 1), (20, 2), (32, 3), (45, 0)])
+    def test_kernels_that_need_more_primes(self, bits, primes):
+        """The kernel of [a b c] has entries -b/a and -c/a: with |a|, |b|,
+        |c| near 2^bits one prime reconstructs them up to 2^12, two up to
+        2^25 and three up to 2^38; past that the plain lift hands over
+        (None) and the numpy engine answers."""
+        rng = random.Random(bits)
+        while True:
+            a, b, c = (rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(3))
+            if gcd(a, b) == gcd(a, c) == 1:
+                break
+        rows = [[a, b, c], [2 * a, 2 * b, 2 * c]]
+        lift, used = primes_used(rows)
+        want = linalg.lifted_rank(np.array(rows, dtype=object))[1]
+        if primes:
+            assert used == list(PRIMES[:primes]) and lift == want
+            assert lift.basis() == [[Fraction(-b, a), 1, 0], [Fraction(-c, a), 0, 1]]
+        else:
+            assert used == list(PRIMES) and lift is None
+        assert rank(ExactMatrix(rows)) == 1 and certified_kernel(ExactMatrix(rows)) == want
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[PRIMES[0], 0], [0, 1]],
+            [[PRIMES[0], 1]],
+            [[1, 2, 3], [4, 5, 6], [7, 8, 9 + PRIMES[0]]],
+            [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7 + 2 * PRIMES[0]]],
+        ],
+        ids=["diagonal", "row", "near-singular", "wide"],
+    )
+    def test_singular_pivot_block_mod_the_first_prime_hands_over(self, rows):
+        """The pivot columns mod PRIMES[0] are not those over Q (the rank
+        drops, or a later column takes a pivot): the exact check fails, the
+        next prime has other pivots, and the plain lift hands over; the
+        entry points never return a lower rank."""
+        assert linalg.echelon(rows, PRIMES[0]).pivots != linalg.echelon(rows, PRIMES[1]).pivots
+        assert linalg._plain_lift(rows, len(rows[0])) is None
+        m = ExactMatrix(rows)
+        assert rank(m) == _rank_integer(rows, m.ncols)
+        assert certified_kernel(m).basis() == rref_kernel(rows, m.ncols)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rank_profile_matches_numpy(self, data):
+        """`jacobian_rank_profile` of a random product of forms: the plain
+        elimination of J_top's columns gives numpy's ranks, and the plain
+        top lift from it the rank and kernel of a fresh plain lift."""
+        degrees = data.draw(st.lists(st.sampled_from((1, 2, 3)), min_size=2, max_size=2))
+        f = Polynomial.constant(1)
+        for d in degrees:
+            f = f * Polynomial({mono: Fraction(data.draw(st.integers(-3, 3))) for mono in monomial_basis(d)})
+        if f.is_zero() or f.degree() < 3:
+            return
+        top, p = 2 * f.degree() - 2, PRIMES[0]
+        matrix = jacobian_matrix(f, top)
+        ranks, e = jacobian_rank_profile(matrix, top, p)
+        assert ranks == jacobian_rank_profile(matrix.array, top, p)[0]
+        assert ranks == [linalg._rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
+        assert linalg.lifted_rank(matrix.transpose(), e) == linalg.lifted_rank(matrix.transpose())
+
+    def test_exact_check_sees_every_vector(self):
+        """`annihilates` packs the vectors into one int per column: a
+        product that is nonzero in one vector only, by 1, is still seen."""
+        rows = [[1, -1, 0], [0, 2, -2]]
+        good = [[5, 5, 5], [-(1 << 70), -(1 << 70), -(1 << 70)]]
+        assert linalg.annihilates(rows, good)
+        for t in range(2):
+            bad = [list(v) for v in good]
+            bad[t][2] += 1
+            assert not linalg.annihilates(rows, bad)
+        assert linalg.annihilates(rows, []) and linalg.annihilates([], good)

@@ -4,6 +4,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 from planecurves import (
     NonStabilizationError,
     Strand,
+    er_dim,
     hilbert_series,
     milnor_dim,
     parse_polynomial,
     smooth_reference_dim,
     tau,
 )
-from planecurves import Polynomial, cli, milnor, monomial_basis
+from planecurves import Polynomial, cli, linalg, milnor, monomial_basis
 from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
 from planecurves.gradedmaps import contractions, jacobian_matrix, s_dim
 from planecurves.linalg import PRIMES, _nonzero_entries, _rank_mod_p, lifted_rank, rank
@@ -249,6 +251,34 @@ def products_of_lines_conics_and_cubics(draw):
         f = f * Polynomial({mono: Fraction(draw(st.integers(-3, 3))) for mono in monomial_basis(d)})
     assume(not f.is_zero())
     return f
+
+
+def sweep_lines(name):
+    """The line factors of a corpus arrangement, else ()."""
+    item = SWEEP_CURVES[name]
+    if not isinstance(item, Path):
+        return ()
+    curve = build_from_spec(json.loads(item.read_text()))
+    return curve.factor_polys if all(d == 1 for d in curve.factor_degrees) else ()
+
+
+class TestPlainPath:
+    @pytest.mark.parametrize("name", [name for name in SWEEP_CURVES if sweep_curve(name).degree() <= 9])
+    def test_matches_the_numpy_path(self, name, monkeypatch):
+        """Every matrix in plain Python against every matrix on numpy
+        (cutoff 0): the same series, ER rank, Strand certificates and W_k
+        certificates.  The two degree-12 curves are left out: J_22 has
+        492660 entries, far past the cutoff."""
+        f, lines = sweep_curve(name), sweep_lines(name)
+
+        def outcome(cutoff):
+            monkeypatch.setattr(linalg, "PLAIN_CELLS", cutoff)
+            strand = Strand(f, lines=lines)
+            h = hilbert_series(strand)
+            er = er_dim(strand, strand.N - 2)
+            return h, er, strand.certified, strand.dual.certified if strand.dual else None
+
+        assert outcome(1 << 62) == outcome(0)
 
 
 class TestSweep:

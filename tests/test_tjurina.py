@@ -14,7 +14,7 @@ from math import comb, gcd
 import pytest
 
 from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim, parse_polynomial, tau
-from planecurves import milnor, tjurina
+from planecurves import linalg, milnor, tjurina
 from planecurves.cli import main
 from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
 from planecurves.linalg import PRIMES, _rank_mod_p, np, rank_mod_p_rows, rref_fraction
@@ -275,16 +275,16 @@ def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements,
         return [(hilbert_series(s), s.dual.certified, s.certified) for s in strands]
 
     plain = outcomes()
-    monkeypatch.setattr(tjurina, "PLAIN_CELLS", 0)
+    monkeypatch.setattr(linalg, "PLAIN_CELLS", 0)
     assert outcomes() == plain
 
 
 def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
     """The 10-line draw of the test generator (tau = 49) ranks W_8
-    (49 x 45 = 2205 entries, injective) in plain Python and W_9
-    (49 x 55 = 2695) with numpy."""
+    (49 x 45 = 2205 entries, injective) and W_9 (49 x 55 = 2695); with the
+    cutoff at W_8's size, W_8 goes to plain Python and W_9 to numpy."""
     cells = {"plain": [], "numpy": []}
-    plain, fast = tjurina.rank_mod_p_rows, tjurina._rank_mod_p
+    plain, fast = linalg.rank_mod_p_rows, linalg._rank_mod_p
 
     def logged_plain(rows, p):
         cells["plain"].append(len(rows) * len(rows[0]))
@@ -294,13 +294,14 @@ def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
         cells["numpy"].append(a.size)
         return fast(a, p)
 
-    monkeypatch.setattr(tjurina, "rank_mod_p_rows", logged_plain)
-    monkeypatch.setattr(tjurina, "_rank_mod_p", logged_numpy)
+    monkeypatch.setattr(linalg, "rank_mod_p_rows", logged_plain)
+    monkeypatch.setattr(linalg, "_rank_mod_p", logged_numpy)
+    monkeypatch.setattr(linalg, "PLAIN_CELLS", 49 * 45)
     lines, profile = random_arrangement(random.Random(10), 10)
     dual = TjurinaDual.of(functools.reduce(operator.mul, lines), lines, coords(profile))
     assert dual.defect(25) == 0 and dual.certified == [("W", 8, "full"), ("W", 9, "full")]
     assert cells == {"plain": [49 * 45], "numpy": [49 * 55]}
-    assert max(cells["plain"]) <= tjurina.PLAIN_CELLS < min(cells["numpy"])
+    assert max(cells["plain"]) <= linalg.PLAIN_CELLS < min(cells["numpy"])
 
 
 # 11 lines with N(f)_10 != 0: I_10 is larger than J_10
