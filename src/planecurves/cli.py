@@ -103,9 +103,7 @@ def _component_from_entry(
     if genus is None and factor is not None:
         genus = factor.genus
     if genus is None:
-        genus = 0 if degree == 1 and nodes == 0 and triples == 0 else genus_from_counts(
-            degree, nodes, triples
-        )
+        genus = genus_from_counts(degree, nodes, triples)
     return Component(degree=degree, genus=genus, nodes=nodes, triples=triples)
 
 
@@ -383,7 +381,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify-corpus", help="re-run and diff frozen fixtures")
     p_v.add_argument("dir")
-    common(p_v)
+    p_v.add_argument("--quiet", action="store_true")
     p_v.set_defaults(func=cmd_verify_corpus)
     return parser
 

@@ -1,12 +1,14 @@
 """Exact rank and kernel computations for graded linear maps.
 
 Ranks and kernels over Q come from two certified engines, one in plain
-Python for small matrices and one on numpy.  One size rule picks between
-them (`is_plain`, the constant `PLAIN_CELLS`): the entries of the matrix for
-`rank`, `certified_kernel` and `rank_mod_p`, the entries of J_{2N-2} for a
-sweep of `milnor`.  Both accept a rank r only with two certificates: a pivot
-block nonsingular mod a prime gives r <= rank_Q, and ncols - r kernel
-vectors v with A·v = 0 exactly give rank_Q <= r.
+Python for small matrices and one on numpy.  Each entry point given an
+`ExactMatrix` picks one by its entries (`is_plain`, `PLAIN_CELLS`); an
+ndarray pins numpy, a list of functionals (`pivot_columns`) stays plain, and
+modular mode (primes up to 2^31) stays on numpy.  Both accept a rank r only
+with two certificates: a pivot block nonsingular mod a prime gives
+r <= rank_Q, and ncols - r kernel vectors v with A·v = 0 exactly give
+rank_Q <= r.  No other module eliminates: `milnor` reads ranks mod p off
+`column_profile` and `tjurina` its local duals off `rref_kernel`.
 
 The plain certificate (`_plain_lift`) eliminates once mod PRIMES[0]
 (`echelon`, each row packed into one int), reads the kernel normalized on
@@ -165,7 +167,7 @@ class ExactMatrix:
         return self._array
 
     def transpose(self) -> "ExactMatrix":
-        if self._rows is None:
+        if self._array is not None:
             return ExactMatrix(self._array.T)
         columns = [list(col) for col in zip(*self._rows)] if self.nrows else [[]] * self.ncols
         return ExactMatrix(columns, ncols=self.nrows)
@@ -429,26 +431,26 @@ def _reconstruct(u: Iterable[int], m: int, den: int = 1) -> Optional[tuple[list[
     """Integer numerators w and the least denominator d with w/d = u (mod m),
     or None.
 
-    Bounds are |w_i|, d <= sqrt(m/2).  The denominator starts at `den` and is
-    grown one reconstructed entry at a time, so most entries cost one
-    multiplication; the common factor of w and d is divided out at the end.
+    Bounds are |w_i|, d <= sqrt(m/2).  The denominator starts at the hint
+    `den`, else at 1, and is grown one reconstructed entry at a time, so most
+    entries cost one multiplication; w and d are made coprime at the end.
     """
     bound = isqrt(m >> 1)
     half = m >> 1
     u = [int(v) for v in u]
-    while True:
-        w = [v * den % m for v in u]
-        big = next((v for v in w if bound < v < m - bound), None)
-        if big is None:
-            w = [v - m if v > half else v for v in w]
-            g = gcd(den, *w)
-            return [v // g for v in w], den // g
-        pair = _ratrecon(big, m, bound)
-        if pair is None:
-            return None
-        den *= pair[1]
-        if den > bound:
-            return None
+    for d in dict.fromkeys((den, 1)):
+        while True:
+            w = [v * d % m for v in u]
+            big = next((v for v in w if bound < v < m - bound), None)
+            if big is None:
+                w = [v - m if v > half else v for v in w]
+                g = gcd(d, *w)
+                return [v // g for v in w], d // g
+            pair = _ratrecon(big, m, bound)
+            if pair is None or d * pair[1] > bound:
+                break
+            d *= pair[1]
+    return None
 
 
 def _limb_products(b: np.ndarray, z: np.ndarray):
@@ -690,8 +692,6 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
         for j in pending:
             # the columns share the denominator det M: start from the last one
             got = _reconstruct(acc[:, j], modulus, hint)
-            if got is None and hint > 1:
-                got = _reconstruct(acc[:, j], modulus)
             if got is not None:
                 num[:, j], den[j] = got
                 hint = den[j]
@@ -879,8 +879,6 @@ def _plain_lift(
         for j in range(len(free)):
             column = [row[j] for row in residues]
             got = _reconstruct(column, modulus, hint)
-            if got is None and hint > 1:
-                got = _reconstruct(column, modulus)
             if got is None:
                 break
             for row, v in zip(num, got[0]):
@@ -898,17 +896,14 @@ def _plain_lift(
 
 
 def rank(m: ExactMatrix) -> int:
-    """Certified exact rank over Q.
+    """Certified exact rank over Q (`lifted_rank`).
 
     The engine runs on the short side (A, or A^T when A is wide), whose
     kernel is the smaller one: k_right - k_left = ncols - nrows.
     """
     if m.nrows == 0 or m.ncols == 0:
         return 0
-    wide = m.ncols > m.nrows
-    if is_plain(m.nrows * m.ncols):
-        return lifted_rank(m.transpose() if wide else m)[0]
-    return lifted_rank(m.array.T if wide else m.array)[0]
+    return lifted_rank(m.transpose() if m.ncols > m.nrows else m)[0]
 
 
 def lifted_rank(
@@ -916,16 +911,18 @@ def lifted_rank(
 ) -> tuple[int, Optional[KernelLift]]:
     """Certified rank of b with the lift of its right kernel.
 
-    An ExactMatrix goes to the plain engine (`_plain_lift`) first, an
-    ndarray or what the plain engine hands over to the numpy one: the first
-    of `PRIMES` whose lift checks, `_rank_integer` with no lift when none
-    does.  `plu` is an elimination of b mod PRIMES[0] already at hand, an
-    Echelon for the plain engine or a PLU for numpy's."""
+    An ExactMatrix within `PLAIN_CELLS` goes to the plain engine
+    (`_plain_lift`) first; an ndarray, a larger one or what the plain engine
+    hands over to the numpy one: the first of `PRIMES` whose lift checks,
+    `_rank_integer` with no lift when none does.  `plu` is an elimination of
+    b mod PRIMES[0] at hand for b's engine (`column_profile` of b^T)."""
     if isinstance(b, ExactMatrix):
-        lift = _plain_lift(b.rows, b.ncols, plu)
-        if lift is not None:
-            return lift.rank, lift
-        b, plu = b.array, None
+        if is_plain(b.nrows * b.ncols):
+            lift = _plain_lift(b.rows, b.ncols, plu)
+            if lift is not None:
+                return lift.rank, lift
+            plu = None
+        b = b.array
     for p in PRIMES:
         lift = lift_kernel(b, p, plu if p == PRIMES[0] else None)
         if lift is not None:
@@ -978,6 +975,20 @@ def check_primes(primes: Iterable[int]) -> tuple[int, ...]:
             raise ValueError(f"{p} is repeated")
         checked.append(p)
     return tuple(checked)
+
+
+def column_profile(b: ExactMatrix | np.ndarray, order: list[int], p: int) -> tuple[list[int], Echelon | PLU]:
+    """The positions in `order` of the columns of b independent mod p of
+    those before them (the column rank profile), p < 2^26, and the same
+    elimination read as one of b^T, for `lifted_rank` of b^T: `echelon` of
+    the columns, or `factor` then `PLU.transpose`."""
+    if isinstance(b, ExactMatrix) and is_plain(b.nrows * b.ncols):
+        columns = b.transpose().rows
+        e = echelon([columns[c] for c in order], p, b.nrows)
+        return e.rows, e
+    a = b.array if isinstance(b, ExactMatrix) else b
+    plu = factor(_mod(a[:, order], p), p)
+    return plu.pivots, PLU([order[i] for i in plu.pivots], plu.rows, plu.lu).transpose(p)
 
 
 def pivot_columns(a: np.ndarray | list[list[int]], p: int) -> list[int]:
@@ -1056,9 +1067,8 @@ def certified_kernel(m: ExactMatrix) -> KernelLift:
 
     The lift of the first prime whose pivot columns are those over Q (a prime
     whose pivot columns differ is rejected like an unlucky one); the last
-    resort reads the kernel off `rref_fraction`.  A matrix of at most
-    `PLAIN_CELLS` entries goes to the plain engine first, whose kernel is
-    always that basis.
+    resort is `rref_kernel`.  A matrix of at most `PLAIN_CELLS` entries goes
+    to the plain engine first, whose kernel is always that basis.
     """
     if is_plain(m.nrows * m.ncols):
         lift = _plain_lift(m.rows, m.ncols)
@@ -1068,9 +1078,15 @@ def certified_kernel(m: ExactMatrix) -> KernelLift:
         lift = lift_kernel(m.array, p)
         if lift is not None and lift.is_rref():
             return lift
-    rref, pivots = rref_fraction(m.rows, m.ncols)
+    return rref_kernel(m.rows, m.ncols)
+
+
+def rref_kernel(rows: Sequence[Sequence], ncols: int) -> KernelLift:
+    """The right kernel of rational rows read off their RREF over Q
+    (`rref_fraction`), normalized as `certified_kernel`'s."""
+    rref, pivots = rref_fraction(rows, ncols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
+    free = [j for j in range(ncols) if j not in pivot_set]
     columns = [_over_common_denominator([-row[col] for row in rref]) for col in free]
     num = [list(row) for row in zip(*(ints for ints, _ in columns))] or [[] for _ in pivots]
     return KernelLift(len(pivots), pivots, free, num, [d for _, d in columns])

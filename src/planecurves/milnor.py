@@ -33,18 +33,16 @@ alone, so column (i, x^e u) of J_{m+e}, which is x^e (f_i u), holds the
 entries of column (i, u) of J_m in the same rows and zeros below.  Taken by
 descending power of x in the multiplier, the first 3 dim S_m columns of
 J_{2N-2} are therefore J_m itself: the same integers, the same residues.
-`linalg._eliminate` takes the columns left to right with first-nonzero
-pivots, so a column is a pivot iff it is independent mod p of the columns
-before it, and the pivots among the first t columns number their rank.  The
-same elimination, read as one of J_{2N-2}^T (`linalg.PLU.transpose`), is the
+`linalg.column_profile` returns the positions of the columns independent mod
+p of the columns before them, so the positions below t number the rank of
+the first t columns.  The same elimination, read as one of J_{2N-2}^T, is the
 top lift's: its kernel is normalized on other free columns than a fresh
 elimination's, but it spans the same space mod p, so every contraction count
 is the same.  So the sweep eliminates J_{2N-2} once, when the first degree
-needs a rank, and builds J_m only where it lifts.  A sweep whose J_{2N-2} is
-within `linalg.PLAIN_CELLS` does all of this in plain Python: `linalg.echelon`
-of the columns of J_{2N-2}, in the same order, keeps the columns independent
-of those before (the same rank profile), and its reduced form is that of
-J_{2N-2}^T, whose kernel the top lift reads.
+needs a rank, and builds J_m only where it lifts.  `column_profile` runs in
+plain Python when J_{2N-2} is within `linalg.PLAIN_CELLS` and on numpy
+otherwise, and the sweep keeps that one decision for its lower lifts and
+its chain.
 
 An exact Strand given the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
@@ -88,11 +86,9 @@ from .linalg import (
     PRIMES,
     Echelon,
     ExactMatrix,
-    _mod,
     _over_common_denominator,
     check_primes,
-    echelon,
-    factor,
+    column_profile,
     is_plain,
     lifted_rank,
     modular_rank_with_check,
@@ -171,10 +167,9 @@ class Strand:
     def sweep(self) -> None:
         """Certify rank J_m into the memo for m = 2N-2 down to 0, lifting
         only at the top and where the contraction bounds do not meet (see the
-        module docstring).  A rank already in the memo is kept.  The sweep
-        runs in plain Python when J_{2N-2} is small (`linalg.is_plain`):
-        its matrices go to the engines as ExactMatrix, its chain is a list of
-        functionals; else as ndarrays, the chain their columns."""
+        module docstring).  A rank already in the memo is kept.  Like its
+        profile, the sweep runs in plain Python when J_{2N-2} is small: its
+        lifts take ExactMatrix, its chain is a list of functionals."""
         p, top = PRIMES[0], 2 * self.N - 2
         plain = is_plain(s_dim(top + self.N - 1) * 3 * s_dim(top))
         chain = None  # residues mod p of a basis of ann(J_{k+1})
@@ -184,7 +179,7 @@ class Strand:
             known = found is not None
             if not known and ranks is None:
                 matrix = jacobian_matrix(self.f, top)
-                ranks, top_elimination = jacobian_rank_profile(matrix if plain else matrix.array, top, p)
+                ranks, top_elimination = jacobian_rank_profile(matrix, top, p)
             if chain is not None:
                 candidates = contractions(chain, k + 1)
                 independent = pivot_columns(candidates, p)
@@ -219,23 +214,17 @@ def jacobian_rank_profile(
     top_matrix: ExactMatrix | np.ndarray, top: int, p: int
 ) -> tuple[list[int], Echelon | PLU]:
     """rank_p J_m for m = 0..top from one elimination mod p of the matrix
-    `top_matrix` of J_top, with the elimination read as one of J_top^T.
+    `top_matrix` of J_top (`linalg.column_profile`), with the elimination
+    read as one of J_top^T.
 
     Column (i, u) of J_top, slot-major, is taken at 3 index(u) + i: by
     descending power of x in u (see the module docstring).  An ExactMatrix
-    is eliminated in plain Python with its columns as the rows
-    (`linalg.echelon`, whose pivot rows are the columns independent of the
-    ones before), an ndarray by numpy.
+    goes to the engine of its size, an ndarray to numpy.
     """
     width = s_dim(top)
-    if isinstance(top_matrix, ExactMatrix):
-        columns = top_matrix.transpose().rows
-        e = echelon([columns[s * width + i] for i in range(width) for s in range(3)], p)
-        return [bisect_left(e.rows, 3 * s_dim(m)) for m in range(top + 1)], e
-    order = np.arange(3 * width).reshape(3, width).T.ravel()
-    plu = factor(_mod(top_matrix[:, order], p), p)
-    ranks = [bisect_left(plu.pivots, 3 * s_dim(m)) for m in range(top + 1)]
-    return ranks, PLU(order[plu.pivots].tolist(), plu.rows, plu.lu).transpose(p)
+    order = [s * width + i for i in range(width) for s in range(3)]
+    positions, elimination = column_profile(top_matrix, order, p)
+    return [bisect_left(positions, 3 * s_dim(m)) for m in range(top + 1)], elimination
 
 
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -18,7 +18,8 @@ algebra of its tangent cone.  So the dual of T_p is Macaulay's inverse
 system of J at p (Iarrobino-Kanev 1999): the functionals sum lambda_ab c_ab
 over a + b <= D with lambda(h f_w) = 0 for every h = s^alpha t^beta,
 alpha + beta <= D, and w in {x, y, z}.  `point_functionals` takes that
-kernel exactly, with the D-jets of the partials taken from the factors.  Its
+kernel exactly, with the D-jets of the partials taken from the factors, as
+the basis read off the RREF over Q (`linalg.rref_kernel`).  Its
 dimension is that of O_p / (J + m^(D+1)), at most tau_p, and it is kept only
 when it reaches (m-1)^2: then m^(D+1) lies in J, the functionals span the
 whole dual and they kill J_k in every degree k.  A node gives c_00, a triple
@@ -36,11 +37,11 @@ K, the largest k with dim S_k <= tau, down to the first injective W_k and
 up to the first zero defect.
 
 W_k is built one way, as lists of Python ints (`TjurinaDual.rows`: residues
-mod p, or exact entries for the fallback).  Its rank mod p, the J_k bound
-and the exact fallback go through `linalg`, which picks plain Python or
-numpy by the size of each matrix (`linalg.PLAIN_CELLS`), so the Hilbert
-series of an arrangement whose ranked matrices are all small runs without
-numpy.
+mod p, or exact entries for the fallback).  This module eliminates nothing
+itself: the local kernels, the rank of W_k mod p, the J_k bound and the
+exact fallback are `linalg` calls, which pick plain Python or numpy by the
+size of each matrix (`linalg.PLAIN_CELLS`), so the Hilbert series of an
+arrangement whose ranked matrices are all small runs without numpy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .gradedmaps import integer_scaled, jacobian_matrix, s_dim
-from .linalg import PRIMES, ExactMatrix, _row_to_int, rank, rank_mod_p, rref_fraction
+from .linalg import PRIMES, ExactMatrix, rank, rank_mod_p, rref_kernel
 from .polynomials import Polynomial, monomial_basis
 
 Line = tuple[int, int, int]
@@ -103,7 +104,8 @@ def _partial_jets(lines: Sequence[Line], point, order: int) -> list[dict[tuple[i
 def point_functionals(lines: Sequence[Line], point: tuple[int, int, int]) -> list[Functional]:
     """The dual basis of T_p at an ordinary m-fold point p of the product of
     the lines: (m-1)^2 functionals of order <= D = 2m - 4, the kernel of the
-    conditions lambda(h f_w) = 0, one per free column of its RREF.
+    conditions lambda(h f_w) = 0 read off their RREF (`linalg.rref_kernel`),
+    one per free column, with coprime integer weights.
 
     Empty when p lies on fewer than two of the lines or the kernel has any
     other dimension; `TjurinaDual.of` then gives up on the curve.
@@ -119,19 +121,10 @@ def point_functionals(lines: Sequence[Line], point: tuple[int, int, int]) -> lis
         for jet in _partial_jets(lines, point, order)
         for alpha, beta in monos
     ]
-    rref, pivots = rref_fraction(rows, len(monos))
-    free = [col for col in range(len(monos)) if col not in pivots]
-    if len(free) != (m - 1) ** 2:
+    kernel = rref_kernel(rows, len(monos))
+    if len(kernel.free) != (m - 1) ** 2:
         return []
-    functionals = []
-    for col in free:
-        vec = [0] * len(monos)
-        vec[col] = 1
-        for row, pivot in zip(rref, pivots):
-            vec[pivot] = -row[col]
-        weights = zip(monos, _row_to_int(vec))
-        functionals.append(Functional(point, tuple((ab, w) for ab, w in weights if w)))
-    return functionals
+    return [Functional(point, tuple((ab, w) for ab, w in zip(monos, vec) if w)) for vec in kernel.vectors()]
 
 
 class TjurinaDual:

@@ -278,6 +278,15 @@ class TestExitCodes:
         assert err.startswith("error: options.primes") and err.count("\n") == 1
 
 
+def test_component_genus_comes_from_its_counts():
+    """A component with no declared genus takes the genus of its counts: a
+    line with none is rational, a line with a node is refused."""
+    assert cli._component_from_entry({}, None, 1).genus == 0
+    assert cli._component_from_entry({"nodes": 1}, None, 3).genus == 0
+    with pytest.raises(geometry.GeometryError):
+        cli._component_from_entry({"nodes": 1}, None, 1)
+
+
 class TestVerifyCorpus:
     SMALL = ["generic4", "nodal4", "smooth4", "triangle_cubic"]
 
@@ -314,6 +323,21 @@ class TestVerifyCorpus:
         captured = capsys.readouterr()
         assert "0 fixtures" in captured.out
         assert "warning" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--modp", "1234"], ["--format", "text"], ["--format", "json"]])
+    def test_report_flags_are_refused(self, small_corpus, capsys, flags):
+        """The fixtures are exact JSON reports, so `verify-corpus` takes no
+        `--modp` or `--format`: argparse refuses them with exit 2 and runs
+        no fixture."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-corpus", str(small_corpus), *flags])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert flags[0] in captured.err and "PASS" not in captured.out
+
+    def test_quiet_is_accepted(self, small_corpus, capsys):
+        assert main(["verify-corpus", str(small_corpus), "--quiet"]) == EXIT_OK
+        assert f"{len(self.SMALL)} fixtures, 0 failures" in capsys.readouterr().out
 
 
 def test_run_examples_script(corpus_dir, capsys):

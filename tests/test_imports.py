@@ -76,3 +76,43 @@ def f(x: "Profile") -> Optional[int]:
     return os.path.join(x)
 '''
     assert unused_imports(source) == ["json (line 4)", "Sequence (line 5)", "Unused (line 7)"]
+
+
+# The eliminations of `linalg` and the readings of them (rank profiles,
+# kernels) stay in `linalg`: another module asks `linalg` for a rank, a
+# profile or a kernel and never runs an elimination itself.
+ELIMINATIONS = {"echelon", "factor", "_eliminate", "_mod", "rref_fraction"}
+
+
+def elimination_calls(source: str) -> list[str]:
+    """The calls of an elimination routine, by name or as an attribute, and
+    its imports (which would let an alias call it)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in ELIMINATIONS]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ELIMINATIONS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_only_linalg_eliminates(path):
+    assert elimination_calls(path.read_text()) == []
+
+
+def test_the_elimination_check_sees_each_kind_of_call():
+    source = '''
+from . import linalg
+from .linalg import echelon as reduce
+a = linalg.factor(b, p)
+e = echelon(rows, p)
+linalg._mod(b, p).copy()
+parse_factor()
+factor.genus
+'''
+    assert elimination_calls(source) == [
+        "echelon (line 3)", "factor (line 4)", "echelon (line 5)", "_mod (line 6)"]

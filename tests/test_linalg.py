@@ -814,6 +814,30 @@ class TestPlainCertificate:
         assert ranks == [linalg._rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
         assert linalg.lifted_rank(matrix.transpose(), e) == linalg.lifted_rank(matrix.transpose())
 
+    def test_an_exact_matrix_past_the_cutoff_goes_to_numpy(self, monkeypatch):
+        """`lifted_rank`, `rank` and `column_profile` apply the size rule to
+        an ExactMatrix themselves: past `PLAIN_CELLS` the plain engine never
+        runs, and the lifts and ranks are those of the plain engine."""
+        rng = random.Random(29)
+        cases = [
+            [[rng.choice((0, 0, 1, -1, 3)) for _ in range(ncols)] for _ in range(nrows)]
+            for nrows, ncols in ((4, 7), (7, 4), (6, 6), (1, 5))
+        ]
+        want = [linalg.lifted_rank(ExactMatrix(rows)) for rows in cases]
+
+        def refused(*args):
+            raise AssertionError("the plain engine ran past the cutoff")
+
+        monkeypatch.setattr(linalg, "PLAIN_CELLS", 0)
+        monkeypatch.setattr(linalg, "_plain_lift", refused)
+        monkeypatch.setattr(linalg, "echelon", refused)
+        assert [linalg.lifted_rank(ExactMatrix(rows)) for rows in cases] == want
+        assert [rank(ExactMatrix(rows)) for rows in cases] == [r for r, _ in want]
+        for rows in cases:
+            positions, plu = linalg.column_profile(ExactMatrix(rows), list(range(len(rows[0]))), PRIMES[0])
+            assert isinstance(plu, linalg.PLU)
+            assert positions == linalg.pivot_columns(np.array(rows), PRIMES[0])
+
     def test_exact_check_sees_every_vector(self):
         """`annihilates` packs the vectors into one int per column: a
         product that is nonzero in one vector only, by 1, is still seen."""

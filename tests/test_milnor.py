@@ -280,6 +280,24 @@ class TestPlainPath:
 
         assert outcome(1 << 62) == outcome(0)
 
+    @pytest.mark.parametrize("name", [name for name in SWEEP_CURVES if sweep_curve(name).degree() <= 9])
+    def test_column_profile_of_either_form(self, name, monkeypatch):
+        """`linalg.column_profile` of J_{2N-2} in the sweep's column order:
+        the ExactMatrix (in plain Python, cutoff raised) and its ndarray (on
+        numpy) give the same positions, and their eliminations the same
+        top-lift rank."""
+        monkeypatch.setattr(linalg, "PLAIN_CELLS", 1 << 62)
+        f = sweep_curve(name)
+        top, p = 2 * f.degree() - 2, PRIMES[0]
+        matrix = jacobian_matrix(f, top)
+        width = s_dim(top)
+        order = [s * width + i for i in range(width) for s in range(3)]
+        positions, echelon = linalg.column_profile(matrix, order, p)
+        same, plu = linalg.column_profile(matrix.array, order, p)
+        assert isinstance(echelon, linalg.Echelon) and isinstance(plu, linalg.PLU)
+        assert positions == same
+        assert lifted_rank(matrix.transpose(), echelon)[0] == lifted_rank(matrix.array.T, plu)[0]
+
 
 class TestSweep:
     """The downward sweep certifies rank J_m from one lift at the top: the

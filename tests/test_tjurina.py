@@ -4,6 +4,8 @@ certified ranks of W_k, the soundness of the derived path, and the stable
 Jacobian ranks as an audit of the theorem behind it."""
 
 import functools
+import hashlib
+import importlib.util
 import itertools
 import json
 import operator
@@ -21,7 +23,7 @@ from planecurves.linalg import PRIMES, _rank_mod_p, np, rank_mod_p_rows, rref_fr
 from planecurves.milnor import jacobian_rank
 from planecurves.polynomials import monomial_basis
 from planecurves.tjurina import Functional, TjurinaDual
-from tests.conftest import CORPUS, _cross, load_corpus_curve, random_arrangement
+from tests.conftest import CORPUS, _cross, line_poly, load_corpus_curve, random_arrangement
 
 # x y (x+y) (x+2z) (y+3z): one triple point at (0, 0, 1) and seven nodes
 TRIPLE = ["x", "y", "x+y", "x+2z", "y+3z"]
@@ -170,14 +172,19 @@ def test_local_check_from_factors_matches_the_expansion(sweep_arrangements, eigh
 B3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
 
 
-def test_every_multiplicity_gets_its_whole_dual():
+def b3_points():
+    """The singular points of B3, primitive, first nonzero coordinate positive."""
     points = {}
     for u, v in itertools.combinations(B3, 2):
         p = _cross(u, v)
         p = tuple(c // gcd(*p) for c in p)
         points[p if next(c for c in p if c) > 0 else tuple(-c for c in p)] = None
+    return list(points)
+
+
+def test_every_multiplicity_gets_its_whole_dual():
     found = []
-    for p in points:
+    for p in b3_points():
         m = sum(1 for line in B3 if sum(a * b for a, b in zip(line, p)) == 0)
         local = tjurina.point_functionals(B3, p)
         assert len(local) == span_dim(local) == (m - 1) ** 2, (p, m)
@@ -192,6 +199,51 @@ def test_point_on_fewer_than_two_lines_has_no_functionals():
     for point in ((1, 1, 1), (0, 1, 5)):  # off every line; on x = 0 only
         assert tjurina.point_functionals(vectors, point) == []
         assert TjurinaDual.of(f, lines, [point]) is None
+
+
+# sha256 of repr(TjurinaDual.functionals), frozen when `point_functionals`
+# read the kernel off `rref_fraction` with a loop of its own: the weights,
+# their order and their scaling stay as they were.
+FUNCTIONAL_DIGESTS = {
+    "generic4": "1961201f027d2ea0ccd9d443bdc89e24c04abf82582846f04333f576a0edeefb",
+    "lines6": "12278ce3ecfd37d6ba53016fd4f7a6e192f7a24613079b776a498921da0d30c0",
+    "pappus_a1": "bc73f1f55656fd56ea414e974b980b99509b6eee32240094d34f933b31dd8ab8",
+    "pappus_a2": "d2725fe7adfb8815660a3e003fadef5c27de122f9ee888cfde9e74be624d0b52",
+    "lines7_0": "6b717f3f7b765898fd6454f37eca346d3a497e32a8d96eb3066a7b933535e5c2",
+    "lines7_1": "2d4cd78c486790df5f38eafbf6ad94984fc54953736ce0a30e27417ced03c00a",
+    "lines8_2": "fcdb79f6b1c3bdd13a2d94bb8f5f390f12f1546998aa235c9c48741520d3b952",
+    "B3": "aba839ae20144554fdda16cf1a3004de6a92dae6147d1e61ff9140a8a4acf986",
+}
+
+
+def functionals_digest(functionals):
+    return hashlib.sha256(repr(tuple(functionals)).encode()).hexdigest()
+
+
+def hilbert_lines_family():
+    """The line vectors of the benchmark's hilbert-lines inputs, before the
+    seeded signs and order: `perfbench.workloads` draws them from
+    FAMILY_SEED = 1401 with sizes 7, 7 and 8."""
+    path = CORPUS.parent / "perfbench" / "arrangements.py"
+    spec = importlib.util.spec_from_file_location("perfbench_arrangements", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rng = random.Random(1401)
+    return {f"lines{n}_{i}": module.random_arrangement(rng, n)[0] for i, n in enumerate((7, 7, 8))}
+
+
+def test_functionals_are_frozen():
+    got = {}
+    for name in ("generic4", "lines6", "pappus_a1", "pappus_a2"):
+        curve, profile = load_corpus_curve(CORPUS / f"{name}.curve")
+        dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+        got[name] = functionals_digest(dual.functionals)
+    for name, vectors in hilbert_lines_family().items():
+        lines = [line_poly(*v) for v in vectors]
+        dual = TjurinaDual.of(functools.reduce(operator.mul, lines), lines, coords(analyze_arrangement(lines)))
+        got[name] = functionals_digest(dual.functionals)
+    got["B3"] = functionals_digest(fn for p in b3_points() for fn in tjurina.point_functionals(B3, p))
+    assert got == FUNCTIONAL_DIGESTS
 
 
 @pytest.fixture
