@@ -663,10 +663,11 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
     # indices: periodic ones cancel against the structure of graded maps and
     # let the probe settle long before the columns.  With H the Hadamard bound of
     # [M | y], a lucky prime reconstructs every column once the modulus
-    # passes 2 H^2 and the probe once it passes 2^(13 + bits(r) + bits(k)) H^2
-    # (the columns share the denominator det M); one step more makes the
-    # probe stable.
-    limit = 2 * _hadamard_bits(m, res) + 14 + r.bit_length() + k.bit_length() + p.bit_length()
+    # passes 2 H^2.  The probe is a fraction over det M whose numerator is at
+    # most 2^12 r k H, and both must lie within sqrt(modulus / 2): it
+    # reconstructs once the modulus passes 2^(25 + 2 bits(r) + 2 bits(k)) H^2,
+    # and one step more makes it stable.
+    limit = 2 * (_hadamard_bits(m, res) + r.bit_length() + k.bit_length()) + 25 + p.bit_length()
     solve = _lu_solver(lu, p)
     acc = np.zeros((r, k), dtype=object)
     row_weights = 1 + (np.arange(r, dtype=np.int64) * 2654435761 >> 16) % 64
