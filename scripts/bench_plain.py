@@ -14,13 +14,11 @@ so high that every matrix is worked in plain Python, the numpy path sets
 it to 0.  Each path runs `--reps` times and the best time is kept.
 
 It prints one line per input: the largest entry count that the size rule
-(`linalg.is_plain`) saw, the two times in ms, the faster path and whether
-the plain path handed a matrix over to numpy (a kernel past three primes);
-then the crossover over the inputs that stayed plain, the largest count on
-which plain Python was faster and the smallest on which numpy was, between
-which `linalg.PLAIN_CELLS` is set.  It exits 1 when the two paths differ in
-a rank, a certificate, a pivot list or a kernel.  It is a measuring tool,
-not a test.
+(`linalg.is_plain`) saw, the two times in ms and the faster path; then the
+crossover, the largest count on which plain Python was faster and the
+smallest on which numpy was, between which `linalg.PLAIN_CELLS` is set.  It
+exits 1 when the two paths differ in a rank, a certificate, a pivot list or
+a kernel.  It is a measuring tool, not a test.
 """
 
 import argparse
@@ -59,7 +57,6 @@ seconds = time.perf_counter() - start
 print(json.dumps({
     "seconds": seconds,
     "cells": max(seen, default=0),
-    "numpy": "numpy.linalg" in sys.modules,
     "result": [
         h.dims, er, strand.certified, strand.dual.certified if strand.dual else None,
         sorted(map(str, strand._ranks.values())), [str(c) for c in classes],
@@ -94,7 +91,7 @@ def main(argv=None) -> int:
     parser.add_argument("--names", nargs="*", help="only these inputs")
     args = parser.parse_args(argv)
     samples, differ = [], False
-    print(f"{'input':<16} {'cells':>7} {'plain ms':>9} {'numpy ms':>9}  faster  handed over")
+    print(f"{'input':<16} {'cells':>7} {'plain ms':>9} {'numpy ms':>9}  faster")
     for name, texts in inputs():
         if args.names and name not in args.names:
             continue
@@ -106,16 +103,13 @@ def main(argv=None) -> int:
         cells = plain[0]["cells"]
         best_plain = min(r["seconds"] for r in plain)
         best_numpy = min(r["seconds"] for r in fast)
-        handed = any(r["numpy"] for r in plain)
-        if not handed:
-            samples.append((cells, best_plain, best_numpy))
+        samples.append((cells, best_plain, best_numpy))
         winner = "plain" if best_plain < best_numpy else "numpy"
-        print(f"{name:<16} {cells:>7} {1e3 * best_plain:9.1f} {1e3 * best_numpy:9.1f}  {winner:<6}  "
-              f"{'yes' if handed else 'no'}")
+        print(f"{name:<16} {cells:>7} {1e3 * best_plain:9.1f} {1e3 * best_numpy:9.1f}  {winner}")
     plain_wins = [cells for cells, plain, fast in samples if plain < fast]
     numpy_wins = [cells for cells, plain, fast in samples if plain >= fast]
-    print(f"largest with plain faster: {max(plain_wins, default=None)} cells (no hand-over)")
-    print(f"smallest with numpy faster: {min(numpy_wins, default=None)} cells (no hand-over)")
+    print(f"largest with plain faster: {max(plain_wins, default=None)} cells")
+    print(f"smallest with numpy faster: {min(numpy_wins, default=None)} cells")
     print(f"PLAIN_CELLS = {PLAIN_CELLS}")
     return 1 if differ else 0
 

@@ -107,56 +107,63 @@ def _component_from_entry(
     return Component(degree=degree, genus=genus, nodes=nodes, triples=triples)
 
 
+def _declared_components(curve: Curve, entries) -> list[Component]:
+    """The components of a declared profile, one per factor when none are given."""
+    if entries is None:
+        return [
+            _component_from_entry({}, factor, curve.factor_degrees[j])
+            for j, factor in enumerate(curve.spec.factors)
+        ]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SpecFileError("profile.components must be a list of objects")
+    aligned = len(entries) == len(curve.factor_polys)
+    components = []
+    for j, entry in enumerate(entries):
+        factor = curve.spec.factors[j] if aligned else None
+        where = f"profile.components[{j}]"
+        degree = _int_field(entry, "degree", where)
+        if degree is None:
+            if not aligned:
+                raise SpecFileError(
+                    "profile components need explicit degrees when they do "
+                    "not align one-to-one with the factors"
+                )
+            degree = curve.factor_degrees[j]
+        components.append(_component_from_entry(entry, factor, degree, where))
+    return components
+
+
 def resolve_profile(
     curve: Curve, data: dict, census: Optional[SingularityProfile] = None
 ) -> SingularityProfile:
     """Compute the census for arrangements, or assemble the declared one.
 
-    An all-linear curve is always analyzed exactly (`census`, when given, is
-    that analysis, as held by the curve's Strand); a declared profile is then
-    cross-checked against it (n and t must agree).
+    A declared profile is validated in full on every curve.  An all-linear
+    curve is always analyzed exactly (`census`, when given, is that
+    analysis, as held by the curve's Strand); a declared profile is then
+    cross-checked against it (n, t, s and t_prime must agree).
     """
     declared = data.get("profile")
     all_linear = all(d == 1 for d in curve.factor_degrees)
-    if all_linear:
-        computed = census or analyze_arrangement(list(curve.factor_polys))
-        if declared is not None:
-            for key, got in (("n", computed.n), ("t", computed.t)):
-                want = _int_field(declared, key, "profile")
-                if want is not None and want != got:
-                    raise GeometryError(
-                        f"declared {key}={want} but the arrangement has {key}={got}"
-                    )
-        return computed
-    if declared is None:
+    if declared is None and not all_linear:
         raise SpecFileError(
             "a profile with declared singularity counts is required unless all "
             "factors are linear"
         )
-    n, t, s = (_int_field(declared, key, "profile", 0) for key in ("n", "t", "s"))
-    entries = declared.get("components")
-    components = []
-    if entries is not None:
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise SpecFileError("profile.components must be a list of objects")
-        aligned = len(entries) == len(curve.factor_polys)
-        for j, entry in enumerate(entries):
-            factor = curve.spec.factors[j] if aligned else None
-            where = f"profile.components[{j}]"
-            degree = _int_field(entry, "degree", where)
-            if degree is None:
-                if not aligned:
-                    raise SpecFileError(
-                        "profile components need explicit degrees when they do "
-                        "not align one-to-one with the factors"
-                    )
-                degree = curve.factor_degrees[j]
-            components.append(_component_from_entry(entry, factor, degree, where))
-    else:
-        for j, factor in enumerate(curve.spec.factors):
-            components.append(_component_from_entry({}, factor, curve.factor_degrees[j]))
-    interior = sum(c.triples for c in components)
-    t_prime = _int_field(declared, "t_prime", "profile", t - interior - s)
+    declared = declared or {}
+    counts = {key: _int_field(declared, key, "profile") for key in ("n", "t", "s", "t_prime")}
+    components = _declared_components(curve, declared.get("components"))
+    if all_linear:
+        computed = census or analyze_arrangement(list(curve.factor_polys))
+        for key, want in counts.items():
+            got = getattr(computed, key)
+            if want is not None and want != got:
+                raise GeometryError(f"declared {key}={want} but the arrangement has {key}={got}")
+        return computed
+    n, t, s = (counts[key] or 0 for key in ("n", "t", "s"))
+    t_prime = counts["t_prime"]
+    if t_prime is None:
+        t_prime = t - sum(c.triples for c in components) - s
     return SingularityProfile(
         components=tuple(components), n=n, t=t, s=s, t_prime=t_prime
     )

@@ -10,19 +10,15 @@ r <= rank_Q, and ncols - r kernel vectors v with A·v = 0 exactly give
 rank_Q <= r.  No other module eliminates: `milnor` reads ranks mod p off
 `column_profile` and `tjurina` its local duals off `rref_kernel`.
 
-The plain certificate (`_plain_lift`) eliminates once mod PRIMES[0]
-(`echelon`, each row packed into one int), reads the kernel normalized on
-the free columns off the reduced rows and reconstructs it as rationals.
-When a column does not reconstruct or a vector fails the exact check, it
-eliminates mod PRIMES[1], then PRIMES[2], and combines the residues by CRT.
-A prime with other pivot columns, or the end of the primes, hands the
-matrix over to the numpy engine: no rank is guessed.
-
-The numpy engine eliminates once modulo a prime p < 2^26 and lifts the
-normalized kernel of the pivot block p-adically (Dixon), then accepts the
-rank only after every lifted vector passes the exact check.  A prime that
-fails the check is unlucky and the next one is tried; fraction-free integer
-elimination (`_rank_integer`) is the last resort.
+Both engines run one algorithm.  They eliminate once modulo a prime
+p < 2^26, lift the kernel normalized on the free columns p-adically (Dixon),
+and accept the rank only after every lifted vector passes the exact check.
+A prime that fails the check is unlucky and the next of `PRIMES` is tried;
+fraction-free integer elimination (`_rank_integer`) is the last resort.  The
+plain engine (`_plain_lift`) eliminates with `echelon`, each row packed into
+one int, and solves for a digit by replaying its row operations; the numpy
+engine (`lift_kernel`) eliminates with `_eliminate`, which every elimination
+mod p on numpy runs through, and solves by blocked triangular products.
 
 Modular mode (`modular_rank_with_check`) is the uncertified opt-in path: it
 trusts a rank on which all given primes agree.
@@ -30,11 +26,6 @@ trusts a rank on which all given primes agree.
 Pivoting is deterministic: the eliminations mod p and over Q take the first
 nonzero entry of each column, and the fraction-free `_rank_integer` the
 smallest nonzero |v| (ties by row order), to bound coefficient growth.
-
-Every elimination mod p on numpy (the lifts, `pivot_columns`, `_rank_mod_p`)
-runs through `_eliminate`.  Its matrices are small and sparse, so its cost is
-the number of numpy calls, not arithmetic: per column one reduction and one
-nonzero scan, per pivot one gather and one scatter of the multipliers.
 
 numpy is loaded lazily, here, on its first use; the other modules take `np`
 from this module, and a process whose matrices all go to the plain engine
@@ -48,7 +39,9 @@ import sys
 from array import array
 from bisect import insort
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -57,8 +50,7 @@ def _lazy_module(name: str):
     (`importlib.util.LazyLoader`).
 
     A missing module raises ImportError here, at import, not on first use.
-    On Python 3.11 the first access is not thread-safe: two threads that
-    touch the module first at the same time may see it half-executed.
+    On Python 3.11 the first access is not thread-safe.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -134,15 +126,12 @@ class ExactMatrix:
                 cleaned.append(_row_to_int(row))
             else:
                 cleaned.append([int(v) for v in row])
-        if cleaned:
-            widths = {len(r) for r in cleaned}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            width = widths.pop()
-            if ncols is not None and ncols != width:
-                raise ValueError("ncols mismatch")
-        else:
-            width = 0 if ncols is None else ncols
+        widths = {len(r) for r in cleaned}
+        if len(widths) > 1:
+            raise ValueError("ragged rows")
+        width = widths.pop() if widths else (0 if ncols is None else ncols)
+        if ncols is not None and ncols != width:
+            raise ValueError("ncols mismatch")
         self._rows = cleaned
         self.nrows, self.ncols = len(cleaned), width
 
@@ -173,18 +162,6 @@ class ExactMatrix:
         return ExactMatrix(columns, ncols=self.nrows)
 
 
-def _strip_content(arr: np.ndarray) -> np.ndarray:
-    g = 0
-    for v in arr:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return arr
-    if g > 1:
-        return arr // g
-    return arr
-
-
 def _rank_integer(rows: list[list[int]], ncols: int) -> int:
     """Fraction-free elimination with content stripping; exact over Q.
 
@@ -193,30 +170,20 @@ def _rank_integer(rows: list[list[int]], ncols: int) -> int:
     coefficient growth far below what first-nonzero pivoting produces.
     """
     work = [np.array(r, dtype=object) for r in rows if any(r)]
-    nrows = len(work)
     rank = 0
     for col in range(ncols):
-        piv_idx = None
-        piv_abs = None
-        for i in range(rank, nrows):
-            v = work[i][col]
-            if v:
-                a = -v if v < 0 else v
-                if piv_abs is None or a < piv_abs:
-                    piv_idx, piv_abs = i, a
-                    if a == 1:
-                        break
-        if piv_idx is None:
+        live = [(abs(work[i][col]), i) for i in range(rank, len(work)) if work[i][col]]
+        if not live:
             continue
-        work[rank], work[piv_idx] = work[piv_idx], work[rank]
+        i = min(live)[1]
+        work[rank], work[i] = work[i], work[rank]
         piv = work[rank]
-        pv = piv[col]
-        for i in range(rank + 1, nrows):
-            rv = work[i][col]
-            if rv:
-                work[i] = _strip_content(work[i] * pv - piv * rv)
+        for i in range(rank + 1, len(work)):
+            if work[i][col]:
+                row = work[i] * piv[col] - piv * work[i][col]
+                work[i] = row // (gcd(*row) or 1)
         rank += 1
-        if rank == min(nrows, ncols):
+        if rank == min(len(work), ncols):
             break
     return rank
 
@@ -565,15 +532,28 @@ class KernelLift(NamedTuple):
         return [[Fraction(v, d) for v in vec] for vec, d in zip(self.vectors(), self.den)]
 
 
+def _norm_bits(rows: Iterable[Sequence[int]]) -> int:
+    """Upper bound on log2 of the product of the Euclidean norms of integer rows."""
+    return sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in rows)
+
+
 def _hadamard_bits(a: np.ndarray, b: np.ndarray) -> int:
     """Upper bound on log2 of the product of the Euclidean row norms of [a | b]."""
     if a.dtype == object:
-        return sum((sum(v * v for v in row).bit_length() + 1) // 2 for row in np.hstack([a, b]))
+        return _norm_bits(np.hstack([a, b]))
     squares = np.ones(a.shape[0])
     for part in (a, b):
         f = part.astype(np.float64)
         squares += np.einsum("ij,ij->i", f, f)
     return int(np.ceil(np.log2(squares) / 2 + 1).sum())
+
+
+def _step_limit(hadamard: int, r: int, k: int, p: int) -> int:
+    """Bits of the modulus at which a Dixon lift of r x k digits mod p gives
+    up, H = 2^hadamard bounding [M | y]: a lucky prime reconstructs every
+    column past 2 H^2, and `lift_kernel`'s probe (over det M, numerator at
+    most 2^12 r k H) past 2^(25 + 2 bits(r) + 2 bits(k)) H^2, plus a step."""
+    return 2 * (hadamard + r.bit_length() + k.bit_length()) + 25 + p.bit_length()
 
 
 class PLU(NamedTuple):
@@ -661,13 +641,8 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
     # entries with row and column weights in 1..64, reconstructs to the same
     # fraction at two successive moduli.  The weights are hashed from the
     # indices: periodic ones cancel against the structure of graded maps and
-    # let the probe settle long before the columns.  With H the Hadamard bound of
-    # [M | y], a lucky prime reconstructs every column once the modulus
-    # passes 2 H^2.  The probe is a fraction over det M whose numerator is at
-    # most 2^12 r k H, and both must lie within sqrt(modulus / 2): it
-    # reconstructs once the modulus passes 2^(25 + 2 bits(r) + 2 bits(k)) H^2,
-    # and one step more makes it stable.
-    limit = 2 * (_hadamard_bits(m, res) + r.bit_length() + k.bit_length()) + 25 + p.bit_length()
+    # let the probe settle long before the columns.
+    limit = _step_limit(_hadamard_bits(m, res), r, k, p)
     solve = _lu_solver(lu, p)
     acc = np.zeros((r, k), dtype=object)
     row_weights = 1 + (np.arange(r, dtype=np.int64) * 2654435761 >> 16) % 64
@@ -742,7 +717,9 @@ class Echelon(NamedTuple):
     `pivots` are its pivot columns in increasing order, the first columns
     independent mod p; `rows` the rows independent mod p of the rows before
     them, in order; `leads` maps a pivot column to its pivot row, packed,
-    with residues mod p, 0 before the pivot column and 1 there.
+    with residues mod p, 0 before the pivot column and 1 there.  `steps`
+    has per row of `rows` its pivot column, the (pivot column, p - e) pairs
+    of the lead rows added to it in order, and the inverse that scaled it.
     """
 
     p: int
@@ -750,6 +727,7 @@ class Echelon(NamedTuple):
     pivots: list[int]
     rows: list[int]
     leads: dict[int, int]
+    steps: list[tuple[int, list[tuple[int, int]], int]]
 
 
 def echelon(rows: Sequence[Sequence[int]], p: int, width: Optional[int] = None) -> Echelon:
@@ -772,14 +750,17 @@ def echelon(rows: Sequence[Sequence[int]], p: int, width: Optional[int] = None) 
     pivots: list[int] = []
     independent: list[int] = []
     leads: dict[int, int] = {}
+    steps = []
     for n, row in enumerate(rows):
         if len(pivots) == width:
             break
         packed = _pack([v % p for v in row])
+        added = []
         for c in pivots:
             e = (packed >> (64 * c) & _SLOT) % p
             if e:
                 packed += (p - e) * leads[c]
+                added.append((c, p - e))
         residues = [v % p for v in _unpack(packed, width)]
         col = next((c for c, v in enumerate(residues) if v), None)
         if col is not None:
@@ -787,7 +768,8 @@ def echelon(rows: Sequence[Sequence[int]], p: int, width: Optional[int] = None) 
             leads[col] = _pack([v * inv % p for v in residues])
             insort(pivots, col)
             independent.append(n)
-    return Echelon(p, width, pivots, independent, leads)
+            steps.append((col, added, inv))
+    return Echelon(p, width, pivots, independent, leads, steps)
 
 
 def rank_mod_p_rows(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -795,31 +777,53 @@ def rank_mod_p_rows(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(echelon(rows, p).pivots)
 
 
-def _kernel_mod_p(e: Echelon) -> tuple[list[int], list[list[int]]]:
-    """(free, num): the free columns of e and the right kernel mod p
-    normalized on them, num[i][j] its entry at pivots[i] in the vector that
-    is 1 at free[j] and 0 at the other free columns.
+def _echelon_solver(e: Echelon, k: int):
+    """Solver of M x = y mod p, M = B[e.rows, e.pivots], for k right-hand
+    sides packed as `echelon`'s rows, y by row of e.rows and x by pivot: e's
+    steps on y leave U x = z, U the unit upper triangular leads on the pivot
+    columns, and back-substitution gives x; slots stay below 2^63 as there."""
+    p, pivots = e.p, e.pivots
+    back = []
+    for t, c in enumerate(pivots):
+        slots = _unpack(e.leads[c], e.width)
+        back.append((c, [(d, p - slots[d]) for d in pivots[t + 1:] if slots[d]]))
 
-    Read off the reduced echelon form: the pivot rows are taken from the
-    last up, each reduced mod p and cleared from the pivot rows above it
-    (at most one addition below p^2 per entry from each row below, so the
-    packing holds), and then num[i][j] = -R[i][free[j]].
-    """
-    p, pivots, leads = e.p, e.pivots, dict(e.leads)
-    for t in range(len(pivots) - 1, -1, -1):
-        c = pivots[t]
-        row = leads[c] = _pack([v % p for v in _unpack(leads[c], e.width)])
-        for above in pivots[:t]:
-            x = (leads[above] >> (64 * c) & _SLOT) % p
-            if x:
-                leads[above] += (p - x) * row
-    pivot_set = set(pivots)
-    free = [c for c in range(e.width) if c not in pivot_set]
-    num = []
-    for c in pivots:
-        slots = _unpack(leads[c], e.width)
-        num.append([-slots[f] % p for f in free])
-    return free, num
+    def solve(ys: list[int]) -> dict[int, int]:
+        z = {}
+        for (col, added, inv), y in zip(e.steps, ys):
+            for c, f in added:
+                y += f * z[c]
+            z[col] = _pack([v * inv % p for v in _unpack(y, k)])
+        for c, terms in reversed(back):
+            x = z[c]
+            for d, f in terms:
+                x += f * z[d]
+            z[c] = _pack([v % p for v in _unpack(x, k)])
+        return z
+
+    return solve
+
+
+def _join(values: Iterable[int], s: int) -> int:
+    """The values, each in [0, 2^s), as the s-bit slots of one int."""
+    return int.from_bytes(b"".join(v.to_bytes(s // 8, "little") for v in values), "little")
+
+
+def _split(x: int, count: int, s: int) -> list[int]:
+    """The `count` signed s-bit slots of x = sum_j v_j 2^(s j), |v_j| < 2^(s-1)."""
+    size, half = s // 8, 1 << (s - 1)
+    raw = (x + _join([half] * count, s)).to_bytes(size * count, "little")
+    return [int.from_bytes(raw[i:i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def _max_bits(rows: Iterable[Sequence[int]]) -> int:
+    """Bit length of the largest absolute entry of integer rows."""
+    return max((max(max(row), -min(row)) for row in rows if row), default=0).bit_length()
+
+
+def _row_times(row: Sequence[int], column: Sequence[int]) -> int:
+    """row . column, over the nonzero entries of the row."""
+    return sum(map(mul, compress(row, row), compress(column, row)))
 
 
 def annihilates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
@@ -832,65 +836,71 @@ def annihilates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]])
     """
     if not rows or not vectors:
         return True
-    s = (
-        max(abs(v) for row in rows for v in row).bit_length()
-        + max(abs(v) for vec in vectors for v in vec).bit_length()
-        + len(vectors[0]).bit_length() + 1
-    )
+    s = _max_bits(rows) + _max_bits(vectors) + len(vectors[0]).bit_length() + 1
     packed = [0] * len(vectors[0])
     for vec in reversed(vectors):
         packed = [(w << s) + v for w, v in zip(packed, vec)]
-    return not any(sum(v * w for v, w in zip(row, packed) if v) for row in rows)
+    return not any(_row_times(row, packed) for row in rows)
 
 
 def _plain_lift(
-    rows: Sequence[Sequence[int]], width: int, first: Optional[Echelon] = None
+    rows: Sequence[Sequence[int]], width: int, p: int, first: Optional[Echelon] = None
 ) -> Optional[KernelLift]:
-    """Certified rank and right kernel of integer rows in plain Python, or
-    None, which hands the matrix over to the numpy engine.
+    """`lift_kernel` in plain Python, on one `echelon` mod p (`first`, when
+    an elimination elsewhere already gave it) whose steps solve for each
+    digit (`_echelon_solver`): the same rules, step limit and result, but no
+    probe, as plain lifts are small."""
+    e = first if first is not None else echelon(rows, p, width)
+    pivots, rows_q = e.pivots, e.rows
+    r, pivot_set, in_q = len(pivots), set(pivots), set(rows_q)
+    free = [c for c in range(width) if c not in pivot_set]
+    k = len(free)
+    num, den = [[0] * k for _ in pivots], [1] * k
 
-    One `echelon` mod PRIMES[0] (`first`, when an elimination elsewhere
-    already gave it) gives the rank r and the kernel mod p normalized on the
-    free columns.  Its entries are reconstructed as rationals; while one
-    column fails to reconstruct or a vector fails the exact check B v = 0,
-    the next prime is eliminated too and the residues are combined by CRT.
-    The pivot block, nonsingular mod p, gives r <= rank_Q, and the ncols - r
-    verified vectors give rank_Q <= r; they are the kernel read off the RREF
-    over Q.  None when a prime has other pivot columns than the first or
-    the primes run out.
-    """
-    residues, modulus, pivots = None, 1, None
-    for p in PRIMES:
-        e = first if first is not None and first.p == p else echelon(rows, p, width)
-        if pivots is not None and e.pivots != pivots:
+    def verified(cols: list[int]) -> Optional[list[int]]:
+        """Columns whose candidate failed on Q; None if one failed only off Q."""
+        vectors = KernelLift(r, pivots, free, num, den).vectors(cols)
+        if annihilates(rows, vectors):
+            return []
+        bad = [(i in in_q, t) for i, row in enumerate(rows)
+               for t, v in enumerate(vectors) if _row_times(row, v)]
+        on_q = {t for q, t in bad if q}
+        return None if any(t not in on_q for _, t in bad) else [cols[t] for t in sorted(on_q)]
+
+    pending = list(range(k))
+    if not pending or r == 0:
+        return KernelLift(r, pivots, free, num, den) if verified(pending) == [] else None
+    res = [[-rows[q][f] for f in free] for q in rows_q]
+    s = 8 * -(-(_max_bits(rows[q] for q in rows_q) + r.bit_length() + p.bit_length() + 1) // 8)
+    limit = _step_limit(_norm_bits(rows[q] for q in rows_q), r, k, p)
+    solve = _echelon_solver(e, k)
+    acc, modulus, hint = [[0] * k for _ in pivots], 1, 1
+    while pending:
+        if modulus.bit_length() > limit:
             return None
-        pivots = e.pivots
-        free, kernel = _kernel_mod_p(e)
-        if residues is None:
-            residues = kernel
-        else:
-            inv = pow(modulus, -1, p)
-            residues = [
-                [u + modulus * ((w - u) * inv % p) for u, w in zip(old, new)]
-                for old, new in zip(residues, kernel)
-            ]
+        x = solve([_pack([v % p for v in row]) for row in res])
+        digits = {c: _unpack(x[c], k) for c in pivots}
+        acc = [[a + modulus * v for a, v in zip(row, digits[c])] for row, c in zip(acc, pivots)]
         modulus *= p
-        num = [[0] * len(free) for _ in pivots]
-        den, hint = [], 1
-        for j in range(len(free)):
-            column = [row[j] for row in residues]
-            got = _reconstruct(column, modulus, hint)
-            if got is None:
-                break
-            for row, v in zip(num, got[0]):
-                row[j] = v
-            den.append(got[1])
-            hint = got[1]
-        else:
-            lift = KernelLift(len(pivots), pivots, free, num, den)
-            if annihilates(rows, lift.vectors()):
-                return lift
-    return None
+        ready = []
+        for j in pending:
+            # the columns share the denominator det M: start from the last one
+            got = _reconstruct([row[j] for row in acc], modulus, hint)
+            if got is not None:
+                for row, v in zip(num, got[0]):
+                    row[j] = v
+                den[j] = hint = got[1]
+                ready.append(j)
+        if ready:
+            retry = verified(ready)
+            if retry is None:
+                return None
+            pending = [j for j in pending if j not in ready or j in retry]
+        if pending:  # the residual (y - M d) / p, |M d| < 2^(s-1) per slot
+            joined = [_join(digits[c], s) if c in digits else 0 for c in range(width)]
+            res = [[(a - b) // p for a, b in zip(row, _split(_row_times(rows[q], joined), k, s))]
+                   for row, q in zip(res, rows_q)]
+    return KernelLift(r, pivots, free, num, den)
 
 
 # -- public entry points ----------------------------------------------------
@@ -907,28 +917,29 @@ def rank(m: ExactMatrix) -> int:
     return lifted_rank(m.transpose() if m.ncols > m.nrows else m)[0]
 
 
+def _lifts(b: ExactMatrix | np.ndarray, first: Optional[PLU | Echelon] = None):
+    """The lifts of b's kernel at each of `PRIMES` in turn (None where it is
+    unlucky) on b's one engine: `_plain_lift` for an ExactMatrix within
+    `PLAIN_CELLS`, else `lift_kernel`; `first` is an elimination mod PRIMES[0]."""
+    plain = isinstance(b, ExactMatrix) and is_plain(b.nrows * b.ncols)
+    a = b.array if isinstance(b, ExactMatrix) and not plain else b
+    for p in PRIMES:
+        e = first if p == PRIMES[0] else None
+        yield _plain_lift(b.rows, b.ncols, p, e) if plain else lift_kernel(a, p, e)
+
+
 def lifted_rank(
     b: ExactMatrix | np.ndarray, plu: Optional[PLU | Echelon] = None
 ) -> tuple[int, Optional[KernelLift]]:
-    """Certified rank of b with the lift of its right kernel.
-
-    An ExactMatrix within `PLAIN_CELLS` goes to the plain engine
-    (`_plain_lift`) first; an ndarray, a larger one or what the plain engine
-    hands over to the numpy one: the first of `PRIMES` whose lift checks,
-    `_rank_integer` with no lift when none does.  `plu` is an elimination of
-    b mod PRIMES[0] at hand for b's engine (`column_profile` of b^T)."""
-    if isinstance(b, ExactMatrix):
-        if is_plain(b.nrows * b.ncols):
-            lift = _plain_lift(b.rows, b.ncols, plu)
-            if lift is not None:
-                return lift.rank, lift
-            plu = None
-        b = b.array
-    for p in PRIMES:
-        lift = lift_kernel(b, p, plu if p == PRIMES[0] else None)
+    """Certified rank of b with the lift of its right kernel: the first of
+    `_lifts` that checks, `_rank_integer` with no lift when none does.  `plu`
+    is an elimination of b mod PRIMES[0] at hand for b's engine
+    (`column_profile` of b^T)."""
+    for lift in _lifts(b, plu):
         if lift is not None:
             return lift.rank, lift
-    return _rank_integer(b.tolist(), b.shape[1]), None
+    b = b if isinstance(b, ExactMatrix) else ExactMatrix(b)
+    return _rank_integer(b.rows, b.ncols), None
 
 
 def kernel_dim(m: ExactMatrix) -> int:
@@ -986,7 +997,7 @@ def column_profile(b: ExactMatrix | np.ndarray, order: list[int], p: int) -> tup
     if isinstance(b, ExactMatrix) and is_plain(b.nrows * b.ncols):
         columns = b.transpose().rows
         e = echelon([columns[c] for c in order], p, b.nrows)
-        return e.rows, e
+        return e.rows, e._replace(rows=[order[i] for i in e.rows])
     a = b.array if isinstance(b, ExactMatrix) else b
     plu = factor(_mod(a[:, order], p), p)
     return plu.pivots, PLU([order[i] for i in plu.pivots], plu.rows, plu.lu).transpose(p)
@@ -1043,11 +1054,7 @@ def rref_fraction(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fra
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        piv_idx = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                piv_idx = i
-                break
+        piv_idx = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if piv_idx is None:
             continue
         work[r], work[piv_idx] = work[piv_idx], work[r]
@@ -1065,18 +1072,10 @@ def rref_fraction(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fra
 def certified_kernel(m: ExactMatrix) -> KernelLift:
     """Certified right kernel of m, normalized as the basis read off the RREF
     over Q: v_j has 1 in free column free[j] and 0 in the other free columns.
-
-    The lift of the first prime whose pivot columns are those over Q (a prime
-    whose pivot columns differ is rejected like an unlucky one); the last
-    resort is `rref_kernel`.  A matrix of at most `PLAIN_CELLS` entries goes
-    to the plain engine first, whose kernel is always that basis.
+    The first of `_lifts` whose pivot columns are those over Q (a prime whose
+    pivot columns differ is rejected like an unlucky one), else `rref_kernel`.
     """
-    if is_plain(m.nrows * m.ncols):
-        lift = _plain_lift(m.rows, m.ncols)
-        if lift is not None:
-            return lift
-    for p in PRIMES:
-        lift = lift_kernel(m.array, p)
+    for lift in _lifts(m):
         if lift is not None and lift.is_rref():
             return lift
     return rref_kernel(m.rows, m.ncols)

@@ -2,6 +2,7 @@
 modular Strands of the criterion-8 property sweep."""
 
 import functools
+import importlib.util
 import json
 import operator
 import random
@@ -64,6 +65,18 @@ def line_poly(a, b, c) -> Polynomial:
         if coeff:
             terms[mono] = Fraction(coeff)
     return Polynomial(terms)
+
+
+def hilbert_lines_family():
+    """The line vectors of the benchmark's hilbert-lines inputs, before the
+    seeded signs and order: `perfbench.workloads` draws them from
+    FAMILY_SEED = 1401 with sizes 7, 7 and 8."""
+    path = CORPUS.parent / "perfbench" / "arrangements.py"
+    spec = importlib.util.spec_from_file_location("perfbench_arrangements", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rng = random.Random(1401)
+    return {f"lines{n}_{i}": module.random_arrangement(rng, n)[0] for i, n in enumerate((7, 7, 8))}
 
 
 def _line_coeff_vec(p: Polynomial):

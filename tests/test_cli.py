@@ -33,7 +33,7 @@ from planecurves.cli import (
     resolve_strand,
 )
 from planecurves.polynomials import MAX_K_MAX
-from tests.conftest import CORPUS, random_arrangement
+from tests.conftest import CORPUS, hilbert_lines_family, line_poly, random_arrangement
 
 
 def write_spec(tmp_path, name, payload):
@@ -162,6 +162,24 @@ class TestExitCodes:
             {"factors": ["x", "y", "z", "x+y+z"], "profile": {"n": 5, "t": 0, "components": []}},
         )
         assert main(["report", str(spec), "--quiet"]) == EXIT_PROFILE
+
+    @pytest.mark.parametrize(
+        "profile, code",
+        [
+            ({"t_prime": "x"}, EXIT_PARSE),
+            ({"components": "junk"}, EXIT_PARSE),
+            ({"n": 3, "components": [{"degree": 1, "nodes": -1}]}, EXIT_PARSE),
+            ({"s": 2}, EXIT_PROFILE),
+            ({"t_prime": 1}, EXIT_PROFILE),
+            ({"n": 3, "t": 0, "s": 0, "t_prime": 0}, EXIT_OK),
+        ],
+        ids=["t-prime-not-integer", "components-not-list", "negative-count", "s", "t-prime", "agrees"],
+    )
+    def test_arrangement_profile_is_read_in_full(self, tmp_path, profile, code):
+        """A declared profile on an arrangement is validated as on any curve,
+        and each of its counts is compared with the census (s = 0, t' = t)."""
+        spec = write_spec(tmp_path, "triangle", {"factors": ["x", "y", "z"], "profile": profile})
+        assert main(["report", str(spec), "--quiet"]) == code
 
     def test_four_concurrent_lines(self, tmp_path):
         spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
@@ -523,6 +541,24 @@ class TestLazyNumpy:
         for (spec, degrees), (texts, loaded) in zip(jobs, syzygies):
             f = cli.build_from_spec(cli.load_spec(Path(spec))).f
             assert texts == [[str(c) for c in syzygy_basis(f, m)] for m in degrees] and not loaded
+
+    def test_random_arrangement_reports_never_load_numpy(self, corpus_dir, tmp_path, monkeypatch):
+        """`report` on the hilbert-lines draws of 7 and 8 lines lifts the
+        kernel of J_{N-2} behind er_dim(N-2), with entries of up to 84 bits,
+        at one prime in plain Python, so numpy never loads; the output is
+        that of the numpy path (cutoff 0) in this process."""
+        argvs = [
+            ["report", str(write_spec(tmp_path, name, {"factors": [str(line_poly(*v)) for v in vectors]})),
+             "--format", "json"]
+            for name, vectors in hilbert_lines_family().items()
+        ]
+        imported, runs = probe_lazy(corpus_dir.parent, argvs)
+        assert not imported
+        monkeypatch.setattr(linalg, "PLAIN_CELLS", 0)
+        for argv, (code, out, loaded) in zip(argvs, runs):
+            with contextlib.redirect_stdout(io.StringIO()) as numpy_out:
+                assert main(argv) == code == EXIT_OK
+            assert out == numpy_out.getvalue() and not loaded
 
     def test_report_lines9_loads_numpy(self, corpus_dir):
         """J_16 of lines9 is above `PLAIN_CELLS`: its sweep runs on numpy."""

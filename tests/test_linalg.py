@@ -709,8 +709,23 @@ def sparse_rows(draw, max_dim=12):
     return rows
 
 
+@contextmanager
+def plain_only():
+    """The numpy lift refused: an ExactMatrix within the cutoff never reaches it."""
+    real = linalg.lift_kernel
+
+    def refused(*args):
+        raise AssertionError("a plain matrix reached the numpy lift")
+
+    linalg.lift_kernel = refused
+    try:
+        yield
+    finally:
+        linalg.lift_kernel = real
+
+
 def primes_used(rows):
-    """(the plain lift of rows, the primes it eliminated with)."""
+    """(the lift of `lifted_rank` on rows, the primes it eliminated with)."""
     used = []
     real = linalg.echelon
 
@@ -720,47 +735,60 @@ def primes_used(rows):
 
     linalg.echelon = logged
     try:
-        return linalg._plain_lift(rows, len(rows[0])), used
+        return linalg.lifted_rank(ExactMatrix(rows))[1], used
     finally:
         linalg.echelon = real
+
+
+SINGULAR_MOD_FIRST_PRIME = [
+    [[PRIMES[0], 0], [0, 1]],
+    [[PRIMES[0], 1]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9 + PRIMES[0]]],
+    [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7 + 2 * PRIMES[0]]],
+]
 
 
 class TestPlainCertificate:
     @given(st.one_of(sparse_rows(), structured_rows(), int64_rows()))
     # an integer kernel whose probe needs a third prime to settle
     @example([[0] * 6] * 4 + [[0, 0, 0, 0, 1, 3], [0, 0, 0, 1, 0, 0]])
+    # pivot blocks singular mod PRIMES[0]
+    @example(SINGULAR_MOD_FIRST_PRIME[0])
+    @example(SINGULAR_MOD_FIRST_PRIME[1])
+    @example(SINGULAR_MOD_FIRST_PRIME[2])
+    @example(SINGULAR_MOD_FIRST_PRIME[3])
+    # a kernel with 45-bit entries, lifted over several digits
+    @example([[32666307073519, 22614755724410, 19605239153473], [65332614147038, 45229511448820, 39210478306946]])
     @settings(max_examples=200, deadline=None)
     def test_matches_the_numpy_engine(self, rows):
-        """Where the plain lift answers, it is the numpy lift: the same rank,
-        pivots and kernel columns; `certified_kernel` and `rank` are those
-        of the numpy path either way."""
+        """At every prime the plain lift is the numpy lift, None included;
+        the entry points on an ExactMatrix never reach the numpy lift and
+        answer as on the numpy path."""
         m = ExactMatrix(rows)
-        plain = linalg._plain_lift(rows, m.ncols)
+        for p in PRIMES:
+            assert linalg._plain_lift(rows, m.ncols, p) == lift_kernel(np.array(rows, dtype=object), p)
         rank_np, lift_np = linalg.lifted_rank(np.array(rows, dtype=object))
-        if plain is not None:
-            assert plain.rank == rank_np == _rank_integer(rows, m.ncols)
-            assert plain == lift_np and plain.is_rref()
         with numpy_only():
             kernel_np, rank_q = certified_kernel(m), rank(m)
-        assert certified_kernel(m) == kernel_np and rank(m) == rank_q
-        assert linalg.lifted_rank(m) == (rank_np, lift_np)
+        with plain_only():
+            assert certified_kernel(m) == kernel_np and rank(m) == rank_q
+            assert linalg.lifted_rank(m) == (rank_np, lift_np)
 
     def test_small_entries_take_the_plain_path(self):
-        """Sparse small matrices reconstruct from the primes: the plain lift
-        answers on every one of a seeded batch."""
+        """Sparse small matrices reconstruct at the first prime: the plain
+        lift answers on every one of a seeded batch."""
         rng = random.Random(11)
         for _ in range(40):
             nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
             rows = [[rng.choice((0, 0, 1, -1, 2)) for _ in range(ncols)] for _ in range(nrows)]
-            lift = linalg._plain_lift(rows, ncols)
+            lift = linalg._plain_lift(rows, ncols, PRIMES[0])
             assert lift is not None and lift == linalg.lifted_rank(np.array(rows))[1]
 
-    @pytest.mark.parametrize("bits, primes", [(8, 1), (20, 2), (32, 3), (45, 0)])
-    def test_kernels_that_need_more_primes(self, bits, primes):
-        """The kernel of [a b c] has entries -b/a and -c/a: with |a|, |b|,
-        |c| near 2^bits one prime reconstructs them up to 2^12, two up to
-        2^25 and three up to 2^38; past that the plain lift hands over
-        (None) and the numpy engine answers."""
+    @pytest.mark.parametrize("bits", [8, 20, 32, 45, 84])
+    def test_one_prime_at_every_size(self, bits):
+        """The kernel of [a b c] has entries -b/a and -c/a with |a|, |b|,
+        |c| near 2^bits: the plain lift at the first prime lifts as many
+        digits as they need and answers, with no other elimination."""
         rng = random.Random(bits)
         while True:
             a, b, c = (rng.randrange(1 << (bits - 1), 1 << bits) for _ in range(3))
@@ -769,30 +797,20 @@ class TestPlainCertificate:
         rows = [[a, b, c], [2 * a, 2 * b, 2 * c]]
         lift, used = primes_used(rows)
         want = linalg.lifted_rank(np.array(rows, dtype=object))[1]
-        if primes:
-            assert used == list(PRIMES[:primes]) and lift == want
-            assert lift.basis() == [[Fraction(-b, a), 1, 0], [Fraction(-c, a), 0, 1]]
-        else:
-            assert used == list(PRIMES) and lift is None
+        assert used == [PRIMES[0]] and lift == want
+        assert lift.basis() == [[Fraction(-b, a), 1, 0], [Fraction(-c, a), 0, 1]]
         assert rank(ExactMatrix(rows)) == 1 and certified_kernel(ExactMatrix(rows)) == want
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            [[PRIMES[0], 0], [0, 1]],
-            [[PRIMES[0], 1]],
-            [[1, 2, 3], [4, 5, 6], [7, 8, 9 + PRIMES[0]]],
-            [[3, 1, 4, 1], [5, 9, 2, 6], [8, 10, 6, 7 + 2 * PRIMES[0]]],
-        ],
-        ids=["diagonal", "row", "near-singular", "wide"],
-    )
+    @pytest.mark.parametrize("rows", SINGULAR_MOD_FIRST_PRIME, ids=["diagonal", "row", "near-singular", "wide"])
     def test_singular_pivot_block_mod_the_first_prime_hands_over(self, rows):
         """The pivot columns mod PRIMES[0] are not those over Q (the rank
-        drops, or a later column takes a pivot): the exact check fails, the
-        next prime has other pivots, and the plain lift hands over; the
-        entry points never return a lower rank."""
+        drops, or a later column takes a pivot): the plain lift there is the
+        numpy one, and the entry points hand over to the next prime and
+        never return a lower rank."""
         assert linalg.echelon(rows, PRIMES[0]).pivots != linalg.echelon(rows, PRIMES[1]).pivots
-        assert linalg._plain_lift(rows, len(rows[0])) is None
+        lift = linalg._plain_lift(rows, len(rows[0]), PRIMES[0])
+        assert lift == lift_kernel(np.array(rows, dtype=object), PRIMES[0])
+        assert lift is None or not lift.is_rref()
         m = ExactMatrix(rows)
         assert rank(m) == _rank_integer(rows, m.ncols)
         assert certified_kernel(m).basis() == rref_kernel(rows, m.ncols)

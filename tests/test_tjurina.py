@@ -5,7 +5,6 @@ Jacobian ranks as an audit of the theorem behind it."""
 
 import functools
 import hashlib
-import importlib.util
 import itertools
 import json
 import operator
@@ -23,7 +22,7 @@ from planecurves.linalg import PRIMES, _rank_mod_p, np, rank_mod_p_rows, rref_fr
 from planecurves.milnor import jacobian_rank
 from planecurves.polynomials import monomial_basis
 from planecurves.tjurina import Functional, TjurinaDual
-from tests.conftest import CORPUS, _cross, line_poly, load_corpus_curve, random_arrangement
+from tests.conftest import CORPUS, _cross, hilbert_lines_family, line_poly, load_corpus_curve, random_arrangement
 
 # x y (x+y) (x+2z) (y+3z): one triple point at (0, 0, 1) and seven nodes
 TRIPLE = ["x", "y", "x+y", "x+2z", "y+3z"]
@@ -218,18 +217,6 @@ FUNCTIONAL_DIGESTS = {
 
 def functionals_digest(functionals):
     return hashlib.sha256(repr(tuple(functionals)).encode()).hexdigest()
-
-
-def hilbert_lines_family():
-    """The line vectors of the benchmark's hilbert-lines inputs, before the
-    seeded signs and order: `perfbench.workloads` draws them from
-    FAMILY_SEED = 1401 with sizes 7, 7 and 8."""
-    path = CORPUS.parent / "perfbench" / "arrangements.py"
-    spec = importlib.util.spec_from_file_location("perfbench_arrangements", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    rng = random.Random(1401)
-    return {f"lines{n}_{i}": module.random_arrangement(rng, n)[0] for i, n in enumerate((7, 7, 8))}
 
 
 def test_functionals_are_frozen():
