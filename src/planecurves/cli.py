@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -133,6 +134,13 @@ def _declared_components(curve: Curve, entries) -> list[Component]:
     return components
 
 
+def _shown(component: Optional[Component]) -> str:
+    if component is None:
+        return "absent"
+    degree, genus, nodes, triples = component
+    return f"(degree {degree}, genus {genus}, {nodes} nodes, {triples} triples)"
+
+
 def resolve_profile(
     curve: Curve, data: dict, census: Optional[SingularityProfile] = None
 ) -> SingularityProfile:
@@ -141,7 +149,9 @@ def resolve_profile(
     A declared profile is validated in full on every curve.  An all-linear
     curve is always analyzed exactly (`census`, when given, is that
     analysis, as held by the curve's Strand); a declared profile is then
-    cross-checked against it (n, t, s and t_prime must agree).
+    cross-checked against it (n, t, s and t_prime must agree, and declared
+    components must be the census's lines: degree 1, genus 0, no nodes or
+    triples).
     """
     declared = data.get("profile")
     all_linear = all(d == 1 for d in curve.factor_degrees)
@@ -159,6 +169,13 @@ def resolve_profile(
             got = getattr(computed, key)
             if want is not None and want != got:
                 raise GeometryError(f"declared {key}={want} but the arrangement has {key}={got}")
+        if declared.get("components") is not None:
+            for j, (want, got) in enumerate(zip_longest(components, computed.components)):
+                if want != got:
+                    raise GeometryError(
+                        f"declared profile.components[{j}] is {_shown(want)} but the "
+                        f"arrangement's component {j} is {_shown(got)}"
+                    )
         return computed
     n, t, s = (counts[key] or 0 for key in ("n", "t", "s"))
     t_prime = counts["t_prime"]

@@ -10,15 +10,16 @@ r <= rank_Q, and ncols - r kernel vectors v with A·v = 0 exactly give
 rank_Q <= r.  No other module eliminates: `milnor` reads ranks mod p off
 `column_profile` and `tjurina` its local duals off `rref_kernel`.
 
-Both engines run one algorithm.  They eliminate once modulo a prime
-p < 2^26, lift the kernel normalized on the free columns p-adically (Dixon),
-and accept the rank only after every lifted vector passes the exact check.
-A prime that fails the check is unlucky and the next of `PRIMES` is tried;
+Both engines run one Dixon loop, `_dixon`, on one elimination modulo a
+prime p < 2^26: it lifts the kernel normalized on the free columns p-adically,
+reconstructs them from the last pending one down (no probe), and
+accepts the rank only after every lifted vector passes the exact check.  A
+prime that fails the check is unlucky and the next of `PRIMES` is tried;
 fraction-free integer elimination (`_rank_integer`) is the last resort.  The
-plain engine (`_plain_lift`) eliminates with `echelon`, each row packed into
-one int, and solves for a digit by replaying its row operations; the numpy
-engine (`lift_kernel`) eliminates with `_eliminate`, which every elimination
-mod p on numpy runs through, and solves by blocked triangular products.
+engines differ in their steps only: the plain one (`_plain_lift`) eliminates
+with `echelon`, rows packed into ints, and solves by replaying its row
+operations; the numpy one (`lift_kernel`) eliminates with `_eliminate`, as
+every elimination mod p on numpy does, and solves by triangular products.
 
 Modular mode (`modular_rank_with_check`) is the uncertified opt-in path: it
 trusts a rank on which all given primes agree.
@@ -394,26 +395,29 @@ def _ratrecon(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _reconstruct(u: Iterable[int], m: int, den: int = 1) -> Optional[tuple[list[int], int]]:
+def _reconstruct(u: Sequence[int], m: int, den: int = 1) -> Optional[tuple[list[int], int]]:
     """Integer numerators w and the least denominator d with w/d = u (mod m),
     or None.
 
-    Bounds are |w_i|, d <= sqrt(m/2).  The denominator starts at the hint
-    `den`, else at 1, and is grown one reconstructed entry at a time, so most
-    entries cost one multiplication; w and d are made coprime at the end.
+    Bounds are |w_i|, d <= sqrt(m/2).  d starts at the hint `den`, else at
+    1; at the first entry with u_i d out of bounds it takes that entry's
+    reconstructed denominator (at least 2) as a factor and the scan starts
+    again, so a try that fails at its first entry costs one product and at
+    most one `_ratrecon` per start.  w and d are made coprime at the end.
     """
-    bound = isqrt(m >> 1)
-    half = m >> 1
-    u = [int(v) for v in u]
+    bound, half = isqrt(m >> 1), m >> 1
     for d in dict.fromkeys((den, 1)):
         while True:
-            w = [v * d % m for v in u]
-            big = next((v for v in w if bound < v < m - bound), None)
-            if big is None:
-                w = [v - m if v > half else v for v in w]
+            w = []
+            for v in u:
+                v = v * d % m
+                if bound < v < m - bound:
+                    break
+                w.append(v - m if v > half else v)
+            else:
                 g = gcd(d, *w)
                 return [v // g for v in w], d // g
-            pair = _ratrecon(big, m, bound)
+            pair = _ratrecon(v, m, bound) if 2 * d <= bound else None
             if pair is None or d * pair[1] > bound:
                 break
             d *= pair[1]
@@ -537,23 +541,67 @@ def _norm_bits(rows: Iterable[Sequence[int]]) -> int:
     return sum((sum(map(mul, row, row)).bit_length() + 1) // 2 for row in rows)
 
 
-def _hadamard_bits(a: np.ndarray, b: np.ndarray) -> int:
-    """Upper bound on log2 of the product of the Euclidean row norms of [a | b]."""
+def _hadamard_bits(a: np.ndarray) -> int:
+    """Upper bound on log2 of the product of the Euclidean row norms of a."""
     if a.dtype == object:
-        return _norm_bits(np.hstack([a, b]))
-    squares = np.ones(a.shape[0])
-    for part in (a, b):
-        f = part.astype(np.float64)
-        squares += np.einsum("ij,ij->i", f, f)
-    return int(np.ceil(np.log2(squares) / 2 + 1).sum())
+        return _norm_bits(a)
+    f = a.astype(np.float64)
+    return int(np.ceil(np.log2(np.einsum("ij,ij->i", f, f) + 1) / 2 + 1).sum())
 
 
-def _step_limit(hadamard: int, r: int, k: int, p: int) -> int:
-    """Bits of the modulus at which a Dixon lift of r x k digits mod p gives
-    up, H = 2^hadamard bounding [M | y]: a lucky prime reconstructs every
-    column past 2 H^2, and `lift_kernel`'s probe (over det M, numerator at
-    most 2^12 r k H) past 2^(25 + 2 bits(r) + 2 bits(k)) H^2, plus a step."""
-    return 2 * (hadamard + r.bit_length() + k.bit_length()) + 25 + p.bit_length()
+def _dixon(
+    pivots: list[int], free: list[int], p: int, hadamard, digits, column, check
+) -> Optional[KernelLift]:
+    """The Dixon loop of both engines: the kernel of B normalized on the free
+    columns, x = M^-1 y with M = B[Q, P] and y = -B[Q, free], lifted
+    p-adically, reconstructed as rationals and checked exactly.
+
+    The engine gives the pivot columns P and free columns of its elimination
+    mod p and its steps: `hadamard()`, log2 of a bound H on the product of
+    the row norms of [M | y]; `digits`, an iterator that solves for the next
+    digit mod p, adds it to its accumulator, updates the exact residual and
+    yields the modulus; `column(j)`, the accumulated column j; `check(lift,
+    cols)`, per column of cols whether B v != 0 on a row of Q and anywhere.
+
+    After each digit the pending columns are reconstructed from the last
+    one down, each from the denominator last found (the columns share
+    det M), until one does not reconstruct: the last gates the others, and
+    a digit costs one failed try.  A candidate wrong on Q is premature and
+    lifting goes on; one right on Q but wrong elsewhere proves rank_Q > r,
+    so the prime is unlucky and the result is None.
+
+    The step limit: each entry of x is det M_i / det M (Cramer), M_i being
+    M with one column replaced by a column of y, so numerator and
+    denominator are at most H.  Every column denominator, so a hint from a
+    true column, divides det M (`_reconstruct` falls back to 1 from any
+    other), so past a modulus of 2 H^2 every column reconstructs to its value
+    and the verdict, kernel or unlucky, is final.  One step later it gives up.
+    """
+    r, k = len(pivots), len(free)
+    lift = KernelLift(r, pivots, free, [[0] * k for _ in pivots], [1] * k)
+    pending, modulus, hint = list(range(k)), 1, 1
+    limit = 2 * hadamard() + 2 + p.bit_length() if r and k else 0
+    while pending:
+        if r:
+            if modulus.bit_length() > limit:
+                return None
+            modulus = next(digits)
+        ready = []
+        for j in reversed(pending):  # the last pending column gates the others
+            got = _reconstruct(column(j), modulus, hint)
+            if got is None:
+                break
+            for row, v in zip(lift.num, got[0]):
+                row[j] = v
+            lift.den[j] = hint = got[1]
+            ready.append(j)
+        if ready:
+            verdicts = check(lift, ready)
+            if any(bad and not on_q for on_q, bad in verdicts):
+                return None
+            done = {j for j, (on_q, _) in zip(ready, verdicts) if not on_q}
+            pending = [j for j in pending if j not in done]
+    return lift
 
 
 class PLU(NamedTuple):
@@ -589,96 +637,39 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
     """Certified rank and right kernel of integer matrix b via prime p < 2^26.
 
     One PLU mod p (`plu` when an elimination elsewhere already gave it) gives
-    the rank r, the pivot columns P and pivot rows Q.
-    The kernel normalized on the free columns solves M x = y with
-    M = b[Q, P] and y = -b[Q, free]; x is lifted p-adically (Dixon),
-    reconstructed as rationals, and accepted per column once b v = 0
-    exactly.  A candidate wrong on a row of Q is premature and lifting
-    continues; one right on Q but wrong elsewhere proves rank_Q > r, so the
-    prime is unlucky and the result is None.  None also when the lift passes
-    the Hadamard bound, past which a lucky prime always reconstructs.
+    the rank r, the pivot columns P and pivot rows Q; `_dixon` lifts the
+    kernel, each digit solved by blocked triangular products (`_lu_solver`)
+    and accumulated in an object array.
     """
     if p >= 1 << 26:
         raise ValueError("the lift needs a prime below 2^26")
-    nrows, ncols = b.shape
     pivots, rows_q, lu = factor(_mod(b, p), p) if plu is None else plu
-    r = len(pivots)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    k = len(free)
-    num = np.zeros((r, k), dtype=object)
-    den = [1] * k
-    if k == 0:
-        return KernelLift(r, pivots, free, [[] for _ in pivots], den)
-    in_q = np.zeros(nrows, dtype=bool)
-    in_q[rows_q] = True
-    pending = list(range(k))
+    free = [c for c in range(b.shape[1]) if c not in pivot_set]
+    acc = np.zeros((len(pivots), len(free)), dtype=object)
 
-    def verified(cols: list[int]) -> Optional[list[int]]:
-        """Columns whose candidate failed on Q; None if one failed only off Q."""
-        z = np.zeros((ncols, len(cols)), dtype=object)
-        z[pivots] = num[:, cols]
-        z[[free[j] for j in cols], range(len(cols))] = [den[j] for j in cols]
-        bad = _nonzero_entries(b, z)
-        retry = []
-        for t, j in enumerate(cols):
-            if bad[in_q, t].any():
-                retry.append(j)
-            elif bad[:, t].any():
-                return None
-        return retry
+    def digits():
+        m, res = b[np.ix_(rows_q, pivots)], -b[np.ix_(rows_q, free)]
+        # the residual stays below 2^(bits(b) + bits(r) + 1) in absolute value
+        fast = b.dtype != object and _bits(b) + len(pivots).bit_length() <= 53
+        res, solve, modulus = res if fast else res.astype(object), _lu_solver(lu, p), 1
+        while True:
+            digit = solve(_mod(res, p))
+            np.add(acc, digit.astype(object) * modulus, out=acc)
+            modulus *= p
+            yield modulus
+            if fast:
+                q, rem = _divmod_product(m, digit, p)
+                res = (res - rem) // p - q
+            else:
+                res = (res - _product(m, digit)) // p
 
-    if r == 0:
-        return KernelLift(0, pivots, free, [], den) if verified(pending) == [] else None
+    def check(lift: KernelLift, cols: list[int]) -> list[tuple[bool, bool]]:
+        bad = _nonzero_entries(b, lift.columns(cols))
+        return list(zip(bad[rows_q].any(axis=0).tolist(), bad.any(axis=0).tolist()))
 
-    m = b[np.ix_(rows_q, pivots)]
-    res = -b[np.ix_(rows_q, free)]
-    # the residual stays below 2^(bits(b) + bits(r) + 1) in absolute value
-    fast = b.dtype != object and _bits(b) + r.bit_length() <= 53
-    if not fast:
-        res = res.astype(object)
-    # Columns are reconstructed only once the probe, a combination of all
-    # entries with row and column weights in 1..64, reconstructs to the same
-    # fraction at two successive moduli.  The weights are hashed from the
-    # indices: periodic ones cancel against the structure of graded maps and
-    # let the probe settle long before the columns.
-    limit = _step_limit(_hadamard_bits(m, res), r, k, p)
-    solve = _lu_solver(lu, p)
-    acc = np.zeros((r, k), dtype=object)
-    row_weights = 1 + (np.arange(r, dtype=np.int64) * 2654435761 >> 16) % 64
-    col_weights = [1 + (j * 2654435761 >> 16) % 64 for j in range(k)]
-    mixed, probe, modulus, hint = 0, None, 1, 1
-    while pending:
-        if modulus.bit_length() > limit:
-            return None
-        digit = solve(_mod(res, p))
-        acc += digit.astype(object) * modulus
-        mixed += modulus * sum(w * v for w, v in zip(col_weights, (row_weights @ digit).tolist()))
-        if fast:
-            q, rem = _divmod_product(m, digit, p)
-            res = (res - rem) // p - q
-        else:
-            res = (res - _product(m, digit)) // p
-        modulus *= p
-        guess = _ratrecon(mixed, modulus, isqrt(modulus >> 1))
-        stable, probe = guess is not None and guess == probe, guess
-        if not stable:
-            continue
-        ready = []
-        for j in pending:
-            # the columns share the denominator det M: start from the last one
-            got = _reconstruct(acc[:, j], modulus, hint)
-            if got is not None:
-                num[:, j], den[j] = got
-                hint = den[j]
-                ready.append(j)
-        if ready:
-            retry = verified(ready)
-            if retry is None:
-                return None
-            done = set(ready) - set(retry)
-            pending = [j for j in pending if j not in done]
-    return KernelLift(r, pivots, free, num.tolist(), den)
+    return _dixon(pivots, free, p, lambda: _hadamard_bits(b[rows_q]), digits(),
+                  lambda j: acc[:, j].tolist(), check)
 
 
 # -- plain Python, for small matrices ---------------------------------------
@@ -846,61 +837,40 @@ def annihilates(rows: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]])
 def _plain_lift(
     rows: Sequence[Sequence[int]], width: int, p: int, first: Optional[Echelon] = None
 ) -> Optional[KernelLift]:
-    """`lift_kernel` in plain Python, on one `echelon` mod p (`first`, when
-    an elimination elsewhere already gave it) whose steps solve for each
-    digit (`_echelon_solver`): the same rules, step limit and result, but no
-    probe, as plain lifts are small."""
+    """`lift_kernel` in plain Python: `_dixon` on one `echelon` mod p
+    (`first`, when an elimination elsewhere already gave it), each digit
+    solved by replaying its steps (`_echelon_solver`) and accumulated in
+    lists."""
     e = first if first is not None else echelon(rows, p, width)
     pivots, rows_q = e.pivots, e.rows
-    r, pivot_set, in_q = len(pivots), set(pivots), set(rows_q)
-    free = [c for c in range(width) if c not in pivot_set]
+    free = [c for c in range(width) if c not in e.leads]
     k = len(free)
-    num, den = [[0] * k for _ in pivots], [1] * k
+    acc = [[0] * k for _ in pivots]
 
-    def verified(cols: list[int]) -> Optional[list[int]]:
-        """Columns whose candidate failed on Q; None if one failed only off Q."""
-        vectors = KernelLift(r, pivots, free, num, den).vectors(cols)
-        if annihilates(rows, vectors):
-            return []
-        bad = [(i in in_q, t) for i, row in enumerate(rows)
-               for t, v in enumerate(vectors) if _row_times(row, v)]
-        on_q = {t for q, t in bad if q}
-        return None if any(t not in on_q for _, t in bad) else [cols[t] for t in sorted(on_q)]
-
-    pending = list(range(k))
-    if not pending or r == 0:
-        return KernelLift(r, pivots, free, num, den) if verified(pending) == [] else None
-    res = [[-rows[q][f] for f in free] for q in rows_q]
-    s = 8 * -(-(_max_bits(rows[q] for q in rows_q) + r.bit_length() + p.bit_length() + 1) // 8)
-    limit = _step_limit(_norm_bits(rows[q] for q in rows_q), r, k, p)
-    solve = _echelon_solver(e, k)
-    acc, modulus, hint = [[0] * k for _ in pivots], 1, 1
-    while pending:
-        if modulus.bit_length() > limit:
-            return None
-        x = solve([_pack([v % p for v in row]) for row in res])
-        digits = {c: _unpack(x[c], k) for c in pivots}
-        acc = [[a + modulus * v for a, v in zip(row, digits[c])] for row, c in zip(acc, pivots)]
-        modulus *= p
-        ready = []
-        for j in pending:
-            # the columns share the denominator det M: start from the last one
-            got = _reconstruct([row[j] for row in acc], modulus, hint)
-            if got is not None:
-                for row, v in zip(num, got[0]):
-                    row[j] = v
-                den[j] = hint = got[1]
-                ready.append(j)
-        if ready:
-            retry = verified(ready)
-            if retry is None:
-                return None
-            pending = [j for j in pending if j not in ready or j in retry]
-        if pending:  # the residual (y - M d) / p, |M d| < 2^(s-1) per slot
-            joined = [_join(digits[c], s) if c in digits else 0 for c in range(width)]
+    def digits():
+        res = [[-rows[q][f] for f in free] for q in rows_q]
+        s = 8 * -(-(_max_bits(rows[q] for q in rows_q) + len(pivots).bit_length() + p.bit_length() + 1) // 8)
+        solve, modulus = _echelon_solver(e, k), 1
+        while True:
+            x = solve([_pack([v % p for v in row]) for row in res])
+            digit = {c: _unpack(x[c], k) for c in pivots}
+            acc[:] = [[a + modulus * v for a, v in zip(row, digit[c])] for row, c in zip(acc, pivots)]
+            modulus *= p
+            yield modulus
+            # the residual (y - M d) / p, |M d| < 2^(s-1) per slot
+            joined = [_join(digit[c], s) if c in digit else 0 for c in range(width)]
             res = [[(a - b) // p for a, b in zip(row, _split(_row_times(rows[q], joined), k, s))]
                    for row, q in zip(res, rows_q)]
-    return KernelLift(r, pivots, free, num, den)
+
+    def check(lift: KernelLift, cols: list[int]) -> list[tuple[bool, bool]]:
+        vectors = lift.vectors(cols)
+        if annihilates(rows, vectors):
+            return [(False, False)] * len(cols)
+        return [(any(_row_times(rows[q], v) for q in rows_q), any(_row_times(row, v) for row in rows))
+                for v in vectors]
+
+    return _dixon(pivots, free, p, lambda: _norm_bits(rows[q] for q in rows_q), digits(),
+                  lambda j: [row[j] for row in acc], check)
 
 
 # -- public entry points ----------------------------------------------------

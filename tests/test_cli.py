@@ -172,12 +172,21 @@ class TestExitCodes:
             ({"s": 2}, EXIT_PROFILE),
             ({"t_prime": 1}, EXIT_PROFILE),
             ({"n": 3, "t": 0, "s": 0, "t_prime": 0}, EXIT_OK),
+            ({"components": [{"degree": 0}]}, EXIT_PROFILE),
+            ({"components": [{"degree": 1}, {"degree": 1}, {"degree": 2}]}, EXIT_PROFILE),
+            ({"components": [{"degree": 1, "genus": 1}, {"degree": 1}, {"degree": 1}]}, EXIT_PROFILE),
+            ({"components": [{"degree": 1}, {"degree": 1, "genus": 0}, {}]}, EXIT_OK),
         ],
-        ids=["t-prime-not-integer", "components-not-list", "negative-count", "s", "t-prime", "agrees"],
+        ids=[
+            "t-prime-not-integer", "components-not-list", "negative-count", "s", "t-prime", "agrees",
+            "component-of-degree-0", "a-conic-among-lines", "a-line-of-genus-1", "components-agree",
+        ],
     )
     def test_arrangement_profile_is_read_in_full(self, tmp_path, profile, code):
         """A declared profile on an arrangement is validated as on any curve,
-        and each of its counts is compared with the census (s = 0, t' = t)."""
+        and each of its counts is compared with the census (s = 0, t' = t),
+        as are its components (each a line of genus 0 with no singular
+        points)."""
         spec = write_spec(tmp_path, "triangle", {"factors": ["x", "y", "z"], "profile": profile})
         assert main(["report", str(spec), "--quiet"]) == code
 

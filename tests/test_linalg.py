@@ -3,7 +3,7 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 import pytest
@@ -750,7 +750,7 @@ SINGULAR_MOD_FIRST_PRIME = [
 
 class TestPlainCertificate:
     @given(st.one_of(sparse_rows(), structured_rows(), int64_rows()))
-    # an integer kernel whose probe needs a third prime to settle
+    # a small integer kernel that a step limit below 2 H^2 left unlifted at every prime
     @example([[0] * 6] * 4 + [[0, 0, 0, 0, 1, 3], [0, 0, 0, 1, 0, 0]])
     # pivot blocks singular mod PRIMES[0]
     @example(SINGULAR_MOD_FIRST_PRIME[0])
@@ -800,6 +800,41 @@ class TestPlainCertificate:
         assert used == [PRIMES[0]] and lift == want
         assert lift.basis() == [[Fraction(-b, a), 1, 0], [Fraction(-c, a), 0, 1]]
         assert rank(ExactMatrix(rows)) == 1 and certified_kernel(ExactMatrix(rows)) == want
+
+    def test_columns_reconstruct_at_their_own_digit(self, monkeypatch):
+        """[a b] with |a|, |b| near 2^80 beside [1 1 2]: of the kernel, the
+        column of b/a needs 7 digits and the two 1-bit columns one.  The
+        last column, the gate, reconstructs at the first digit with the
+        other small one; the large one only digits later, and both engines
+        give the RREF kernel at the first prime."""
+        rng = random.Random(80)
+        while True:
+            a, b = (rng.randrange(1 << 79, 1 << 80) for _ in range(2))
+            if gcd(a, b) == 1:
+                break
+        rows = [[a, b, 0, 0, 0], [0, 0, 1, 1, 2]]
+        want = linalg.rref_kernel(rows, 5)
+        lift, used = primes_used(rows)
+        assert used == [PRIMES[0]] and lift == want
+        seen = []
+        real = linalg._reconstruct
+
+        def spy(u, m, den=1):
+            got = real(u, m, den)
+            seen.append((m, got))
+            return got
+
+        monkeypatch.setattr(linalg, "_reconstruct", spy)
+        p, array = PRIMES[0], np.array(rows, dtype=object)
+        for engine in (lambda: linalg._plain_lift(rows, 5, p), lambda: lift_kernel(array, p)):
+            seen.clear()
+            assert engine() == want
+            first = {}
+            for m, got in seen:
+                if got is not None:
+                    first.setdefault((tuple(got[0]), got[1]), m)
+            gate, small, large = ((0, -2), 1), ((0, -1), 1), ((-b, 0), a)
+            assert first[gate] == first[small] == p and first[large] == p ** 7
 
     @pytest.mark.parametrize("rows", SINGULAR_MOD_FIRST_PRIME, ids=["diagonal", "row", "near-singular", "wide"])
     def test_singular_pivot_block_mod_the_first_prime_hands_over(self, rows):
@@ -869,3 +904,51 @@ class TestPlainCertificate:
             bad[t][2] += 1
             assert not linalg.annihilates(rows, bad)
         assert linalg.annihilates(rows, []) and linalg.annihilates([], good)
+
+
+def reconstruction_oracle(u, m):
+    """`_reconstruct` by brute force over Fractions: each u_i as the fraction
+    a/b with |a|, b <= sqrt(m/2) of least b, or None when that one is not
+    in lowest terms; then (x D, D) with D their least common denominator,
+    or None when D or an x_i D passes sqrt(m/2)."""
+    bound = isqrt(m // 2)
+    fractions = []
+    for v in u:
+        for b in range(1, bound + 1):
+            a = v * b % m
+            a = a - m if a > m // 2 else a
+            if abs(a) <= bound:
+                break
+        else:
+            return None
+        if gcd(a, b) != 1:
+            return None
+        fractions.append(Fraction(a, b))
+    d = lcm(*(x.denominator for x in fractions))
+    w = [int(x * d) for x in fractions]
+    return (w, d) if d <= bound and all(abs(v) <= bound for v in w) else None
+
+
+@st.composite
+def residues(draw):
+    """(u, m, hint): m = P^t below 2^23, u residues mod m, some drawn from
+    small fractions, and a hint d <= sqrt(m/2) prime to P."""
+    prime = draw(st.sampled_from((3, 7, 101, 1009)))
+    m = prime ** draw(st.integers(1, max(t for t in range(1, 23) if prime ** t < 1 << 23)))
+    fraction = st.tuples(st.integers(-40, 40), st.integers(1, 40).filter(lambda b: b % prime))
+    u = draw(st.lists(st.one_of(
+        st.integers(0, m - 1),
+        fraction.map(lambda ab: ab[0] * pow(ab[1], -1, m) % m),
+    ), max_size=5))
+    hint = draw(st.integers(1, max(1, min(60, isqrt(m // 2)))).filter(lambda d: d % prime))
+    return u, m, hint
+
+
+class TestReconstruction:
+    @given(residues())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_fraction_oracle(self, case):
+        """The early exit at the first entry that does not fit changes no
+        result: with any hint, `_reconstruct` is the oracle, None included."""
+        u, m, hint = case
+        assert linalg._reconstruct(u, m, hint) == reconstruction_oracle(u, m)
