@@ -37,14 +37,14 @@ import workloads  # noqa: E402  (the benchmark's hilbert-lines family)
 
 WORKER = """\
 import json, sys, time
-from planecurves import Strand, er_dim, hilbert_series, koszul, linalg, milnor, parse_polynomial
+from planecurves import Strand, er_dim, hilbert_series, koszul, linalg, parse_polynomial
 texts, cutoff = json.loads(sys.argv[1])
 lines = [parse_polynomial(t) for t in texts]
 f = parse_polynomial("*".join(f"({t})" for t in texts))
 linalg.PLAIN_CELLS = cutoff
 seen = []
 rule = linalg.is_plain
-milnor.is_plain = linalg.is_plain = lambda cells: seen.append(cells) or rule(cells)
+linalg.is_plain = lambda cells: seen.append(cells) or rule(cells)
 kernels = []
 real = koszul.certified_kernel
 koszul.certified_kernel = lambda m: kernels.append(real(m)) or kernels[-1]

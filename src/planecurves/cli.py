@@ -1,6 +1,6 @@
 """Command-line front end: .curve spec files in, text/JSON reports out.
 
-Exit codes: 0 ok, 1 theorem-guaranteed bound failure or internal error,
+Exit codes: 0 ok, 1 failed bound, identity or audit or internal error,
 2 parse error or malformed spec, 3 non-stabilization, 4 profile/tau mismatch,
 5 multiplicity >= 4 in an arrangement.
 """
@@ -241,8 +241,8 @@ def hilbert_payload(curve: Curve, data: dict, args) -> dict:
 def report_payload(curve: Curve, data: dict, args) -> dict:
     k_max = resolve_k_max(data, args)
     strand = resolve_strand(curve, data, args)
-    h = hilbert_series(strand, k_max=k_max)
     profile = resolve_profile(curve, data, strand.census)
+    h = hilbert_series(strand, k_max=k_max)
     validation = validate_profile(strand, profile)
     if not validation.ok:
         raise ProfileMismatch(validation)
@@ -337,10 +337,12 @@ def cmd_report(args) -> int:
     curve = build_from_spec(data)
     payload = report_payload(curve, data, args)
     _emit(payload, args, _render_report_text)
+    failed = [c for c in payload["theorem2"]["identities"] + payload["audits"] if not c["passed"]]
+    for check in failed:
+        print(f"{check['name']}: {check['lhs']} != {check['rhs']}", file=sys.stderr)
     if not payload["theorem2"]["bounds_ok"]:
         print("theorem-guaranteed bound violated", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return EXIT_INTERNAL if failed or not payload["theorem2"]["bounds_ok"] else EXIT_OK
 
 
 def report_json_bytes(spec_path: Path) -> bytes:

@@ -11,7 +11,8 @@ of the Jacobian map J_m is lifted by the certified engine as integer columns,
 each reduced against the trivial syzygies and the classes before it in an
 integer `EchelonAccumulator` whose residues are exact; one product
 J_m V = 0 over all chosen classes V certifies them, and their number must
-equal er_dim.  Fractions appear only in the rendered polynomials.
+equal dim ker J_m minus the rank of the trivial map.  Fractions appear only
+in the rendered polynomials.
 """
 
 from __future__ import annotations
@@ -126,7 +127,9 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     yields one class, scaled to 1 at its leading column.  The residue is the
     unique vector of its coset vanishing on the span's pivot columns, so the
     classes do not depend on how the span is stored.  Certificates: one exact
-    product J_m V = 0 over the classes V, and their count equals er_dim.
+    product J_m V = 0 over the classes V, and their count equals er_dim, read
+    as dim ker J_m minus the rank of the trivial map; the lift's rank stays
+    out of the Strand's memo.
     """
     if m < 0:
         return []
@@ -134,7 +137,6 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     f, N = strand.f, strand.N
     matrix = jacobian_matrix(f, m)
     kernel = certified_kernel(matrix)
-    strand.remember(jacobian_matrix, m, kernel.rank)
     acc = EchelonAccumulator(matrix.ncols)
     for col in cross_matrix(f, m - N + 1).transpose().rows:
         acc.add(col)
@@ -144,7 +146,7 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
             chosen.append(len(acc.rows) - 1)
     if not annihilates(matrix.rows, [acc.rows[i] for i in chosen]):
         raise AssertionError("kernel vector is not a syzygy")
-    expected = er_dim(strand, m)
+    expected = len(kernel.free) - cross_rank(strand, m - N + 1)
     if len(chosen) != expected:
         raise AssertionError(
             f"essential basis size {len(chosen)} != H^2 dimension {expected}"

@@ -23,7 +23,9 @@ basis of ann(J_k) for the next degree.  Contraction only re-indexes, so the
 sweep carries residues mod p.  The upper bound fails only high, so an unlucky
 prime or a mismatch costs a lift (`linalg.lifted_rank`) and never a wrong
 rank; the lift's integer kernel restarts the chain.  Modular Strands and
-single rank requests rank each matrix directly.
+single rank requests rank each matrix directly.  Only the Strand writes its
+memo, in `Strand._store`: a second certified rank that disagrees with the
+first raises LinalgError.  A sweep does the same work whatever the memo holds.
 
 The lower ends rank_p J_m, m = 0..2N-2, all come from one elimination mod p
 of J_{2N-2} (`jacobian_rank_profile`: the column rank profile, after
@@ -38,11 +40,11 @@ p of the columns before them, so the positions below t number the rank of
 the first t columns.  The same elimination, read as one of J_{2N-2}^T, is the
 top lift's: its kernel is normalized on other free columns than a fresh
 elimination's, but it spans the same space mod p, so every contraction count
-is the same.  So the sweep eliminates J_{2N-2} once, when the first degree
-needs a rank, and builds J_m only where it lifts.  `column_profile` runs in
-plain Python when J_{2N-2} is within `linalg.PLAIN_CELLS` and on numpy
-otherwise, and the sweep keeps that one decision for its lower lifts and
-its chain.
+is the same.  So the sweep eliminates J_{2N-2} once and builds J_m only
+where it lifts.  `column_profile` runs in plain Python when J_{2N-2} is
+within `linalg.PLAIN_CELLS` and on numpy otherwise, and the sweep reads that
+one decision off the elimination it returns (an `Echelon` or a `PLU`) for
+its lower lifts and its chain.
 
 An exact Strand given the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
@@ -86,10 +88,10 @@ from .linalg import (
     PRIMES,
     Echelon,
     ExactMatrix,
+    LinalgError,
     _over_common_denominator,
     check_primes,
     column_profile,
-    is_plain,
     lifted_rank,
     modular_rank_with_check,
     np,
@@ -113,16 +115,16 @@ class NonStabilizationError(RuntimeError):
 class Strand:
     """The Koszul strand of one curve: f, N, the rank backend and a rank memo.
 
-    Each (map, degree) rank is computed at most once per Strand and is freed
-    with it.  With no primes the backend is the certified exact `rank`; with
-    primes it is `modular_rank_with_check`, the uncertified opt-in path, and
-    the primes must pass `check_primes` (ValueError otherwise).  `lines`, the
-    linear factors of an arrangement, give the Strand their `census` (see
-    `_census`) and an exact Strand its `dual` (None when a point's local
-    kernel has the wrong dimension), from which the Hilbert function is
-    derived.  `certified` lists (map, degree, certificate) for every rank
-    the Strand answers: "contraction", "lift" or "memo" ("modular" on a
-    modular Strand).
+    Each (map, degree) rank is computed once per Strand (a sweep certifies a
+    rank requested before it again) and is freed with it.  With no primes the
+    backend is the certified exact `rank`; with primes it is
+    `modular_rank_with_check`, the uncertified opt-in path, and the primes
+    must pass `check_primes` (ValueError otherwise).  `lines`, the linear
+    factors of an arrangement, give the Strand their `census` (see `_census`)
+    and an exact Strand its `dual` (None when a point's local kernel has the
+    wrong dimension), from which the Hilbert function is derived.  `certified`
+    lists (map, degree, certificate) for every rank the Strand answers:
+    "contraction", "lift" or "memo" ("modular" on a modular Strand).
     """
 
     def __init__(self, f: Polynomial, primes: tuple[int, ...] = (), lines: Sequence[Polynomial] = ()):
@@ -155,54 +157,47 @@ class Strand:
         return self._ranks[build, m]
 
     def _store(self, build: Callable, m: int, value: int, certificate: str) -> None:
-        self._ranks[build, m] = value
+        """The one write to the memo: the first certified rank is kept."""
+        first = self._ranks.setdefault((build, m), value)
+        if first != value:
+            raise LinalgError(f"rank of {build.__name__} at degree {m} certified as {first} and as {value}")
         self.certified.append((build.__name__, m, certificate))
 
-    def remember(self, build: Callable[[Polynomial, int], ExactMatrix], m: int, rank: int) -> None:
-        """Memoize a certified exact rank of build(f, m) found by other means
-        (a kernel lift); a modular Strand keeps its own backend."""
-        if not self.primes and (build, m) not in self._ranks:
-            self._store(build, m, rank, "lift")
-
     def sweep(self) -> None:
-        """Certify rank J_m into the memo for m = 2N-2 down to 0, lifting
-        only at the top and where the contraction bounds do not meet (see the
-        module docstring).  A rank already in the memo is kept.  Like its
-        profile, the sweep runs in plain Python when J_{2N-2} is small: its
-        lifts take ExactMatrix, its chain is a list of functionals."""
+        """Certify rank J_m into the memo for m = 2N-2 down to 0 as on a fresh
+        Strand, lifting only at the top and where the contraction bounds do
+        not meet (see the module docstring); nothing to do on a modular or
+        derived Strand or a full memo.  Like its profile, it runs in plain
+        Python when J_{2N-2} is small: its lifts take ExactMatrix, its chain
+        is a list of functionals."""
         p, top = PRIMES[0], 2 * self.N - 2
-        plain = is_plain(s_dim(top + self.N - 1) * 3 * s_dim(top))
+        if self.primes or self.derived() or all((jacobian_matrix, m) in self._ranks for m in range(top + 1)):
+            return
+        matrix = jacobian_matrix(self.f, top)
+        ranks, top_elimination = jacobian_rank_profile(matrix, top, p)
+        plain = isinstance(top_elimination, Echelon)
         chain = None  # residues mod p of a basis of ann(J_{k+1})
-        ranks = None  # rank_p J_m, once a degree needs them
         for m in range(top, -1, -1):
-            k, found = m + self.N - 1, self._ranks.get((jacobian_matrix, m))
-            known = found is not None
-            if not known and ranks is None:
-                matrix = jacobian_matrix(self.f, top)
-                ranks, top_elimination = jacobian_rank_profile(matrix, top, p)
+            k = m + self.N - 1
             if chain is not None:
                 candidates = contractions(chain, k + 1)
                 independent = pivot_columns(candidates, p)
-                if not known:
-                    found = ranks[m]
-                if found == s_dim(k) - len(independent):
+                if ranks[m] == s_dim(k) - len(independent):
                     chain = [candidates[i] for i in independent] if plain else candidates[:, independent]
-                    if not known:
-                        self._store(jacobian_matrix, m, found, "contraction")
+                    self._store(jacobian_matrix, m, ranks[m], "contraction")
                     continue
             chain = None
-            if not known:
-                if m != top:
-                    matrix = jacobian_matrix(self.f, m)
-                # the profile's elimination is the top lift's
-                found, lift = lifted_rank(
-                    matrix.transpose() if plain else matrix.array.T, top_elimination if m == top else None
-                )
-                if lift is not None and plain:
-                    chain = [[v % p for v in vec] for vec in lift.vectors()]
-                elif lift is not None:
-                    chain = (lift.columns() % p).astype(np.int64)
-                self._store(jacobian_matrix, m, found, "lift")
+            if m != top:
+                matrix = jacobian_matrix(self.f, m)
+            # the profile's elimination is the top lift's
+            found, lift = lifted_rank(
+                matrix.transpose() if plain else matrix.array.T, top_elimination if m == top else None
+            )
+            if lift is not None and plain:
+                chain = [[v % p for v in vec] for vec in lift.vectors()]
+            elif lift is not None:
+                chain = (lift.columns() % p).astype(np.int64)
+            self._store(jacobian_matrix, m, found, "lift")
 
     def derived(self) -> bool:
         """True when the Hilbert function is read off the defects: the local
@@ -352,8 +347,7 @@ def hilbert_series(f: Polynomial | Strand, k_max: Optional[int] = None) -> Hilbe
         raise ValueError("need a homogeneous curve of degree >= 3")
     if k_max is not None and not 0 <= k_max <= MAX_K_MAX:
         raise ValueError(f"k_max must be between 0 and {MAX_K_MAX}, got {k_max}")
-    if not strand.primes and not strand.derived():
-        strand.sweep()
+    strand.sweep()
     top = 3 * N - 3
     k_report = top if k_max is None else k_max
     dims = [milnor_dim(strand, k) for k in range(top + 1)]

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planecurves import cli, geometry, hilbert_series, linalg, parse_polynomial, syzygy_basis
+from planecurves import cli, geometry, hilbert_series, linalg, milnor, parse_polynomial, syzygy_basis, tjurina
 from planecurves.cli import (
+    EXIT_INTERNAL,
     EXIT_MULTIPLICITY,
     EXIT_NONSTABLE,
     EXIT_OK,
@@ -32,6 +33,7 @@ from planecurves.cli import (
     report_json_bytes,
     resolve_strand,
 )
+from planecurves.geometry import Check
 from planecurves.polynomials import MAX_K_MAX
 from tests.conftest import CORPUS, hilbert_lines_family, line_poly, random_arrangement
 
@@ -193,6 +195,51 @@ class TestExitCodes:
     def test_four_concurrent_lines(self, tmp_path):
         spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
         assert main(["report", str(spec), "--quiet"]) == EXIT_MULTIPLICITY
+
+    @pytest.mark.parametrize(
+        "payload, code",
+        [
+            ({"factors": ["x^3+y^3+z^3", "x"]}, EXIT_PARSE),
+            (
+                {"factors": ["x^3+y^3+z^3", "x"], "profile": {"n": 3, "components": [{"genus": -1}, {}]}},
+                EXIT_PARSE,
+            ),
+            ({"factors": ["x", "y", "x+y", "x-y"]}, EXIT_MULTIPLICITY),
+            ({"factors": ["x", "y", "z", "x+y+z"], "profile": {"n": 5}}, EXIT_PROFILE),
+        ],
+        ids=["no-profile", "negative-genus", "four-concurrent-lines", "declared-n-disagrees"],
+    )
+    def test_report_reads_the_profile_before_any_rank(self, tmp_path, monkeypatch, payload, code):
+        """A profile that is missing, malformed or out of scope is refused
+        before a Jacobian matrix is built or a W_k is ranked."""
+
+        def refuse(*args):
+            raise AssertionError("a rank was computed before the profile was read")
+
+        monkeypatch.setattr(milnor, "jacobian_matrix", refuse)
+        monkeypatch.setattr(tjurina.TjurinaDual, "rank", refuse)
+        spec = write_spec(tmp_path, "early", payload)
+        assert main(["report", str(spec), "--quiet"]) == code
+
+    @pytest.mark.parametrize("failing", ["identity", "audit"])
+    def test_failed_check_exits_1(self, generic4_spec, capsys, monkeypatch, failing):
+        """A failed identity of Theorem 2 or a failed audit exits 1 with its
+        name on stderr, although both bounds hold."""
+        if failing == "identity":
+            real = cli.theorem2_report
+
+            def planted(*args):
+                return real(*args)._replace(identities=(Check("planted identity", 1, 2),))
+
+            monkeypatch.setattr(cli, "theorem2_report", planted)
+            line = "planted identity: 1 != 2"
+        else:
+            monkeypatch.setattr(cli, "bezout_audit", lambda profile: (1, 2))
+            line = "Bezout pair count: 1 != 2"
+        assert main(["report", str(generic4_spec), "--format", "json"]) == EXIT_INTERNAL
+        out = capsys.readouterr()
+        assert json.loads(out.out)["theorem2"]["bounds_ok"]
+        assert out.err.splitlines() == [line]
 
     def test_four_concurrent_lines_hilbert(self, tmp_path, capsys):
         # out of the A1/D4 scope, so no local duality: the direct path answers
@@ -392,8 +439,11 @@ def src_env(root):
         ("bench_phases.py", ["--reps", "1", "lines6"]),
         ("bench_wk.py", ["--reps", "1", "--sizes", "7", "8"]),
         ("bench_plain.py", ["--reps", "1", "--names", "generic4", "triangle_cubic"]),
+        ("bench_lifts.py", ["--reps", "1", "--names", "generic4"]),
     ],
-    ids=["run_examples.py", "bench_eliminate.py", "bench_phases.py", "bench_wk.py", "bench_plain.py"],
+    ids=[
+        "run_examples.py", "bench_eliminate.py", "bench_phases.py", "bench_wk.py", "bench_plain.py", "bench_lifts.py",
+    ],
 )
 def test_script_exits_clean(corpus_dir, script, args):
     """Each script runs as documented, in exact mode; bench_eliminate exits 1

@@ -208,9 +208,9 @@ class TestSyzygyBasis:
         with pytest.raises(AssertionError, match="not a syzygy"):
             syzygy_basis(curves["generic4"], 2)
 
-    def test_kernel_lift_fills_the_rank_memo(self, curves, monkeypatch):
-        """er_dim reuses the lift's certified rank of J_m: only the cross map
-        out of S_0^3 is ranked."""
+    def test_ranks_only_the_cross_map(self, curves, monkeypatch):
+        """The class count is dim ker J_m, read off the lift, minus the rank
+        of the trivial map: only the cross map out of S_0^3 is ranked."""
         ranked = []
         real = milnor.rank
         monkeypatch.setattr(milnor, "rank", lambda matrix: ranked.append(matrix.ncols) or real(matrix))

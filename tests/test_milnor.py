@@ -18,12 +18,13 @@ from planecurves import (
     milnor_dim,
     parse_polynomial,
     smooth_reference_dim,
+    syzygy_basis,
     tau,
 )
 from planecurves import Polynomial, cli, linalg, milnor, monomial_basis
 from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
 from planecurves.gradedmaps import contractions, jacobian_matrix, s_dim
-from planecurves.linalg import PRIMES, _nonzero_entries, _rank_mod_p, lifted_rank, rank
+from planecurves.linalg import PRIMES, LinalgError, _nonzero_entries, _rank_mod_p, lifted_rank, rank
 from planecurves.milnor import jacobian_rank, jacobian_rank_profile
 from tests.conftest import CORPUS, corpus_specs
 
@@ -394,15 +395,26 @@ class TestSweep:
         assert same == ranks
         assert lifted_degrees(strand) == [16, 11, 7]
 
-    def test_keeps_ranks_already_in_the_memo(self, curves):
-        strand = Strand(curves["degree9"])
-        top = jacobian_rank(strand, 16)
-        strand.sweep()
-        assert jacobian_rank(strand, 16) == top
-        # a rank from the memo comes with no kernel, so the chain starts one
-        # degree lower; no rank is certified twice
-        assert computed(strand)[:2] == [("jacobian_matrix", 16, "lift"), ("jacobian_matrix", 15, "lift")]
-        assert sorted(m for _, m, _ in computed(strand)) == list(range(17))
+    def test_sweeps_the_same_whatever_the_memo_holds(self, curves):
+        """After a single rank request, or after the syzygy bases, the sweep
+        makes a fresh Strand's lifts and contraction certificates and leaves
+        its ranks in the memo; a memoized rank that it certifies otherwise
+        raises."""
+        f = curves["degree9"]
+        fresh = Strand(f)
+        fresh.sweep()
+        assert lifted_degrees(fresh) == [16, 7]
+        for prefill in (lambda s: jacobian_rank(s, 16), lambda s: [syzygy_basis(s, m) for m in range(4, 8)]):
+            strand = Strand(f)
+            prefill(strand)
+            before = len(strand.certified)
+            strand.sweep()
+            assert strand.certified[before:] == fresh.certified
+            assert {key: v for key, v in strand._ranks.items() if key[0] is jacobian_matrix} == fresh._ranks
+        strand = Strand(f)
+        strand._ranks[jacobian_matrix, 16] = jacobian_rank(fresh, 16) + 1
+        with pytest.raises(LinalgError, match="jacobian_matrix at degree 16"):
+            hilbert_series(strand)
 
     def test_modular_and_derived_strands_do_not_sweep(self, curves):
         modular = Strand(curves["nodal4"], (PRIMES[0],))
