@@ -8,7 +8,7 @@ of `perfbench/arrangements.py` per size (`random.Random(size)`, default 7 to
 20 lines).  For each, at every degree k = 0..3N-5 (not only at the degrees
 the defect scan ranks, so that the crossover keeps its sample) the script
 builds W_k mod p once with `TjurinaDual.rows(k, p)` and ranks those rows
-both ways, `rank_mod_p_rows(rows)` and
+both ways, `len(echelon(rows, p).pivots)` and
 `_rank_mod_p(np.array(rows, dtype=np.int64))` (the conversion counts on the
 numpy side), keeping the best of the repetitions.  It prints one line per
 matrix (cells = tau x dim S_k, the two times in ms and the rank), then the
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from planecurves import Strand, parse_polynomial
 from planecurves.gradedmaps import s_dim
-from planecurves.linalg import PLAIN_CELLS, PRIMES, _rank_mod_p, np, rank_mod_p_rows
+from planecurves.linalg import PLAIN_CELLS, PRIMES, _rank_mod_p, echelon, np
 from planecurves.polynomials import MAX_DEGREE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
             continue
         for k in range(3 * f.degree() - 4):
             rows = dual.rows(k, p)
-            plain, got = best(lambda: rank_mod_p_rows(rows, p), args.reps)
+            plain, got = best(lambda: len(echelon(rows, p).pivots), args.reps)
             fast, want = best(lambda: _rank_mod_p(np.array(rows, dtype=np.int64), p), args.reps)
             cells = dual.tau * s_dim(k)
             samples.append((cells, plain, fast))

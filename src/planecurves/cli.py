@@ -312,6 +312,7 @@ def _render_report_text(payload: dict) -> str:
         f"F^2 = P^2: {payload['theorem2']['f2_equals_p2']}",
         f"E2^(2,1) dim: {payload['spectral_table']['e2_21']}",
         "validation: " + ("ok" if payload["validation"]["ok"] else "MISMATCH"),
+        "identities: " + ("ok" if all(x["passed"] for x in payload["theorem2"]["identities"]) else "FAILED"),
         "audits: " + ("ok" if all(x["passed"] for x in payload["audits"]) else "FAILED"),
     ]
     return "\n".join(lines)

@@ -12,11 +12,12 @@ rank_Q <= r.  No other module eliminates: `milnor` reads ranks mod p off
 
 Both engines run one Dixon loop, `_dixon`, on one elimination modulo a
 prime p < 2^26: it lifts the kernel normalized on the free columns p-adically,
-reconstructs them from the last pending one down (no probe), and
-accepts the rank only after every lifted vector passes the exact check.  A
-prime that fails the check is unlucky and the next of `PRIMES` is tried;
-fraction-free integer elimination (`_rank_integer`) is the last resort.  The
-engines differ in their steps only: the plain one (`_plain_lift`) eliminates
+reconstructs them from the last pending one down, and accepts the rank only
+after every lifted vector passes the exact check.  A prime that fails the
+check is unlucky and the next of `PRIMES` is tried; the last resort is
+`_rank_integer`, fraction-free elimination over Q on plain ints
+(`EchelonAccumulator`, which `koszul.syzygy_basis` uses too).  The engines
+differ in their steps only: the plain one (`_plain_lift`) eliminates
 with `echelon`, rows packed into ints, and solves by replaying its row
 operations; the numpy one (`lift_kernel`) eliminates with `_eliminate`, as
 every elimination mod p on numpy does, and solves by triangular products.
@@ -24,13 +25,13 @@ every elimination mod p on numpy does, and solves by triangular products.
 Modular mode (`modular_rank_with_check`) is the uncertified opt-in path: it
 trusts a rank on which all given primes agree.
 
-Pivoting is deterministic: the eliminations mod p and over Q take the first
-nonzero entry of each column, and the fraction-free `_rank_integer` the
-smallest nonzero |v| (ties by row order), to bound coefficient growth.
+Pivoting is deterministic: the eliminations mod p and `rref_fraction` take
+the first nonzero entry of each column, and `EchelonAccumulator` each row's
+first nonzero column, the rows taken in input order.
 
 numpy is loaded lazily, here, on its first use; the other modules take `np`
-from this module, and a process whose matrices all go to the plain engine
-never loads it.
+from this module, and a process whose matrices all go to the plain engine,
+last resort included, never loads it.
 """
 
 from __future__ import annotations
@@ -161,32 +162,6 @@ class ExactMatrix:
             return ExactMatrix(self._array.T)
         columns = [list(col) for col in zip(*self._rows)] if self.nrows else [[]] * self.ncols
         return ExactMatrix(columns, ncols=self.nrows)
-
-
-def _rank_integer(rows: list[list[int]], ncols: int) -> int:
-    """Fraction-free elimination with content stripping; exact over Q.
-
-    The pivot in each column is the remaining row with the smallest nonzero
-    absolute value (ties broken by row order): deterministic, and it keeps
-    coefficient growth far below what first-nonzero pivoting produces.
-    """
-    work = [np.array(r, dtype=object) for r in rows if any(r)]
-    rank = 0
-    for col in range(ncols):
-        live = [(abs(work[i][col]), i) for i in range(rank, len(work)) if work[i][col]]
-        if not live:
-            continue
-        i = min(live)[1]
-        work[rank], work[i] = work[i], work[rank]
-        piv = work[rank]
-        for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                row = work[i] * piv[col] - piv * work[i][col]
-                work[i] = row // (gcd(*row) or 1)
-        rank += 1
-        if rank == min(len(work), ncols):
-            break
-    return rank
 
 
 # -- elimination over GF(p) -------------------------------------------------
@@ -763,11 +738,6 @@ def echelon(rows: Sequence[Sequence[int]], p: int, width: Optional[int] = None) 
     return Echelon(p, width, pivots, independent, leads, steps)
 
 
-def rank_mod_p_rows(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over GF(p) of integer rows, in plain Python (`echelon`)."""
-    return len(echelon(rows, p).pivots)
-
-
 def _echelon_solver(e: Echelon, k: int):
     """Solver of M x = y mod p, M = B[e.rows, e.pivots], for k right-hand
     sides packed as `echelon`'s rows, y by row of e.rows and x by pivot: e's
@@ -989,10 +959,10 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> int:
-    """Rank over GF(p), p < 2^26: in plain Python (`rank_mod_p_rows`) up to
+    """Rank over GF(p), p < 2^26: in plain Python (`echelon`) up to
     `PLAIN_CELLS` entries, else with numpy (`_rank_mod_p`)."""
     if is_plain(m.nrows * m.ncols):
-        return rank_mod_p_rows(m.rows, p)
+        return len(echelon(m.rows, p, m.ncols).pivots)
     return _rank_mod_p(m.array, p)
 
 
@@ -1122,3 +1092,11 @@ class EchelonAccumulator:
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def _rank_integer(rows: list[list[int]], ncols: int) -> int:
+    """Exact rank over Q of integer rows, by fraction-free elimination
+    (`EchelonAccumulator`): the number of rows that enlarge the span of the
+    rows before them."""
+    acc = EchelonAccumulator(ncols)
+    return sum(map(acc.add, rows))

@@ -241,6 +241,25 @@ class TestExitCodes:
         assert json.loads(out.out)["theorem2"]["bounds_ok"]
         assert out.err.splitlines() == [line]
 
+    def test_text_report_shows_the_identities(self, generic4_spec, capsys, monkeypatch):
+        """The text report has an identities line before the audits line:
+        ok on generic4, FAILED (exit 1) with a failed identity of Theorem 2
+        although both bounds hold."""
+        argv = ["report", str(generic4_spec), "--format", "text"]
+        assert main(argv) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["identities: ok", "audits: ok"]
+        real = cli.theorem2_report
+
+        def planted(*args):
+            return real(*args)._replace(identities=(Check("planted identity", 1, 2),))
+
+        monkeypatch.setattr(cli, "theorem2_report", planted)
+        assert main(argv) == EXIT_INTERNAL
+        out = capsys.readouterr()
+        assert out.out.splitlines()[-2:] == ["identities: FAILED", "audits: ok"]
+        assert "theorem2 A:" in out.out and out.err.splitlines() == ["planted identity: 1 != 2"]
+
     def test_four_concurrent_lines_hilbert(self, tmp_path, capsys):
         # out of the A1/D4 scope, so no local duality: the direct path answers
         spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
@@ -552,6 +571,18 @@ def probe_syzygies(root, jobs):
     return json.loads(out.stdout)
 
 
+LAST_RESORT_PROBE = """\
+import json, sys
+from planecurves import linalg
+real, reached = linalg._rank_integer, []
+linalg._lifts = lambda b, first=None: iter([None] * len(linalg.PRIMES))
+linalg._rank_integer = lambda rows, ncols: reached.append(ncols) or real(rows, ncols)
+for rows in json.loads(sys.argv[1]):
+    rank, lift = linalg.lifted_rank(linalg.ExactMatrix(rows))
+    print(json.dumps([rank, lift is None, reached.pop(), "numpy.linalg" in sys.modules]))
+"""
+
+
 def probe_lazy(root, argvs):
     """Whether numpy is loaded after `import planecurves.cli`, then (exit
     code, output, numpy loaded) after each command, in one fresh interpreter."""
@@ -618,6 +649,20 @@ class TestLazyNumpy:
             with contextlib.redirect_stdout(io.StringIO()) as numpy_out:
                 assert main(argv) == code == EXIT_OK
             assert out == numpy_out.getvalue() and not loaded
+
+    def test_plain_last_resort_never_loads_numpy(self, corpus_dir):
+        """With the lift refused at every prime, `lifted_rank` of a small
+        singular matrix falls to `_rank_integer`, which ranks it without
+        loading numpy."""
+        cases = [([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 2), ([[0, 0, 0], [2**70, 1, 0], [2**71, 2, 0], [1, 1, 1]], 2)]
+        root = corpus_dir.parent
+        out = subprocess.run(
+            [sys.executable, "-c", LAST_RESORT_PROBE, json.dumps([rows for rows, _ in cases])],
+            cwd=root, env=src_env(root), capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        runs = [json.loads(line) for line in out.stdout.splitlines()]
+        assert runs == [[want, True, len(rows[0]), False] for rows, want in cases]
 
     def test_report_lines9_loads_numpy(self, corpus_dir):
         """J_16 of lines9 is above `PLAIN_CELLS`: its sweep runs on numpy."""

@@ -336,16 +336,29 @@ class TestCertifiedEngine:
         assert kernel_basis(ExactMatrix(rows)) == rref_kernel(rows, len(rows[0]))
 
     @given(st.one_of(structured_rows(entries=HUGE, max_dim=6), int64_rows()))
+    # an entry PRIMES[0] (hypothesis draws the constants of the source): the
+    # matrix loses rank mod the first prime
+    @example([[0, 0], [0, PRIMES[0]]])
     @settings(max_examples=120, deadline=None)
     def test_huge_entries_rank(self, rows):
         """Entries past 2^30 take the guarded (Python int) path of the lift
-        and the check: the first prime certifies, without any fallback."""
+        and the check: the first prime certifies, without any fallback,
+        unless the matrix loses rank mod it, and then its lift refuses."""
         m = ExactMatrix(rows)
         expected = _rank_integer(rows, m.ncols)
         assert rank(m) == expected
         short = m.array if m.ncols <= m.nrows else m.array.T
         lift = lift_kernel(short, PRIMES[0])
-        assert lift is not None and lift.rank == expected
+        lucky = linalg._rank_mod_p(short, PRIMES[0]) == expected
+        assert (lift is not None) == lucky and (lift is None or lift.rank == expected)
+
+    @given(st.one_of(structured_rows(), structured_rows(entries=HUGE, max_dim=6)))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_elimination_matches_rref(self, rows):
+        """The last resort shares `EchelonAccumulator` with `syzygy_basis`,
+        so it is checked against the independent Fraction RREF."""
+        ncols = len(rows[0])
+        assert _rank_integer(rows, ncols) == len(rref_fraction(rows, ncols)[1])
 
     @given(st.one_of(structured_rows(entries=HUGE, max_dim=6), int64_rows()))
     @settings(max_examples=80, deadline=None)
@@ -649,13 +662,18 @@ def seeded_rows(seed, kind, p):
 RANK_KINDS = ["tall", "wide", "zero rows", "repeated rows", "rank-deficient", "out of range"]
 
 
+def echelon_rank(rows, p):
+    """Rank over GF(p) of integer rows in plain Python."""
+    return len(linalg.echelon(rows, p).pivots)
+
+
 class TestPlainRankModP:
     @pytest.mark.parametrize("kind", RANK_KINDS)
     @pytest.mark.parametrize("p", [PRIMES[0], P1, 3])
     def test_matches_numpy(self, kind, p):
         for seed in range(40):
             rows = seeded_rows(seed, kind, p)
-            assert linalg.rank_mod_p_rows(rows, p) == linalg._rank_mod_p(np.array(rows, dtype=object), p), (
+            assert echelon_rank(rows, p) == linalg._rank_mod_p(np.array(rows, dtype=object), p), (
                 kind, seed)
 
     def test_largest_residues(self):
@@ -664,20 +682,20 @@ class TestPlainRankModP:
         p = PRIMES[0]
         rng = random.Random(5)
         rows = [[p - rng.randint(1, 2) for _ in range(40)] for _ in range(60)]
-        assert linalg.rank_mod_p_rows(rows, p) == linalg._rank_mod_p(np.array(rows), p) == 40
+        assert echelon_rank(rows, p) == linalg._rank_mod_p(np.array(rows), p) == 40
 
     def test_empty_and_zero(self):
-        assert linalg.rank_mod_p_rows([], PRIMES[0]) == 0
-        assert linalg.rank_mod_p_rows([[]], PRIMES[0]) == 0
-        assert linalg.rank_mod_p_rows([[0, 0], [0, 0]], PRIMES[0]) == 0
-        assert linalg.rank_mod_p_rows([[P1, -P1]], P1) == 0
+        assert echelon_rank([], PRIMES[0]) == 0
+        assert echelon_rank([[]], PRIMES[0]) == 0
+        assert echelon_rank([[0, 0], [0, 0]], PRIMES[0]) == 0
+        assert echelon_rank([[P1, -P1]], P1) == 0
 
     def test_refuses_what_the_packing_cannot_hold(self):
         with pytest.raises(ValueError):
-            linalg.rank_mod_p_rows([[1]], 67108879)  # the first prime past 2^26
+            echelon_rank([[1]], 67108879)  # the first prime past 2^26
         square = [[0] * 2048] * 2048
         with pytest.raises(ValueError):
-            linalg.rank_mod_p_rows(square, PRIMES[0])
+            echelon_rank(square, PRIMES[0])
 
 
 # -- the plain certificate against the numpy engine -----------------------------

@@ -18,7 +18,7 @@ from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim,
 from planecurves import linalg, milnor, tjurina
 from planecurves.cli import main
 from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
-from planecurves.linalg import PRIMES, _rank_mod_p, np, rank_mod_p_rows, rref_fraction
+from planecurves.linalg import PRIMES, _rank_mod_p, echelon, np, rref_fraction
 from planecurves.milnor import jacobian_rank
 from planecurves.polynomials import monomial_basis
 from planecurves.tjurina import Functional, TjurinaDual
@@ -249,7 +249,7 @@ def test_short_w_rank_certified_by_jacobian(exact_ranks):
     curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
     dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
     p = PRIMES[0]
-    assert dual.tau == 19 and rank_mod_p_rows(dual.rows(5, p), p) == 18
+    assert dual.tau == 19 and len(echelon(dual.rows(5, p), p).pivots) == 18
     assert dual.rank(5) == 18
     assert [dual.defect(k) for k in range(7)] == [18, 16, 13, 9, 4, 1, 0]
     assert exact_ranks == []
@@ -303,7 +303,7 @@ def test_w_entries_match_the_expansion_at_every_degree(random_arrangements):
             want, rows = oracle_w(dual, k), dual.rows(k, p)
             assert rows == [[v % p for v in row] for row in want], (str(f), k)
             assert dual.rows(k) == want, (str(f), k)
-            assert rank_mod_p_rows(rows, p) == _rank_mod_p(np.array(rows, dtype=np.int64), p), (str(f), k)
+            assert len(echelon(rows, p).pivots) == _rank_mod_p(np.array(rows, dtype=np.int64), p), (str(f), k)
 
 
 def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements, monkeypatch):
@@ -323,17 +323,17 @@ def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
     (49 x 45 = 2205 entries, injective) and W_9 (49 x 55 = 2695); with the
     cutoff at W_8's size, W_8 goes to plain Python and W_9 to numpy."""
     cells = {"plain": [], "numpy": []}
-    plain, fast = linalg.rank_mod_p_rows, linalg._rank_mod_p
+    plain, fast = linalg.echelon, linalg._rank_mod_p
 
-    def logged_plain(rows, p):
-        cells["plain"].append(len(rows) * len(rows[0]))
-        return plain(rows, p)
+    def logged_plain(rows, p, width=None):
+        cells["plain"].append(len(rows) * width)
+        return plain(rows, p, width)
 
     def logged_numpy(a, p):
         cells["numpy"].append(a.size)
         return fast(a, p)
 
-    monkeypatch.setattr(linalg, "rank_mod_p_rows", logged_plain)
+    monkeypatch.setattr(linalg, "echelon", logged_plain)
     monkeypatch.setattr(linalg, "_rank_mod_p", logged_numpy)
     monkeypatch.setattr(linalg, "PLAIN_CELLS", 49 * 45)
     lines, profile = random_arrangement(random.Random(10), 10)
