@@ -67,6 +67,8 @@ def load_spec(path: Path) -> dict:
     for key in ("options", "profile"):
         if data.get(key) is not None and not isinstance(data[key], dict):
             raise SpecFileError(f"{path}: {key} must be an object")
+    if data.get("name") is not None and not isinstance(data["name"], str):
+        raise SpecFileError(f"{path}: name must be a string")
     return data
 
 

@@ -9,12 +9,11 @@ Tjurina number.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .linalg import _row_to_int
 from .milnor import Strand, tau
-from .polynomials import Polynomial
+from .polynomials import Coefficient, Polynomial
 
 
 class GeometryError(ValueError):
@@ -36,10 +35,9 @@ class ProjectivePoint(NamedTuple):
 
     @staticmethod
     def of(x, y, z) -> "ProjectivePoint":
-        fracs = [Fraction(x), Fraction(y), Fraction(z)]
-        if all(v == 0 for v in fracs):
+        ints = _row_to_int([x, y, z])
+        if not any(ints):
             raise GeometryError("(0,0,0) is not a projective point")
-        ints = _row_to_int(fracs)
         first = next(v for v in ints if v != 0)
         if first < 0:
             ints = [-v for v in ints]
@@ -159,7 +157,7 @@ def genus_from_counts(N_j: int, n_j: int, t_j: int) -> int:
     return g
 
 
-def _line_coeffs(p: Polynomial) -> tuple[Fraction, Fraction, Fraction]:
+def _line_coeffs(p: Polynomial) -> tuple[Coefficient, Coefficient, Coefficient]:
     if p.degree() != 1 or not p.is_homogeneous():
         raise GeometryError(f"not a linear form: {p}")
     return (p.coefficient((1, 0, 0)), p.coefficient((0, 1, 0)), p.coefficient((0, 0, 1)))

@@ -9,8 +9,6 @@ reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import ExactMatrix, _row_to_int, int_dtype, is_plain, np
 from .polynomials import Polynomial, monomial_basis
 
@@ -93,8 +91,7 @@ def _integer_partials(f: Polynomial) -> list[dict]:
     so they share one scale of f: J_m C_{m-N+1} = 0 and C_m G_{m-N+1} = 0
     hold as integer products, and every kernel is the kernel over Q.
     """
-    fi = Polynomial({m: Fraction(c) for m, c in integer_scaled(f).items()})
-    return [{m: int(c) for m, c in p.terms.items()} for p in jacobian_partials(fi)]
+    return [p.terms for p in jacobian_partials(Polynomial(integer_scaled(f)))]
 
 
 def jacobian_matrix(f: Polynomial, m: int) -> ExactMatrix:

@@ -79,7 +79,7 @@ independent computation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import comb
+from math import comb, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .gradedmaps import contractions, jacobian_matrix, s_dim
@@ -89,7 +89,6 @@ from .linalg import (
     Echelon,
     ExactMatrix,
     LinalgError,
-    _over_common_denominator,
     check_primes,
     column_profile,
     lifted_rank,
@@ -222,12 +221,9 @@ def jacobian_rank_profile(
     return [bisect_left(positions, 3 * s_dim(m)) for m in range(top + 1)], elimination
 
 
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
 def _census(f: Polynomial, lines: Sequence[Polynomial]) -> Optional[SingularityProfile]:
-    """The exact census of the lines when f is their product and every
-    singular point is a node or a triple point, else None."""
+    """The exact census of the lines when f equals their Polynomial product
+    and every singular point is a node or a triple point, else None."""
     from . import geometry  # geometry imports this module
 
     if not lines or not _is_product(f, lines):
@@ -239,22 +235,11 @@ def _census(f: Polynomial, lines: Sequence[Polynomial]) -> Optional[SingularityP
 
 
 def _is_product(f: Polynomial, lines: Sequence[Polynomial]) -> bool:
-    """f == the product of the linear forms, exactly, in integers: with
-    L = w_L / d_L over a common denominator, f * prod d_L == prod w_L."""
-    scale, product = 1, {(0, 0, 0): 1}
-    for line in lines:
-        if line.degree() != 1 or not line.is_homogeneous():
-            return False
-        w, d = _over_common_denominator([line.coefficient(e) for e in _UNITS])
-        scale *= d
-        terms: dict[tuple[int, int, int], int] = {}
-        for (a, b, c), v in product.items():
-            for (da, db, dc), u in zip(_UNITS, w):
-                if u:
-                    mono = (a + da, b + db, c + dc)
-                    terms[mono] = terms.get(mono, 0) + u * v
-        product = {mono: v for mono, v in terms.items() if v}
-    return product == {mono: c * scale for mono, c in f.terms.items()}
+    """Every line is a linear form and f is their product, exactly: integral
+    coefficients multiply as Python ints (see `polynomials`)."""
+    if any(line.degree() != 1 or not line.is_homogeneous() for line in lines):
+        return False
+    return prod(lines, start=Polynomial.constant(1)) == f
 
 
 def jacobian_rank(f: Polynomial | Strand, m: int) -> int:

@@ -192,6 +192,12 @@ class TestExitCodes:
         spec = write_spec(tmp_path, "triangle", {"factors": ["x", "y", "z"], "profile": profile})
         assert main(["report", str(spec), "--quiet"]) == code
 
+    @pytest.mark.parametrize("name", [5, [], {}], ids=["number", "list", "object"])
+    def test_name_not_a_string(self, tmp_path, capsys, name):
+        spec = write_spec(tmp_path, "named", {"name": name, "factors": ["x", "y", "z", "x+y+z"]})
+        assert main(["report", str(spec)]) == EXIT_PARSE
+        assert "name must be a string" in capsys.readouterr().err
+
     def test_four_concurrent_lines(self, tmp_path):
         spec = write_spec(tmp_path, "quad", {"factors": ["x", "y", "x+y", "x-y"]})
         assert main(["report", str(spec), "--quiet"]) == EXIT_MULTIPLICITY

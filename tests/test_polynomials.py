@@ -31,7 +31,11 @@ def to_sympy(p: Polynomial):
     )
 
 
-coeffs = st.integers(min_value=-9, max_value=9)
+coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(lambda sign, v: sign * v, st.sampled_from([-1, 1]), st.integers(2**64 + 1, 2**80)),
+)
 
 
 @st.composite
@@ -155,6 +159,45 @@ class TestParser:
         assert isinstance(p, Polynomial)
 
 
+def integral_types(p: Polynomial) -> bool:
+    """Every integral coefficient is an int, every other one a Fraction."""
+    return all(
+        type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values()
+    )
+
+
+class TestCoefficients:
+    def test_integral_coefficients_are_ints(self):
+        p = parse_polynomial("2x-3y+4z")
+        q = parse_polynomial("x^2+5yz")
+        results = [p, p * q, p**3, p.partial_derivative("x"), (p * q).partial_derivative("z")]
+        results += [Polynomial.constant(Fraction(4, 2)), parse_polynomial("2x").scale(Fraction(1, 2))]
+        for r in results:
+            assert r.terms and all(type(c) is int for c in r.terms.values()), r
+        assert parse_polynomial("2x").scale(Fraction(1, 2)) == parse_polynomial("x")
+
+    def test_rational_coefficient_stays_a_fraction(self):
+        p = parse_polynomial("1/2x")
+        assert p.terms == {(1, 0, 0): Fraction(1, 2)}
+        assert type(p.coefficient((1, 0, 0))) is Fraction
+        assert (p + p).terms == {(1, 0, 0): 1} and integral_types(p + p)
+
+    def test_absent_coefficient_is_int_zero(self):
+        c = parse_polynomial("x+y").coefficient((0, 0, 1))
+        assert c == 0 and type(c) is int
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_arithmetic_keeps_integral_coefficients_ints(self, p, q):
+        for r in (p, p + q, p - q, p * q, p**2, p.partial_derivative("y"), p.scale(Fraction(3, 2))):
+            assert integral_types(r)
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_product_matches_sympy(self, p, q):
+        assert to_sympy(p * q) == sympy.expand(to_sympy(p) * to_sympy(q))
+
+
 class TestRingAxioms:
     @given(small_polys(), small_polys())
     @settings(max_examples=40, deadline=None)
@@ -217,6 +260,9 @@ class TestCurveConstruction:
         spec = CurveSpec(factors=(CurveFactor("x+y", None), CurveFactor("2x+2y", None)))
         with pytest.raises(CurveError):
             build_curve(spec)
+        # a ratio taken as a float would call these two lines proportional
+        lines = ("x+1152921504606846977y", "x+1152921504606846976y", "z")
+        assert build_curve(CurveSpec(factors=tuple(CurveFactor(t) for t in lines))).N == 3
 
     def test_rejects_constant_factor(self):
         with pytest.raises(CurveError):
