@@ -39,8 +39,7 @@ WORKER = """\
 import json, sys, time
 from planecurves import Strand, er_dim, hilbert_series, koszul, linalg, parse_polynomial
 texts, cutoff = json.loads(sys.argv[1])
-lines = [parse_polynomial(t) for t in texts]
-f = parse_polynomial("*".join(f"({t})" for t in texts))
+factors = [parse_polynomial(t) for t in texts]
 linalg.PLAIN_CELLS = cutoff
 seen = []
 rule = linalg.is_plain
@@ -49,7 +48,7 @@ kernels = []
 real = koszul.certified_kernel
 koszul.certified_kernel = lambda m: kernels.append(real(m)) or kernels[-1]
 start = time.perf_counter()
-strand = Strand(f, lines=lines if all(g.degree() == 1 for g in lines) else ())
+strand = Strand(factors)
 h = hilbert_series(strand)
 er = er_dim(strand, strand.N - 2)
 classes = koszul.syzygy_basis(strand, strand.N - 2)

@@ -189,9 +189,9 @@ def resolve_profile(
 
 
 def resolve_strand(curve: Curve, data: dict, args) -> Strand:
-    """The curve's Strand: modular on the primes of --modp or options.primes,
-    else exact.  An arrangement's Strand gets its lines, so it holds their
-    census, and an exact one derives its Hilbert function from them (`milnor`)."""
+    """The Strand of the curve's factors: modular on the primes of --modp or
+    options.primes, else exact.  An arrangement's Strand holds its census,
+    and an exact one derives its Hilbert function from it (`milnor`)."""
     primes, source = [], None
     options = data.get("options") or {}
     if options.get("field") == "modp":
@@ -206,11 +206,10 @@ def resolve_strand(curve: Curve, data: dict, args) -> Strand:
             raise SpecFileError(f"--modp: {args.modp!r} is not a comma-separated list of integers") from None
     if source and not primes:
         raise SpecFileError("modular mode needs primes (options.primes or --modp)")
-    lines = curve.factor_polys if all(d == 1 for d in curve.factor_degrees) else ()
     if not source:
-        return Strand(curve.f, lines=lines)
+        return Strand(curve.factor_polys)
     try:
-        return Strand(curve.f, tuple(primes), lines)
+        return Strand(curve.factor_polys, tuple(primes))
     except ValueError as exc:
         raise SpecFileError(f"{source}: {exc}") from None
 
@@ -267,7 +266,7 @@ def report_payload(curve: Curve, data: dict, args) -> dict:
             "N": curve.N,
             "r": curve.r,
             "factors": [fac.text for fac in curve.spec.factors],
-            "f": str(curve.f),
+            "f": str(strand.f),
         },
         "hilbert": {**h.to_json(), "series": h.series_str()},
         "profile": profile.to_json(),

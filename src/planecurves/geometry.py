@@ -91,14 +91,17 @@ class SingularityProfile(_SingularityProfile):
     """The geometric census: components, singular points, and totals.
 
     s counts triple points shared by exactly two components, t_prime those
-    shared by three; t = sum of interior triples + s + t_prime, else
-    GeometryError.
+    shared by three; no count is negative and t = sum of interior triples +
+    s + t_prime, else GeometryError.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for key in ("n", "t", "s", "t_prime"):
+            if getattr(self, key) < 0:
+                raise GeometryError(f"{key} = {getattr(self, key)} is negative")
         interior = sum(c.triples for c in self.components)
         if self.t != interior + self.s + self.t_prime:
             raise GeometryError(

@@ -46,11 +46,11 @@ within `linalg.PLAIN_CELLS` and on numpy otherwise, and the sweep reads that
 one decision off the elimination it returns (an `Echelon` or a `PLU`) for
 its lower lifts and its chain.
 
-An exact Strand given the line factors of an arrangement reads M(f) off its
+An exact Strand of the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
-Strand's own exact census of the lines (`geometry.analyze_arrangement`),
-taken only when f is their product, so they are all the singular points of f
-and each is a node or an ordinary triple point.  `tjurina.TjurinaDual` holds
+Strand's own exact census of its factors (`geometry.analyze_arrangement`),
+taken only when every factor is a line, so they are all the singular points
+of f and each is a node or an ordinary triple point.  `tjurina.TjurinaDual` holds
 tau functionals, a basis of the dual of the sum of the local Tjurina algebras
 T_p, read off the kernel of the Jacobian ideal J at each point.  W_k is their matrix on S_k;
 its kernel is I_k, the degree-k part of the saturation I of J, and
@@ -71,9 +71,9 @@ N(f)_k = 0 for k > 3N-6.  On such a derived Strand:
 So tau = n + 4t holds by construction there.  `koszul.er_dim(N-2)` stays a
 direct Jacobian rank, and the report compares it with dim M(f)_{2N-3} - g
 (the ER identity): that is the independent check of the derived series.  A
-point on four or more lines, a local kernel of the wrong dimension, lines
-whose product is not f and a modular Strand keep the direct path, so `--modp` stays an
-independent computation.
+factor that is not a line, a point on four or more lines, a local kernel of
+the wrong dimension and a modular Strand keep the direct path, so `--modp`
+stays an independent computation.
 """
 
 from __future__ import annotations
@@ -118,23 +118,25 @@ class Strand:
     rank requested before it again) and is freed with it.  With no primes the
     backend is the certified exact `rank`; with primes it is
     `modular_rank_with_check`, the uncertified opt-in path, and the primes
-    must pass `check_primes` (ValueError otherwise).  `lines`, the linear
-    factors of an arrangement, give the Strand their `census` (see `_census`)
-    and an exact Strand its `dual` (None when a point's local kernel has the
-    wrong dimension), from which the Hilbert function is derived.  `certified`
-    lists (map, degree, certificate) for every rank the Strand answers:
-    "contraction", "lift" or "memo" ("modular" on a modular Strand).
+    must pass `check_primes` (ValueError otherwise).  f is the product of
+    `factors` (a Polynomial is one factor), expanded here.  Line factors give
+    the Strand their `census` (see `_census`) and an exact Strand its `dual`
+    (None when a point's local kernel has the wrong dimension), from which the
+    Hilbert function is derived.  `certified` lists (map, degree,
+    certificate) for every rank the Strand answers: "contraction", "lift" or
+    "memo" ("modular" on a modular Strand).
     """
 
-    def __init__(self, f: Polynomial, primes: tuple[int, ...] = (), lines: Sequence[Polynomial] = ()):
-        self.f = f
-        self.N = f.degree()
+    def __init__(self, factors: Polynomial | Sequence[Polynomial], primes: tuple[int, ...] = ()):
+        self.factors = (factors,) if isinstance(factors, Polynomial) else tuple(factors)
+        self.f = prod(self.factors[1:], start=self.factors[0])
+        self.N = self.f.degree()
         self.primes = check_primes(primes)
-        self.census = _census(f, lines)
+        self.census = _census(self.factors)
         self.dual = None
         if self.census is not None and not self.primes:
             points = [p.location.coords for p in self.census.points]
-            self.dual = TjurinaDual.of(f, lines, points)
+            self.dual = TjurinaDual.of(self.f, self.factors, points)
         self._ranks: dict[tuple[Callable, int], int] = {}
         self.certified: list[tuple[str, int, str]] = []
 
@@ -221,25 +223,17 @@ def jacobian_rank_profile(
     return [bisect_left(positions, 3 * s_dim(m)) for m in range(top + 1)], elimination
 
 
-def _census(f: Polynomial, lines: Sequence[Polynomial]) -> Optional[SingularityProfile]:
-    """The exact census of the lines when f equals their Polynomial product
-    and every singular point is a node or a triple point, else None."""
+def _census(factors: Sequence[Polynomial]) -> Optional[SingularityProfile]:
+    """The exact census of the factors when every one is a line and every
+    singular point is a node or a triple point, else None."""
     from . import geometry  # geometry imports this module
 
-    if not lines or not _is_product(f, lines):
+    if any(factor.degree() != 1 for factor in factors):
         return None
     try:
-        return geometry.analyze_arrangement(lines)
+        return geometry.analyze_arrangement(factors)
     except geometry.GeometryError:
         return None
-
-
-def _is_product(f: Polynomial, lines: Sequence[Polynomial]) -> bool:
-    """Every line is a linear form and f is their product, exactly: integral
-    coefficients multiply as Python ints (see `polynomials`)."""
-    if any(line.degree() != 1 or not line.is_homogeneous() for line in lines):
-        return False
-    return prod(lines, start=Polynomial.constant(1)) == f
 
 
 def jacobian_rank(f: Polynomial | Strand, m: int) -> int:

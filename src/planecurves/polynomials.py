@@ -396,15 +396,18 @@ class CurveSpec(NamedTuple):
 
 
 class Curve(NamedTuple):
-    """Parsed and validated curve: f = product of the parsed factors."""
+    """Parsed and validated curve: its factors; `f` expands their product."""
 
-    f: Polynomial
     factor_polys: tuple[Polynomial, ...]
     spec: CurveSpec
 
     @property
+    def f(self) -> Polynomial:
+        return prod(self.factor_polys[1:], start=self.factor_polys[0])
+
+    @property
     def N(self) -> int:
-        return self.f.degree()
+        return sum(self.factor_degrees)
 
     @property
     def r(self) -> int:
@@ -425,7 +428,7 @@ def _proportional(p: Polynomial, q: Polynomial) -> bool:
 
 
 def build_curve(spec: CurveSpec) -> Curve:
-    """Parse all factors, validate, and return the expanded product curve."""
+    """Parse all factors, validate, and return the curve of the factors."""
     if not spec.factors:
         raise CurveError("empty factor list")
     polys = []
@@ -445,5 +448,4 @@ def build_curve(spec: CurveSpec) -> Curve:
                 raise CurveError(
                     f"proportional factors: {spec.factors[i].text!r} and {spec.factors[j].text!r}"
                 )
-    f = prod(polys, start=Polynomial.constant(1))
-    return Curve(f=f, factor_polys=tuple(polys), spec=spec)
+    return Curve(factor_polys=tuple(polys), spec=spec)

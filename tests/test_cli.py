@@ -34,7 +34,7 @@ from planecurves.cli import (
     resolve_strand,
 )
 from planecurves.geometry import Check
-from planecurves.polynomials import MAX_K_MAX
+from planecurves.polynomials import MAX_K_MAX, Polynomial
 from tests.conftest import CORPUS, hilbert_lines_family, line_poly, random_arrangement
 
 
@@ -212,8 +212,9 @@ class TestExitCodes:
             ),
             ({"factors": ["x", "y", "x+y", "x-y"]}, EXIT_MULTIPLICITY),
             ({"factors": ["x", "y", "z", "x+y+z"], "profile": {"n": 5}}, EXIT_PROFILE),
+            ({"factors": ["x^3+y^3+z^3"], "profile": {"n": 0, "t": 0, "s": 3}}, EXIT_PROFILE),
         ],
-        ids=["no-profile", "negative-genus", "four-concurrent-lines", "declared-n-disagrees"],
+        ids=["no-profile", "negative-genus", "four-concurrent-lines", "declared-n-disagrees", "negative-t-prime"],
     )
     def test_report_reads_the_profile_before_any_rank(self, tmp_path, monkeypatch, payload, code):
         """A profile that is missing, malformed or out of scope is refused
@@ -702,6 +703,25 @@ class TestResolveStrand:
         assert self.strand(["x", "x^3+y^3+z^3"]).dual is None
         assert self.strand(["x", "y", "x+y", "x-y"]).dual is None  # a quadruple point
         assert self.strand(["x", "y", "z"], modp="1060937").dual is None
+
+    @pytest.mark.parametrize("command", ["hilbert", "report"])
+    def test_full_product_is_formed_once(self, tmp_path, capsys, monkeypatch, command):
+        """The Strand expands f from the spec's lines, and nothing else
+        multiplies them out."""
+        lines, _ = random_arrangement(random.Random(8), 8)
+        spec = write_spec(tmp_path, "eight", {"factors": [str(line) for line in lines]})
+        full = []
+        mul = Polynomial.__mul__
+
+        def counted(p, q):
+            product = mul(p, q)
+            if product.degree() == len(lines):
+                full.append(product)
+            return product
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        assert main([command, str(spec), "--quiet"]) == EXIT_OK
+        assert len(full) == 1
 
 
 # The input contract: a mutated spec of a small corpus curve ends in a

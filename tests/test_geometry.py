@@ -117,6 +117,10 @@ class TestProfileConsistency:
                 t_prime=1,
             )
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(GeometryError, match="n = -1 is negative"):
+            SingularityProfile(components=(), n=-1, t=0, s=0, t_prime=0)
+
     def test_totals(self):
         profile = analyze_arrangement(lines("x", "y", "x+y", "z"))
         assert profile.N == 4

@@ -254,13 +254,13 @@ def products_of_lines_conics_and_cubics(draw):
     return f
 
 
-def sweep_lines(name):
-    """The line factors of a corpus arrangement, else ()."""
+def sweep_factors(name):
+    """The factors of a corpus curve, as the CLI gives them to its Strand,
+    else the curve as one factor."""
     item = SWEEP_CURVES[name]
     if not isinstance(item, Path):
-        return ()
-    curve = build_from_spec(json.loads(item.read_text()))
-    return curve.factor_polys if all(d == 1 for d in curve.factor_degrees) else ()
+        return sweep_curve(name)
+    return build_from_spec(json.loads(item.read_text())).factor_polys
 
 
 class TestPlainPath:
@@ -270,11 +270,11 @@ class TestPlainPath:
         (cutoff 0): the same series, ER rank, Strand certificates and W_k
         certificates.  The two degree-12 curves are left out: J_22 has
         492660 entries, far past the cutoff."""
-        f, lines = sweep_curve(name), sweep_lines(name)
+        factors = sweep_factors(name)
 
         def outcome(cutoff):
             monkeypatch.setattr(linalg, "PLAIN_CELLS", cutoff)
-            strand = Strand(f, lines=lines)
+            strand = Strand(factors)
             h = hilbert_series(strand)
             er = er_dim(strand, strand.N - 2)
             return h, er, strand.certified, strand.dual.certified if strand.dual else None
@@ -421,7 +421,7 @@ class TestSweep:
         hilbert_series(modular)
         assert {how for *_, how in computed(modular)} == {"modular"}
         lines = [parse_polynomial(t) for t in ("x", "y", "z", "x+y+z")]
-        derived = Strand(curves["generic4"], lines=lines)
+        derived = Strand(lines)
         assert derived.derived()
         hilbert_series(derived)
         assert derived.certified == []

@@ -33,8 +33,8 @@ def arrangement(texts):
     return lines, functools.reduce(operator.mul, lines)
 
 
-def derived_strand(lines, f):
-    strand = Strand(f, lines=lines)
+def derived_strand(lines):
+    strand = Strand(lines)
     assert strand.dual is not None and strand.derived()
     return strand
 
@@ -55,7 +55,7 @@ class TestDerivedSeries:
         cases = sweep_arrangements + [eight_lines]
         assert len(cases) > 50
         for lines, f, profile in cases:
-            derived, direct = derived_strand(lines, f), Strand(f)
+            derived, direct = derived_strand(lines), Strand(f)
             N = f.degree()
             got = [milnor_dim(derived, k) for k in range(3 * N - 2)]
             assert got == [milnor_dim(direct, k) for k in range(3 * N - 2)], str(f)
@@ -70,7 +70,7 @@ class TestDerivedSeries:
         assert defects == [1, 0]
 
     def test_defects_never_increase(self, eight_lines):
-        dual = derived_strand(*eight_lines[:2]).dual
+        dual = derived_strand(eight_lines[0]).dual
         defects = [dual.defect(k) for k in range(3 * 8 - 5)]
         assert defects[0] == dual.tau - 1
         assert all(a >= b for a, b in zip(defects, defects[1:])) and defects[-1] == 0
@@ -194,7 +194,7 @@ def test_every_multiplicity_gets_its_whole_dual():
 
 def test_point_on_fewer_than_two_lines_has_no_functionals():
     lines, f = arrangement(TRIPLE)
-    vectors = derived_strand(lines, f).dual.lines
+    vectors = derived_strand(lines).dual.lines
     for point in ((1, 1, 1), (0, 1, 5)):  # off every line; on x = 0 only
         assert tjurina.point_functionals(vectors, point) == []
         assert TjurinaDual.of(f, lines, [point]) is None
@@ -310,7 +310,7 @@ def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements,
     """With PLAIN_CELLS = 0 every W_k goes through numpy, as before the
     plain path existed: the same series and the same certificates."""
     def outcomes():
-        strands = [Strand(f, lines=lines) for lines, f, _ in sweep_arrangements]
+        strands = [Strand(lines) for lines, f, _ in sweep_arrangements]
         return [(hilbert_series(s), s.dual.certified, s.certified) for s in strands]
 
     plain = outcomes()
@@ -352,11 +352,11 @@ def test_short_w_rank_beyond_the_jacobian_bound_is_ranked_exactly(exact_ranks):
     """W_10 falls short of min(tau, dim S_10) = 63, and its rank mod p is
     below dim S_10 - rank_p J_10 = 63 too, so only the exact rank answers."""
     lines, f = arrangement(ELEVEN)
-    dual = derived_strand(lines, f).dual
+    dual = derived_strand(lines).dual
     assert exact_ranks == [63] and dual.defect(10) == 1
     assert [c for c in dual.certified if c[2] != "full"] == [("W", 10, "exact")]
     # def_10 enters dim M(f)_k at k = 3N-6-10 = 17
-    assert milnor_dim(Strand(f, lines=lines), 17) == milnor_dim(Strand(f), 17)
+    assert milnor_dim(Strand(lines), 17) == milnor_dim(Strand(f), 17)
 
 
 class TestScan:
@@ -389,7 +389,7 @@ class TestScan:
 
     def test_no_points_no_defects(self):
         lines, f = arrangement(TRIPLE)
-        dual = TjurinaDual(f, derived_strand(lines, f).dual.lines, [])
+        dual = TjurinaDual(f, derived_strand(lines).dual.lines, [])
         assert [dual.defect(k) for k in range(12)] == [0] * 12 and dual.certified == []
 
 
@@ -398,7 +398,7 @@ class TestHonestFallback:
         # A jet whose kernel has the wrong dimension at some point leaves no
         # dual at all, and the Strand keeps the direct path.
         lines, f = arrangement(TRIPLE)
-        assert derived_strand(lines, f).dual.tau == 11
+        assert derived_strand(lines).dual.tau == 11
         direct = hilbert_series(Strand(f))
         original = tjurina._partial_jets
 
@@ -414,35 +414,26 @@ class TestHonestFallback:
         for corrupt in (unit_f_x, flat_triple):
             monkeypatch.setattr(tjurina, "_partial_jets", corrupt)
             assert TjurinaDual.of(f, lines, coords(analyze_arrangement(lines))) is None
-            strand = Strand(f, lines=lines)
+            strand = Strand(lines)
             assert strand.census is not None and strand.dual is None and not strand.derived()
             assert hilbert_series(strand) == direct
 
     def test_incomplete_or_foreign_lines_never_derive(self):
-        # The points come only from the Strand's own census of f's lines, so
-        # a wrong list of lines leaves the direct path.
+        # The points come only from the Strand's own census of its factors,
+        # so f as one factor, or a conic among the lines, leaves the direct
+        # path.  Reordered lines are the same factors, and rational lines are
+        # fine.
         lines, f = arrangement(TRIPLE)
-        foreign = parse_polynomial("x+y+z")
-        direct = hilbert_series(Strand(f))
-        assert direct.stable_value == 11
-        for wrong in (lines[1:], lines[:-1] + [foreign], lines + [foreign]):
-            strand = Strand(f, lines=wrong)
+        conic = lines[:-1] + [parse_polynomial("x^2+y^2+z^2")]
+        for factors in (f, conic):
+            strand = Strand(factors)
             assert strand.census is None and strand.dual is None and not strand.derived()
-            assert hilbert_series(strand) == direct
-        # Reordered lines are the same factors.
-        assert derived_strand(lines[::-1], f).dual.tau == 11
-
-    def test_product_check_is_exact(self):
-        # f == the product of the lines, checked in integers: rational lines
-        # and their order are fine, a scalar multiple of f or a non-line is not.
-        lines, f = arrangement(TRIPLE)
+            hilbert_series(strand)  # ranked directly: a derived Strand certifies no J_m
+            assert {name for name, *_ in strand.certified} == {"jacobian_matrix"}
+        assert tau(f) == 11 == derived_strand(lines[::-1]).dual.tau
         halves = [line.scale(Fraction(1, 2)) for line in lines[:2]]
-        assert milnor._is_product(f.scale(Fraction(1, 4)), halves + lines[2:])
-        assert milnor._is_product(f, lines[::-1])
-        assert not milnor._is_product(f.scale(2), lines)
-        assert not milnor._is_product(f.scale(-1), lines)
-        square = [parse_polynomial(f"({lines[0]})*({lines[1]})")]
-        assert not milnor._is_product(f, square + lines[2:])
+        dims = [milnor_dim(derived_strand(lines), k) for k in range(13)]
+        assert [milnor_dim(derived_strand(halves + lines[2:]), k) for k in range(13)] == dims
 
     def test_incomplete_points_would_read_a_wrong_series(self):
         # Why the census must be complete: with one node left out the
@@ -456,7 +447,7 @@ class TestHonestFallback:
 
     def test_modular_strand_keeps_the_direct_path(self):
         lines, f = arrangement(TRIPLE)
-        strand = Strand(f, (1060937,), lines=lines)
+        strand = Strand(lines, (1060937,))
         assert strand.dual is None and strand.census is not None
 
 
