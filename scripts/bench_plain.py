@@ -57,8 +57,7 @@ print(json.dumps({
     "seconds": seconds,
     "cells": max(seen, default=0),
     "result": [
-        h.dims, er, strand.certified, strand.dual.certified if strand.dual else None,
-        sorted(map(str, strand._ranks.values())), [str(c) for c in classes],
+        h.dims, er, strand.certified, sorted(map(str, strand._ranks.values())), [str(c) for c in classes],
         [[k.rank, k.pivots, k.free, k.num, k.den] for k in kernels],
     ],
 }))

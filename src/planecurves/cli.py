@@ -194,7 +194,10 @@ def resolve_strand(curve: Curve, data: dict, args) -> Strand:
     and an exact one derives its Hilbert function from it (`milnor`)."""
     primes, source = [], None
     options = data.get("options") or {}
-    if options.get("field") == "modp":
+    field = options.get("field")
+    if field not in (None, "exact", "modp"):
+        raise SpecFileError(f'options.field must be "exact" or "modp", got {field!r}')
+    if field == "modp":
         primes, source = options.get("primes", []), "options.primes"
         if not isinstance(primes, list):
             raise SpecFileError("options.primes must be a list of integers")

@@ -24,8 +24,9 @@ sweep carries residues mod p.  The upper bound fails only high, so an unlucky
 prime or a mismatch costs a lift (`linalg.lifted_rank`) and never a wrong
 rank; the lift's integer kernel restarts the chain.  Modular Strands and
 single rank requests rank each matrix directly.  Only the Strand writes its
-memo, in `Strand._store`: a second certified rank that disagrees with the
-first raises LinalgError.  A sweep does the same work whatever the memo holds.
+memo, in `Strand._store`, keyed by the map's name ("W" for W_k, below) and
+degree: a second certified rank that disagrees with the first raises
+LinalgError.  A sweep does the same work whatever the memo holds.
 
 The lower ends rank_p J_m, m = 0..2N-2, all come from one elimination mod p
 of J_{2N-2} (`jacobian_rank_profile`: the column rank profile, after
@@ -55,6 +56,18 @@ tau functionals, a basis of the dual of the sum of the local Tjurina algebras
 T_p, read off the kernel of the Jacobian ideal J at each point.  W_k is their matrix on S_k;
 its kernel is I_k, the degree-k part of the saturation I of J, and
 def_k = tau - rank W_k, so dim (S/I)_k = tau - def_k.
+
+The span of the functionals at p is closed under multiplication by forms,
+and a linear form missing every point acts invertibly on it, so def_k never
+increases: once it is 0 it stays 0.  The kernel of W is an ideal, so once
+W_k is injective every W_j below it is too (a nonzero g in I_j would give
+l^(k-j) g != 0 in I_k) and def_j = tau - dim S_j.  `Strand.defect` therefore
+ranks W_k only from K, the largest k with dim S_k <= tau, down to the first
+injective W_k and up to the first zero defect.  A rank of W_k mod p is exact
+when it reaches min(tau, dim S_k) ("full").  The functionals kill J, so J_k
+lies in the kernel of W_k and rank W_k <= dim S_k - rank_Q J_k <=
+dim S_k - rank_p J_k: a rank mod p equal to that bound is exact too
+("jacobian bound").  Otherwise the certified `linalg.rank` answers ("exact").
 
 Let N(f) = I/J.  Then dim M(f)_k = tau - def_k + dim N(f)_k, and N(f) is
 self-dual, dim N(f)_k = dim N(f)_{3N-6-k} (Sernesi, *The local cohomology of
@@ -96,6 +109,7 @@ from .linalg import (
     np,
     pivot_columns,
     rank,
+    rank_mod_p,
 )
 from .polynomials import MAX_K_MAX, Polynomial
 from .tjurina import TjurinaDual
@@ -124,11 +138,14 @@ class Strand:
     (None when a point's local kernel has the wrong dimension), from which the
     Hilbert function is derived.  `certified` lists (map, degree,
     certificate) for every rank the Strand answers: "contraction", "lift" or
-    "memo" ("modular" on a modular Strand).
+    "memo" ("modular" on a modular Strand), and ("W", k, certificate) for
+    every rank of W_k: "full", "jacobian bound" or "exact".
     """
 
     def __init__(self, factors: Polynomial | Sequence[Polynomial], primes: tuple[int, ...] = ()):
         self.factors = (factors,) if isinstance(factors, Polynomial) else tuple(factors)
+        if not self.factors:
+            raise ValueError("a curve needs at least one factor")
         self.f = prod(self.factors[1:], start=self.factors[0])
         self.N = self.f.degree()
         self.primes = check_primes(primes)
@@ -136,8 +153,9 @@ class Strand:
         self.dual = None
         if self.census is not None and not self.primes:
             points = [p.location.coords for p in self.census.points]
-            self.dual = TjurinaDual.of(self.f, self.factors, points)
-        self._ranks: dict[tuple[Callable, int], int] = {}
+            self.dual = TjurinaDual.of(self.factors, points)
+        self._ranks: dict[tuple[str, int], int] = {}
+        self._defects: list[int] = []
         self.certified: list[tuple[str, int, str]] = []
 
     @classmethod
@@ -149,20 +167,21 @@ class Strand:
         """Rank of the graded map build(f, m) out of degree m; 0 for m < 0."""
         if m < 0:
             return 0
-        if (build, m) in self._ranks:
-            self.certified.append((build.__name__, m, "memo"))
+        key = (build.__name__, m)
+        if key in self._ranks:
+            self.certified.append((*key, "memo"))
         elif self.primes:
-            self._store(build, m, modular_rank_with_check(build(self.f, m), self.primes), "modular")
+            self._store(*key, modular_rank_with_check(build(self.f, m), self.primes), "modular")
         else:
-            self._store(build, m, rank(build(self.f, m)), "lift")
-        return self._ranks[build, m]
+            self._store(*key, rank(build(self.f, m)), "lift")
+        return self._ranks[key]
 
-    def _store(self, build: Callable, m: int, value: int, certificate: str) -> None:
+    def _store(self, name: str, m: int, value: int, certificate: str) -> None:
         """The one write to the memo: the first certified rank is kept."""
-        first = self._ranks.setdefault((build, m), value)
+        first = self._ranks.setdefault((name, m), value)
         if first != value:
-            raise LinalgError(f"rank of {build.__name__} at degree {m} certified as {first} and as {value}")
-        self.certified.append((build.__name__, m, certificate))
+            raise LinalgError(f"rank of {name} at degree {m} certified as {first} and as {value}")
+        self.certified.append((name, m, certificate))
 
     def sweep(self) -> None:
         """Certify rank J_m into the memo for m = 2N-2 down to 0 as on a fresh
@@ -171,8 +190,8 @@ class Strand:
         derived Strand or a full memo.  Like its profile, it runs in plain
         Python when J_{2N-2} is small: its lifts take ExactMatrix, its chain
         is a list of functionals."""
-        p, top = PRIMES[0], 2 * self.N - 2
-        if self.primes or self.derived() or all((jacobian_matrix, m) in self._ranks for m in range(top + 1)):
+        p, top, name = PRIMES[0], 2 * self.N - 2, jacobian_matrix.__name__
+        if self.primes or self.derived() or all((name, m) in self._ranks for m in range(top + 1)):
             return
         matrix = jacobian_matrix(self.f, top)
         ranks, top_elimination = jacobian_rank_profile(matrix, top, p)
@@ -185,7 +204,7 @@ class Strand:
                 independent = pivot_columns(candidates, p)
                 if ranks[m] == s_dim(k) - len(independent):
                     chain = [candidates[i] for i in independent] if plain else candidates[:, independent]
-                    self._store(jacobian_matrix, m, ranks[m], "contraction")
+                    self._store(name, m, ranks[m], "contraction")
                     continue
             chain = None
             if m != top:
@@ -198,12 +217,53 @@ class Strand:
                 chain = [[v % p for v in vec] for vec in lift.vectors()]
             elif lift is not None:
                 chain = (lift.columns() % p).astype(np.int64)
-            self._store(jacobian_matrix, m, found, "lift")
+            self._store(name, m, found, "lift")
 
     def derived(self) -> bool:
         """True when the Hilbert function is read off the defects: the local
         check passed and def_{3N-5} = 0 (see the module docstring)."""
-        return self.dual is not None and self.dual.defect(3 * self.N - 5) == 0
+        return self.dual is not None and self.defect(3 * self.N - 5) == 0
+
+    def defect(self, k: int) -> int:
+        """def_k = tau - rank W_k for k >= 0 on a Strand with a dual, ranked
+        only where it can change (`_lower_defects`, then upwards until it
+        reaches 0)."""
+        if not self._defects:
+            self._defects = self._lower_defects()
+        while len(self._defects) <= k and self._defects[-1]:
+            self._defects.append(self.dual.tau - self.w_rank(len(self._defects)))
+        return self._defects[k] if k < len(self._defects) else 0
+
+    def _lower_defects(self) -> list[int]:
+        """def_0..def_K for K the largest k with dim S_k <= tau, ranked from
+        W_K down to the first injective W_k, below which every W_j is
+        injective (the kernel is an ideal); [0] when tau = 0."""
+        tau = self.dual.tau
+        if not tau:
+            return [0]
+        top = 0
+        while s_dim(top + 1) <= tau:
+            top += 1
+        defects = [tau - s_dim(j) for j in range(top + 1)]
+        for k in range(top, -1, -1):
+            defects[k] = tau - self.w_rank(k)
+            if defects[k] == tau - s_dim(k):
+                break
+        return defects
+
+    def w_rank(self, k: int) -> int:
+        """Rank of W_k over Q, certified "full", "jacobian bound" or "exact"
+        (see the module docstring) and stored whatever the memo holds."""
+        p, m = PRIMES[0], k - self.N + 1
+        found = rank_mod_p(ExactMatrix(self.dual.rows(k, p)), p)
+        if found == min(self.dual.tau, s_dim(k)):
+            certificate = "full"
+        elif m >= 0 and found == s_dim(k) - rank_mod_p(jacobian_matrix(self.f, m), p):
+            certificate = "jacobian bound"
+        else:
+            found, certificate = rank(ExactMatrix(self.dual.rows(k))), "exact"
+        self._store("W", k, found, certificate)
+        return found
 
 
 def jacobian_rank_profile(
@@ -254,7 +314,7 @@ def milnor_dim(f: Polynomial | Strand, k: int) -> int:
         top = 3 * strand.N - 6
         if k > top:
             return strand.dual.tau
-        return smooth_reference_dim(strand.N, k) + strand.dual.defect(top - k)
+        return smooth_reference_dim(strand.N, k) + strand.defect(top - k)
     return s_dim(k) - jacobian_rank(strand, k - strand.N + 1)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import prod
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 Monomial = tuple[int, int, int]
 Coefficient = int | Fraction
@@ -179,9 +179,6 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
-
-    def __iter__(self) -> Iterator[tuple[Monomial, Coefficient]]:
-        return iter(self.sorted_terms())
 
     def __str__(self) -> str:
         if not self.terms:

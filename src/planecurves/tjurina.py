@@ -27,21 +27,10 @@ point c_00, c_10, c_01 and one quadric in c_20, c_11, c_02.
 
 W_k is the tau x dim S_k matrix of the functionals on the monomials
 of degree k, and def_k = tau - rank W_k, the failure of the points to impose
-independent conditions on degree-k forms.  The span of the functionals at p
-is closed under multiplication by forms, and a linear form missing every
-point acts invertibly on it, so def_k never increases: once it is 0 it stays
-0.  The kernel of W is an ideal I, so once W_k is injective every W_j below
-it is too (a nonzero g in I_j would give l^(k-j) g != 0 in I_k) and
-def_j = tau - dim S_j.  `TjurinaDual.defect` therefore ranks W_k only from
-K, the largest k with dim S_k <= tau, down to the first injective W_k and
-up to the first zero defect.
-
-W_k is built one way, as lists of Python ints (`TjurinaDual.rows`: residues
-mod p, or exact entries for the fallback).  This module eliminates nothing
-itself: the local kernels, the rank of W_k mod p, the J_k bound and the
-exact fallback are `linalg` calls, which pick plain Python or numpy by the
-size of each matrix (`linalg.PLAIN_CELLS`), so the Hilbert series of an
-arrangement whose ranked matrices are all small runs without numpy.
+independent conditions on degree-k forms.  The Strand ranks W_k and scans
+the defects (`milnor.Strand.defect`); this module builds W_k, one way, as
+lists of Python ints (`TjurinaDual.rows`: residues mod p, or exact entries).
+It eliminates nothing itself: the local kernels are `linalg.rref_kernel`.
 """
 
 from __future__ import annotations
@@ -49,8 +38,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
-from .gradedmaps import integer_scaled, jacobian_matrix, s_dim
-from .linalg import PRIMES, ExactMatrix, rank, rank_mod_p, rref_kernel
+from .gradedmaps import integer_scaled
+from .linalg import rref_kernel
 from .polynomials import Polynomial, monomial_basis
 
 Line = tuple[int, int, int]
@@ -128,29 +117,21 @@ def point_functionals(lines: Sequence[Line], point: tuple[int, int, int]) -> lis
 
 
 class TjurinaDual:
-    """The tau functionals of the singular points of f, the product of
-    `lines`, and the ranks of W_k.
+    """The tau functionals of the singular points of the product of `lines`,
+    and the builder of W_k.
 
     Built by `of`, which returns None unless every point gets its whole
-    local dual.  `defect(k)` is tau - rank W_k over Q, ranked only where it
-    can change (`_lower_defects`, then upwards until it reaches 0).
-    `certified` lists ("W", k, certificate) for every rank of W_k: "full"
-    (full rank mod p), "jacobian bound" or "exact".
+    local dual.  The ranks of W_k are the Strand's (`milnor.Strand.w_rank`).
     """
 
-    def __init__(self, f: Polynomial, lines: Sequence[Line], functionals: Sequence[Functional]):
-        self.f = f
+    def __init__(self, lines: Sequence[Line], functionals: Sequence[Functional]):
         self.lines = tuple(lines)
         self.functionals = tuple(functionals)
         self.tau = len(self.functionals)
-        self._defects: list[int] = []
-        self.certified: list[tuple[str, int, str]] = []
 
     @classmethod
-    def of(
-        cls, f: Polynomial, lines: Sequence[Polynomial], points: Sequence[tuple[int, int, int]]
-    ) -> Optional[TjurinaDual]:
-        """The dual at points, for f the product of the linear forms lines."""
+    def of(cls, lines: Sequence[Polynomial], points: Sequence[tuple[int, int, int]]) -> Optional[TjurinaDual]:
+        """The dual at points of the product of the linear forms lines."""
         units = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         vectors = [tuple(integer_scaled(line).get(e, 0) for e in units) for line in lines]
         functionals = []
@@ -159,7 +140,7 @@ class TjurinaDual:
             if not local:
                 return None
             functionals += local
-        return cls(f, vectors, functionals)
+        return cls(vectors, functionals)
 
     def rows(self, k: int, p: Optional[int] = None) -> list[list[int]]:
         """W_k as lists of ints: row r is functional r on monomial_basis(k),
@@ -202,49 +183,3 @@ class TjurinaDual:
                     row = [v + fa[ei] * fb[ej] * base[el] for v, (ei, ej, el) in zip(row, exponents[chart])]
             out.append([v % p for v in row] if p else row)
         return out
-
-    def rank(self, k: int) -> int:
-        """Exact rank of W_k.
-
-        The rank mod a prime never exceeds the rank over Q, so it is exact
-        when it reaches min(tau, dim S_k).  The functionals kill J, so J_k
-        lies in the kernel of W_k, rank W_k <= dim S_k - rank_Q J_k <=
-        dim S_k - rank_p J_k, and a rank mod p equal to that bound is exact
-        too.  Otherwise the certified `linalg.rank` answers.
-        """
-        full = min(self.tau, s_dim(k))
-        p = PRIMES[0]
-        found = rank_mod_p(ExactMatrix(self.rows(k, p)), p)
-        m = k - self.f.degree() + 1
-        if found == full:
-            certificate = "full"
-        elif m >= 0 and found == s_dim(k) - rank_mod_p(jacobian_matrix(self.f, m), p):
-            certificate = "jacobian bound"
-        else:
-            found, certificate = rank(ExactMatrix(self.rows(k))), "exact"
-        self.certified.append(("W", k, certificate))
-        return found
-
-    def defect(self, k: int) -> int:
-        """def_k = tau - rank W_k for k >= 0."""
-        if not self._defects:
-            self._defects = self._lower_defects()
-        while len(self._defects) <= k and self._defects[-1]:
-            self._defects.append(self.tau - self.rank(len(self._defects)))
-        return self._defects[k] if k < len(self._defects) else 0
-
-    def _lower_defects(self) -> list[int]:
-        """def_0..def_K for K the largest k with dim S_k <= tau, ranked from
-        W_K down to the first injective W_k, below which every W_j is
-        injective (the kernel is an ideal); [0] when tau = 0."""
-        if not self.tau:
-            return [0]
-        top = 0
-        while s_dim(top + 1) <= self.tau:
-            top += 1
-        defects = [self.tau - s_dim(j) for j in range(top + 1)]
-        for k in range(top, -1, -1):
-            defects[k] = self.tau - self.rank(k)
-            if defects[k] == self.tau - s_dim(k):
-                break
-        return defects

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from planecurves import cli, geometry, hilbert_series, linalg, milnor, parse_polynomial, syzygy_basis, tjurina
+from planecurves import cli, geometry, hilbert_series, linalg, milnor, parse_polynomial, syzygy_basis
 from planecurves.cli import (
     EXIT_INTERNAL,
     EXIT_MULTIPLICITY,
@@ -192,6 +192,18 @@ class TestExitCodes:
         spec = write_spec(tmp_path, "triangle", {"factors": ["x", "y", "z"], "profile": profile})
         assert main(["report", str(spec), "--quiet"]) == code
 
+    @pytest.mark.parametrize(
+        "options, shown",
+        [({"field": "modP", "primes": [1060937]}, "'modP'"), ({"field": 3}, "3")],
+        ids=["misspelt", "number"],
+    )
+    @pytest.mark.parametrize("command", ["hilbert", "report"])
+    def test_unknown_field(self, tmp_path, capsys, command, options, shown):
+        """A field other than "exact" or "modp" is refused, not run exact."""
+        spec = write_spec(tmp_path, "field", {"factors": ["x", "y", "z", "x+y+z"], "options": options})
+        assert main([command, str(spec)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f'error: options.field must be "exact" or "modp", got {shown}\n'
+
     @pytest.mark.parametrize("name", [5, [], {}], ids=["number", "list", "object"])
     def test_name_not_a_string(self, tmp_path, capsys, name):
         spec = write_spec(tmp_path, "named", {"name": name, "factors": ["x", "y", "z", "x+y+z"]})
@@ -224,7 +236,7 @@ class TestExitCodes:
             raise AssertionError("a rank was computed before the profile was read")
 
         monkeypatch.setattr(milnor, "jacobian_matrix", refuse)
-        monkeypatch.setattr(tjurina.TjurinaDual, "rank", refuse)
+        monkeypatch.setattr(milnor.Strand, "w_rank", refuse)
         spec = write_spec(tmp_path, "early", payload)
         assert main(["report", str(spec), "--quiet"]) == code
 

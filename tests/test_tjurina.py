@@ -65,14 +65,14 @@ class TestDerivedSeries:
         # dim M(f)_12 = dim M(f_s)_12 + def_9, and the two series differ by t^12
         defects = []
         for name in ("pappus_a1", "pappus_a2"):
-            curve, profile = load_corpus_curve(CORPUS / f"{name}.curve")
-            defects.append(TjurinaDual.of(curve.f, curve.factor_polys, coords(profile)).defect(9))
+            curve, _ = load_corpus_curve(CORPUS / f"{name}.curve")
+            defects.append(Strand(curve.factor_polys).defect(9))
         assert defects == [1, 0]
 
     def test_defects_never_increase(self, eight_lines):
-        dual = derived_strand(eight_lines[0]).dual
-        defects = [dual.defect(k) for k in range(3 * 8 - 5)]
-        assert defects[0] == dual.tau - 1
+        strand = derived_strand(eight_lines[0])
+        defects = [strand.defect(k) for k in range(3 * 8 - 5)]
+        assert defects[0] == strand.dual.tau - 1
         assert all(a >= b for a, b in zip(defects, defects[1:])) and defects[-1] == 0
 
 
@@ -152,7 +152,7 @@ def test_local_check_from_factors_matches_the_expansion(sweep_arrangements, eigh
     """At every point the kernel from the factors' jets spans the dual that
     the expansion's lambda formula gives, and kills the expanded J."""
     for lines, f, profile in sweep_arrangements + [eight_lines]:
-        dual = TjurinaDual.of(f, lines, coords(profile))
+        dual = TjurinaDual.of(lines, coords(profile))
         assert dual is not None, str(f)
         assert expanded_kills(f, dual.functionals), str(f)
         for p in profile.points:
@@ -193,11 +193,11 @@ def test_every_multiplicity_gets_its_whole_dual():
 
 
 def test_point_on_fewer_than_two_lines_has_no_functionals():
-    lines, f = arrangement(TRIPLE)
+    lines, _ = arrangement(TRIPLE)
     vectors = derived_strand(lines).dual.lines
     for point in ((1, 1, 1), (0, 1, 5)):  # off every line; on x = 0 only
         assert tjurina.point_functionals(vectors, point) == []
-        assert TjurinaDual.of(f, lines, [point]) is None
+        assert TjurinaDual.of(lines, [point]) is None
 
 
 # sha256 of repr(TjurinaDual.functionals), frozen when `point_functionals`
@@ -223,11 +223,11 @@ def test_functionals_are_frozen():
     got = {}
     for name in ("generic4", "lines6", "pappus_a1", "pappus_a2"):
         curve, profile = load_corpus_curve(CORPUS / f"{name}.curve")
-        dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+        dual = TjurinaDual.of(curve.factor_polys, coords(profile))
         got[name] = functionals_digest(dual.functionals)
     for name, vectors in hilbert_lines_family().items():
         lines = [line_poly(*v) for v in vectors]
-        dual = TjurinaDual.of(functools.reduce(operator.mul, lines), lines, coords(analyze_arrangement(lines)))
+        dual = TjurinaDual.of(lines, coords(analyze_arrangement(lines)))
         got[name] = functionals_digest(dual.functionals)
     got["B3"] = functionals_digest(fn for p in b3_points() for fn in tjurina.point_functionals(B3, p))
     assert got == FUNCTIONAL_DIGESTS
@@ -237,8 +237,8 @@ def test_functionals_are_frozen():
 def exact_ranks(monkeypatch):
     """The row counts of the W_k matrices that take the exact rank."""
     rows = []
-    original = tjurina.rank
-    monkeypatch.setattr(tjurina, "rank", lambda m: rows.append(m.nrows) or original(m))
+    original = milnor.rank
+    monkeypatch.setattr(milnor, "rank", lambda m: rows.append(m.nrows) or original(m))
     return rows
 
 
@@ -246,27 +246,27 @@ def test_short_w_rank_certified_by_jacobian(exact_ranks):
     """lines6 has tau = 19 > dim S_5 - 3, so W_5 falls short of
     min(tau, dim S_5); its rank mod p equals dim S_5 - rank_p J_5 = 18,
     and that certifies it with no exact rank."""
-    curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
-    dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
+    curve, _ = load_corpus_curve(CORPUS / "lines6.curve")
+    strand = Strand(curve.factor_polys)
     p = PRIMES[0]
-    assert dual.tau == 19 and len(echelon(dual.rows(5, p), p).pivots) == 18
-    assert dual.rank(5) == 18
-    assert [dual.defect(k) for k in range(7)] == [18, 16, 13, 9, 4, 1, 0]
+    assert strand.dual.tau == 19 and len(echelon(strand.dual.rows(5, p), p).pivots) == 18
+    assert strand.w_rank(5) == 18
+    assert [strand.defect(k) for k in range(7)] == [18, 16, 13, 9, 4, 1, 0]
     assert exact_ranks == []
     # the scan ranks W_4 (dim S_4 = 15 <= tau, injective), then W_5 and W_6
     hows = [(4, "full"), (5, "jacobian bound"), (6, "full")]
-    assert dual.certified == [("W", 5, "jacobian bound")] + [("W", k, how) for k, how in hows]
+    assert strand.certified == [("W", 5, "jacobian bound")] + [("W", k, how) for k, how in hows]
 
 
 def test_uncertified_short_rank_falls_back_to_exact(exact_ranks):
     """A rank mod p that meets neither min(tau, dim S_k) nor the J_k bound
     proves nothing, so the exact rank answers: paired with x^6 + y^6, whose
     J_5 has rank 2, the bound reads 19 against lines6's W_5 rank 18."""
-    curve, profile = load_corpus_curve(CORPUS / "lines6.curve")
-    local = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
-    dual = TjurinaDual(parse_polynomial("x^6+y^6"), local.lines, local.functionals)
-    assert dual.rank(5) == 18 and exact_ranks == [19]
-    assert dual.certified == [("W", 5, "exact")]
+    curve, _ = load_corpus_curve(CORPUS / "lines6.curve")
+    strand = Strand(parse_polynomial("x^6+y^6"))
+    strand.dual = Strand(curve.factor_polys).dual
+    assert strand.w_rank(5) == 18 and exact_ranks == [19]
+    assert strand.certified == [("W", 5, "exact")]
 
 
 def oracle_w(dual, k):
@@ -298,7 +298,7 @@ def test_w_entries_match_the_expansion_at_every_degree(random_arrangements):
     for lines, profile in random.Random(23).sample(random_arrangements, 5):
         cases.append((lines, functools.reduce(operator.mul, lines), profile))
     for lines, f, profile in cases:
-        dual = TjurinaDual.of(f, lines, coords(profile))
+        dual = TjurinaDual.of(lines, coords(profile))
         for k in range(3 * f.degree() - 4):
             want, rows = oracle_w(dual, k), dual.rows(k, p)
             assert rows == [[v % p for v in row] for row in want], (str(f), k)
@@ -311,7 +311,7 @@ def test_certificates_and_series_do_not_depend_on_the_cutoff(sweep_arrangements,
     plain path existed: the same series and the same certificates."""
     def outcomes():
         strands = [Strand(lines) for lines, f, _ in sweep_arrangements]
-        return [(hilbert_series(s), s.dual.certified, s.certified) for s in strands]
+        return [(hilbert_series(s), s.certified) for s in strands]
 
     plain = outcomes()
     monkeypatch.setattr(linalg, "PLAIN_CELLS", 0)
@@ -336,9 +336,9 @@ def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
     monkeypatch.setattr(linalg, "echelon", logged_plain)
     monkeypatch.setattr(linalg, "_rank_mod_p", logged_numpy)
     monkeypatch.setattr(linalg, "PLAIN_CELLS", 49 * 45)
-    lines, profile = random_arrangement(random.Random(10), 10)
-    dual = TjurinaDual.of(functools.reduce(operator.mul, lines), lines, coords(profile))
-    assert dual.defect(25) == 0 and dual.certified == [("W", 8, "full"), ("W", 9, "full")]
+    lines, _ = random_arrangement(random.Random(10), 10)
+    strand = Strand(lines)
+    assert strand.defect(25) == 0 and strand.certified == [("W", 8, "full"), ("W", 9, "full")]
     assert cells == {"plain": [49 * 45], "numpy": [49 * 55]}
     assert max(cells["plain"]) <= linalg.PLAIN_CELLS < min(cells["numpy"])
 
@@ -352,15 +352,15 @@ def test_short_w_rank_beyond_the_jacobian_bound_is_ranked_exactly(exact_ranks):
     """W_10 falls short of min(tau, dim S_10) = 63, and its rank mod p is
     below dim S_10 - rank_p J_10 = 63 too, so only the exact rank answers."""
     lines, f = arrangement(ELEVEN)
-    dual = derived_strand(lines).dual
-    assert exact_ranks == [63] and dual.defect(10) == 1
-    assert [c for c in dual.certified if c[2] != "full"] == [("W", 10, "exact")]
+    strand = derived_strand(lines)
+    assert exact_ranks == [63] and strand.defect(10) == 1
+    assert [c for c in strand.certified if c[2] != "full"] == [("W", 10, "exact")]
     # def_10 enters dim M(f)_k at k = 3N-6-10 = 17
     assert milnor_dim(Strand(lines), 17) == milnor_dim(Strand(f), 17)
 
 
 class TestScan:
-    """`defect` ranks W_k from K, the largest k with dim S_k <= tau, down to
+    """`Strand.defect` ranks W_k from K, the largest k with dim S_k <= tau, down to
     the first injective W_k and up to the first zero defect."""
 
     def test_defects_equal_every_rank(self, sweep_arrangements):
@@ -371,26 +371,36 @@ class TestScan:
             (ten, functools.reduce(operator.mul, ten), profile),
             (eleven, f, analyze_arrangement(eleven)),
         ]
-        for lines, f, profile in cases:
-            dual, fresh = (TjurinaDual.of(f, lines, coords(profile)) for _ in range(2))
+        for lines, f, _ in cases:
+            strand, fresh = Strand(lines), Strand(lines)
             degrees = range(3 * f.degree() - 4)
-            assert [dual.defect(k) for k in degrees] == [fresh.tau - fresh.rank(k) for k in degrees], str(f)
-            assert {k for _, k, _ in dual.certified} < set(degrees)
+            assert [strand.defect(k) for k in degrees] == [fresh.dual.tau - fresh.w_rank(k) for k in degrees], str(f)
+            assert {k for _, k, _ in strand.certified} < set(degrees)
 
     def test_ranked_degrees(self):
         """pappus_a1 (tau = 45 = dim S_8) ranks W_8, short of injective, then
         the injective W_7, then W_9 and W_10; lines6's degrees are pinned in
         test_short_w_rank_certified_by_jacobian."""
-        curve, profile = load_corpus_curve(CORPUS / "pappus_a1.curve")
-        dual = TjurinaDual.of(curve.f, curve.factor_polys, coords(profile))
-        assert dual.defect(3 * curve.N - 5) == 0
+        curve, _ = load_corpus_curve(CORPUS / "pappus_a1.curve")
+        strand = Strand(curve.factor_polys)
+        assert strand.defect(3 * curve.N - 5) == 0
         hows = [(8, "jacobian bound"), (7, "full"), (9, "exact"), (10, "full")]
-        assert dual.certified == [("W", k, how) for k, how in hows]
+        assert strand.certified == [("W", k, how) for k, how in hows]
 
     def test_no_points_no_defects(self):
-        lines, f = arrangement(TRIPLE)
-        dual = TjurinaDual(f, derived_strand(lines).dual.lines, [])
-        assert [dual.defect(k) for k in range(12)] == [0] * 12 and dual.certified == []
+        lines, _ = arrangement(TRIPLE)
+        strand = Strand(lines)
+        strand.dual = TjurinaDual(strand.dual.lines, [])
+        assert [strand.defect(k) for k in range(12)] == [0] * 12 and strand.certified == []
+
+    def test_disagreeing_w_rank_raises(self):
+        """Every rank of W_k goes through the Strand's one write: a wrong
+        rank planted in the memo is certified otherwise and raises."""
+        lines, _ = arrangement(TRIPLE)
+        strand = Strand(lines)
+        strand._ranks["W", 4] = Strand(lines).w_rank(4) + 1
+        with pytest.raises(linalg.LinalgError, match="W at degree 4"):
+            hilbert_series(strand)
 
 
 class TestHonestFallback:
@@ -413,7 +423,7 @@ class TestHonestFallback:
 
         for corrupt in (unit_f_x, flat_triple):
             monkeypatch.setattr(tjurina, "_partial_jets", corrupt)
-            assert TjurinaDual.of(f, lines, coords(analyze_arrangement(lines))) is None
+            assert TjurinaDual.of(lines, coords(analyze_arrangement(lines))) is None
             strand = Strand(lines)
             assert strand.census is not None and strand.dual is None and not strand.derived()
             assert hilbert_series(strand) == direct
@@ -441,7 +451,7 @@ class TestHonestFallback:
         lines, f = arrangement(TRIPLE)
         profile = analyze_arrangement(lines)
         nodes = [p for p in profile.points if p.multiplicity == 2]
-        partial = TjurinaDual.of(f, lines, [p.location.coords for p in profile.points if p != nodes[0]])
+        partial = TjurinaDual.of(lines, [p.location.coords for p in profile.points if p != nodes[0]])
         assert partial is not None and expanded_kills(f, partial.functionals)
         assert partial.tau == 10 != tau(f)
 
@@ -461,7 +471,6 @@ def test_eight_line_hilbert_builds_no_jacobian(tmp_path, monkeypatch, capsys, ei
         return build(g, m)
 
     monkeypatch.setattr(milnor, "jacobian_matrix", logged)
-    monkeypatch.setattr(tjurina, "jacobian_matrix", logged)
     spec = tmp_path / "eight.curve"
     spec.write_text(json.dumps({"factors": [str(line) for line in lines]}))
     assert main(["hilbert", str(spec), "--format", "json"]) == 0
