@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Time the mod-p PLU kernel `linalg._eliminate` on the matrices that
-`report` eliminates for lines9 and degree9_cubics.
+`hilbert_series` eliminates for two one-class curves of degree 9, whose
+J_16 (149175 entries) is one block past `linalg.PLAIN_CELLS`: the product of
+pappus_a1's lines taken as one factor, and a Fermat-pencil curve perturbed
+out of its diagonal symmetry.  (lines9 and degree9_cubics split J_16 into
+small blocks that never reach numpy.)
 
 Usage: PYTHONPATH=src python scripts/bench_eliminate.py
 
-The matrices are captured by running `cli.report_json_bytes` once per curve
+The matrices are captured by running `hilbert_series` once per curve
 with `_eliminate` wrapped; each is labelled by the function that asked for
 it (`ROLES`): the sweep's rank profile of J_{2N-2}, its contraction pivots,
 a Dixon lift.  Each of 5 repetitions then eliminates fresh copies of all of
@@ -17,15 +21,15 @@ L/U.  It is a measuring tool, not a test.
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
-from planecurves import linalg
-from planecurves.cli import report_json_bytes
+from planecurves import Strand, hilbert_series, linalg, parse_polynomial
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-CURVES = ("lines9", "degree9_cubics")
+CURVES = {
+    "pappus_product": "x*y*z*(x-y)*(y-z)*(x-y-z)*(2x+y+z)*(2x+y-z)*(-2x+5y-z)",
+    "cubics_perturbed": "(x^3+y^3+z^3)^3+(x^3+2y^3+3z^3)^3+x^8*y+x^8*z",
+}
 REPEAT = 5
 # the innermost caller with one of these names labels an elimination
 ROLES = {
@@ -45,8 +49,8 @@ def role() -> str:
 
 
 def capture() -> tuple[list[tuple[np.ndarray, int]], Counter]:
-    """(input, p) for every `_eliminate` call of `report` on the curves, and
-    their count per (curve, role)."""
+    """(input, p) for every `_eliminate` call of `hilbert_series` on the
+    curves, and their count per (curve, role)."""
     calls, roles = [], Counter()
     eliminate = linalg._eliminate
 
@@ -57,8 +61,8 @@ def capture() -> tuple[list[tuple[np.ndarray, int]], Counter]:
 
     linalg._eliminate = spy
     try:
-        for name in CURVES:
-            report_json_bytes(CORPUS / f"{name}.curve")
+        for name, text in CURVES.items():
+            hilbert_series(Strand(parse_polynomial(text)))
     finally:
         linalg._eliminate = eliminate
     return calls, roles

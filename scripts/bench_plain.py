@@ -4,9 +4,11 @@ interpreters, so that numpy's load is counted.
 
 Usage: PYTHONPATH=src python scripts/bench_plain.py [--reps N] [--names NAME ...]
 
-The inputs are the corpus curves and the arrangements of the benchmark's
-hilbert-lines workload (`perfbench/workloads.py`: one draw of
-`perfbench/arrangements.py` from its family seed).  For each input and path
+The inputs are the corpus curves, the product of pappus_a1's lines taken as
+one factor (a curve of one class, so its sweep ranks J_16 whole, 149175
+entries), and the arrangements of the benchmark's hilbert-lines workload
+(`perfbench/workloads.py`: one draw of `perfbench/arrangements.py` from its
+family seed).  For each input and path
 a fresh interpreter imports planecurves and parses the curve, then, timed,
 does what `report` ranks on it, `hilbert_series` and er_dim(N-2), and the
 kernel of `syzygy_basis` at N-2.  The plain path sets `linalg.PLAIN_CELLS`
@@ -65,10 +67,13 @@ print(json.dumps({
 
 
 def inputs():
-    """(name, factor texts) of the corpus curves and the hilbert-lines draws."""
+    """(name, factor texts) of the corpus curves, pappus_a1's product and the
+    hilbert-lines draws."""
     for path in sorted((ROOT / "corpus").glob("*.curve")):
         factors = json.loads(path.read_text())["factors"]
         yield path.stem, [e if isinstance(e, str) else e["poly"] for e in factors]
+        if path.stem == "pappus_a1":
+            yield "pappus_product", ["*".join(f"({t})" for t in factors)]
     family = random.Random(workloads.FAMILY_SEED)
     for i, n in enumerate(workloads.FAMILY_SIZES):
         vecs, _ = arrangements.random_arrangement(family, n)

@@ -361,6 +361,8 @@ def report_json_bytes(spec_path: Path) -> bytes:
 
 def cmd_verify_corpus(args) -> int:
     root = Path(args.dir)
+    if not root.is_dir():
+        raise SpecFileError(f"verify-corpus needs a directory, got {root}")
     specs = sorted(root.glob("*.curve"))
     if not specs:
         print(f"warning: no .curve files in {root}", file=sys.stderr)

@@ -22,8 +22,10 @@ from math import comb
 from typing import NamedTuple
 
 from .gradedmaps import (
+    Block,
     cross_matrix,
     gradient_column_matrix,
+    jacobian_blocks,
     jacobian_matrix,
     jacobian_partials,
     s_dim,
@@ -116,17 +118,33 @@ def _class_of(row: list[int], lead: int, basis: list[Monomial], m: int) -> Syzyg
     return SyzygyClass(a=a, b=b, c=c, degree=m)
 
 
+def jacobian_kernel(blocks: list[Block]) -> list[list[int]]:
+    """`linalg.certified_kernel(J_m).vectors()` from the diagonal blocks of
+    J_m (`gradedmaps.jacobian_blocks`): the RREF kernel of a block diagonal
+    matrix is its blocks', each vector put back in place."""
+    width, kernel = sum(len(block.columns) for block in blocks), {}  # free column -> its vector
+    for block in blocks:
+        if block.columns:
+            lift = certified_kernel(block.matrix)
+            for free, vec in zip(lift.free, lift.vectors()):
+                kernel[block.columns[free]] = full = [0] * width
+                for col, v in zip(block.columns, vec):
+                    full[col] = v
+    return [kernel[free] for free in sorted(kernel)]
+
+
 def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
     """Deterministic basis of a complement of the trivial syzygies in degree m.
 
     The kernel of the Jacobian map J_m comes from the certified engine as
     integer columns (`linalg.certified_kernel`, the basis read off the RREF over
-    Q).  Each is reduced, in free-column order, against the span of the
-    trivial syzygies (the columns of the cross map out of degree m-N+1) and
-    of the classes already chosen; a nonzero residue enlarges the span and
-    yields one class, scaled to 1 at its leading column.  The residue is the
-    unique vector of its coset vanishing on the span's pivot columns, so the
-    classes do not depend on how the span is stored.  Certificates: one exact
+    Q), one diagonal block at a time (`jacobian_kernel`).  Each is reduced,
+    in free-column order, against the span of the trivial syzygies (the
+    columns of the cross map out of degree m-N+1) and of the classes already
+    chosen; a nonzero residue enlarges the span and yields one class, scaled
+    to 1 at its leading column.  The residue is the unique vector of its
+    coset vanishing on the span's pivot columns, so the classes do not
+    depend on how the span is stored.  Certificates: one exact
     product J_m V = 0 over the classes V, and their count equals er_dim, read
     as dim ker J_m minus the rank of the trivial map; the lift's rank stays
     out of the Strand's memo.
@@ -135,18 +153,19 @@ def syzygy_basis(f: Polynomial | Strand, m: int) -> list[SyzygyClass]:
         return []
     strand = Strand.of(f)
     f, N = strand.f, strand.N
-    matrix = jacobian_matrix(f, m)
-    kernel = certified_kernel(matrix)
-    acc = EchelonAccumulator(matrix.ncols)
+    blocks = jacobian_blocks(f, m)
+    kernel = jacobian_kernel(blocks)
+    acc = EchelonAccumulator(3 * s_dim(m))
     for col in cross_matrix(f, m - N + 1).transpose().rows:
         acc.add(col)
     chosen = []
-    for vec in kernel.vectors():
+    for vec in kernel:
         if acc.add(vec):
             chosen.append(len(acc.rows) - 1)
-    if not annihilates(matrix.rows, [acc.rows[i] for i in chosen]):
+    whole = blocks[0].matrix if len(blocks) == 1 else jacobian_matrix(f, m)  # one class: J_m itself
+    if not annihilates(whole.rows, [acc.rows[i] for i in chosen]):
         raise AssertionError("kernel vector is not a syzygy")
-    expected = len(kernel.free) - cross_rank(strand, m - N + 1)
+    expected = len(kernel) - cross_rank(strand, m - N + 1)
     if len(chosen) != expected:
         raise AssertionError(
             f"essential basis size {len(chosen)} != H^2 dimension {expected}"

@@ -650,12 +650,12 @@ def lift_kernel(b: np.ndarray, p: int, plu: Optional[PLU] = None) -> Optional[Ke
 # -- plain Python, for small matrices ---------------------------------------
 
 # Largest matrix, in entries, that the entry points work in plain Python; a
-# sweep goes by the entries of its top matrix J_{2N-2}.  From
+# sweep goes by the entries of each block of J_{2N-2}.  From
 # `scripts/bench_plain.py` (each Strand's ranks in fresh interpreters, numpy's
-# load counted): plain Python was faster on every corpus curve up to
-# triangle_cubic's sweep (26928 entries, about 30 against 110 ms) and numpy on
-# the sweeps of lines9 and degree9_cubics (149175 entries); the corpus has
-# nothing between.
+# load counted): plain Python was faster on every corpus curve, up to
+# triangle_cubic's sweep (26928 entries, 29 against 76 ms), and numpy on
+# pappus_a1's product as one factor, J_16 one block of 149175 entries (547
+# against 240 ms); nothing measured lies between.
 PLAIN_CELLS = 30000
 
 

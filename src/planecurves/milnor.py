@@ -41,11 +41,17 @@ p of the columns before them, so the positions below t number the rank of
 the first t columns.  The same elimination, read as one of J_{2N-2}^T, is the
 top lift's: its kernel is normalized on other free columns than a fresh
 elimination's, but it spans the same space mod p, so every contraction count
-is the same.  So the sweep eliminates J_{2N-2} once and builds J_m only
-where it lifts.  `column_profile` runs in plain Python when J_{2N-2} is
-within `linalg.PLAIN_CELLS` and on numpy otherwise, and the sweep reads that
-one decision off the elimination it returns (an `Echelon` or a `PLU`) for
-its lower lifts and its chain.
+is the same.  So the sweep eliminates J_{2N-2} once and builds no J_m below.
+
+Every step runs one diagonal block at a time (`gradedmaps.jacobian_blocks`:
+9 on lines9 and degree9_cubics, one on a generic f).  A block of J_m is the
+corner of the block of J_{2N-2} of its class, so each block has its own
+profile and lifts, and the ranks of a degree add up before its one
+`_store`.  Contraction by x, y or z maps class c to c, c - [y] or c - [z] one
+degree down, so a block's candidates come from three blocks' chains, and
+the bounds meet for J_m iff they meet for every block: a degree is lifted
+where the whole J_m would be.  A block runs in plain Python when it is within
+`linalg.PLAIN_CELLS`, and on numpy otherwise.
 
 An exact Strand of the line factors of an arrangement reads M(f) off its
 singular points and ranks no Jacobian matrix.  The points come from the
@@ -95,7 +101,7 @@ from bisect import bisect_left
 from math import comb, prod
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .gradedmaps import contractions, jacobian_matrix, s_dim
+from .gradedmaps import Block, contractions, jacobian_blocks, jacobian_matrix, s_dim
 from .linalg import (
     PLU,
     PRIMES,
@@ -187,37 +193,40 @@ class Strand:
         """Certify rank J_m into the memo for m = 2N-2 down to 0 as on a fresh
         Strand, lifting only at the top and where the contraction bounds do
         not meet (see the module docstring); nothing to do on a modular or
-        derived Strand or a full memo.  Like its profile, it runs in plain
-        Python when J_{2N-2} is small: its lifts take ExactMatrix, its chain
-        is a list of functionals."""
+        derived Strand or a full memo.  Every step runs one block of
+        `jacobian_blocks` at a time, on the engine of the block's profile."""
         p, top, name = PRIMES[0], 2 * self.N - 2, jacobian_matrix.__name__
         if self.primes or self.derived() or all((name, m) in self._ranks for m in range(top + 1)):
             return
-        matrix = jacobian_matrix(self.f, top)
-        ranks, top_elimination = jacobian_rank_profile(matrix, top, p)
-        plain = isinstance(top_elimination, Echelon)
-        chain = None  # residues mod p of a basis of ann(J_{k+1})
+        blocks = [block for block in jacobian_blocks(self.f, top) if block.rows]
+        where = {row: (b, t) for b, block in enumerate(blocks) for t, row in enumerate(block.rows)}
+        profiles = [jacobian_rank_profile(block, top, p) for block in blocks]
+        # per block: residues mod p of a basis of its part of ann(J_{k+1}), as
+        # lists, or as the columns of ndarrays once a profile ran on numpy
+        chains, arrays = None, not all(isinstance(e, Echelon) for _, e in profiles)
         for m in range(top, -1, -1):
-            k = m + self.N - 1
-            if chain is not None:
-                candidates = contractions(chain, k + 1)
-                independent = pivot_columns(candidates, p)
-                if ranks[m] == s_dim(k) - len(independent):
-                    chain = [candidates[i] for i in independent] if plain else candidates[:, independent]
-                    self._store(name, m, ranks[m], "contraction")
-                    continue
-            chain = None
-            if m != top:
-                matrix = jacobian_matrix(self.f, m)
-            # the profile's elimination is the top lift's
-            found, lift = lifted_rank(
-                matrix.transpose() if plain else matrix.array.T, top_elimination if m == top else None
-            )
-            if lift is not None and plain:
-                chain = [[v % p for v in vec] for vec in lift.vectors()]
-            elif lift is not None:
-                chain = (lift.columns() % p).astype(np.int64)
-            self._store(name, m, found, "lift")
+            k, found, lifted, below = m + self.N - 1, 0, False, []
+            for block, (ranks, elimination) in zip(blocks, profiles):
+                size = bisect_left(block.rows, s_dim(k))
+                if chains is not None:
+                    candidates = contractions(chains, where, block.rows[:size])
+                    independent = pivot_columns(candidates, p)
+                    if ranks[m] == size - len(independent):
+                        below.append([candidates[i] for i in independent] if isinstance(candidates, list) else candidates[:, independent])
+                        found += ranks[m]
+                        continue
+                # J_m's block is a corner of J_{2N-2}'s; the profile's elimination is the top lift's
+                keep = [j for j, col in enumerate(block.columns) if col % s_dim(top) < s_dim(m)]
+                if isinstance(elimination, Echelon):
+                    rows = block.matrix.rows[:size]
+                    corner = ExactMatrix([[row[j] for row in rows] for j in keep], ncols=size)
+                else:  # an ndarray keeps the profile's engine
+                    corner = block.matrix.array[:size, keep].T
+                value, lift = lifted_rank(corner, elimination if m == top else None)
+                below.append(lift and ((lift.columns() % p).astype(np.int64) if arrays else [[v % p for v in vec] for vec in lift.vectors()]))
+                found, lifted = found + value, True
+            chains = below
+            self._store(name, m, found, "lift" if lifted else "contraction")
 
     def derived(self) -> bool:
         """True when the Hilbert function is read off the defects: the local
@@ -266,21 +275,19 @@ class Strand:
         return found
 
 
-def jacobian_rank_profile(
-    top_matrix: ExactMatrix | np.ndarray, top: int, p: int
-) -> tuple[list[int], Echelon | PLU]:
-    """rank_p J_m for m = 0..top from one elimination mod p of the matrix
-    `top_matrix` of J_top (`linalg.column_profile`), with the elimination
-    read as one of J_top^T.
+def jacobian_rank_profile(block: Block, top: int, p: int) -> tuple[list[int], Echelon | PLU]:
+    """rank_p of the block of J_m of `block`'s class for m = 0..top, from one
+    elimination mod p of `block`, a block of J_top (`linalg.column_profile`),
+    with the elimination read as one of its transpose.
 
-    Column (i, u) of J_top, slot-major, is taken at 3 index(u) + i: by
-    descending power of x in u (see the module docstring).  An ExactMatrix
-    goes to the engine of its size, an ndarray to numpy.
+    Column (s, u) of J_top is taken by descending power of x in u, then by
+    slot (see the module docstring).  The block's matrix goes to the engine
+    of its size, an ndarray to numpy.
     """
     width = s_dim(top)
-    order = [s * width + i for i in range(width) for s in range(3)]
-    positions, elimination = column_profile(top_matrix, order, p)
-    return [bisect_left(positions, 3 * s_dim(m)) for m in range(top + 1)], elimination
+    heads = sorted((col % width, col // width, j) for j, col in enumerate(block.columns))
+    positions, elimination = column_profile(block.matrix, [j for *_, j in heads], p)
+    return [bisect_left(positions, bisect_left(heads, (s_dim(m),))) for m in range(top + 1)], elimination
 
 
 def _census(factors: Sequence[Polynomial]) -> Optional[SingularityProfile]:

@@ -149,6 +149,16 @@ class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.curve"), "--quiet"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("target", ["missing", "lines6.curve"])
+    def test_verify_corpus_needs_a_directory(self, corpus_dir, tmp_path, capsys, target):
+        """A mistyped corpus path, missing or a spec file, is refused and
+        runs no fixture."""
+        path = tmp_path / target if target == "missing" else corpus_dir / target
+        assert main(["verify-corpus", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: verify-corpus needs a directory, got {path}\n"
+        assert captured.out == ""
+
     def test_proportional_factors(self, tmp_path):
         spec = write_spec(tmp_path, "dup", {"factors": ["x", "2x"]})
         assert main(["report", str(spec), "--quiet"]) == EXIT_PARSE
@@ -683,12 +693,29 @@ class TestLazyNumpy:
         runs = [json.loads(line) for line in out.stdout.splitlines()]
         assert runs == [[want, True, len(rows[0]), False] for rows, want in cases]
 
-    def test_report_lines9_loads_numpy(self, corpus_dir):
-        """J_16 of lines9 is above `PLAIN_CELLS`: its sweep runs on numpy."""
-        imported, [(code, out, loaded)] = probe_lazy(
-            corpus_dir.parent, [["report", "corpus/lines9.curve", "--format", "json"]])
+    def test_graded_reports_never_load_numpy(self, corpus_dir):
+        """J_16 of lines9 and of degree9_cubics has 149175 entries, past
+        `PLAIN_CELLS`, but it is block diagonal (`gradedmaps.Grading`, 9
+        classes each): every block is small, so their sweeps run without
+        numpy and print the fixtures."""
+        names = ["lines9", "degree9_cubics"]
+        imported, runs = probe_lazy(
+            corpus_dir.parent, [["report", f"corpus/{name}.curve", "--format", "json"] for name in names])
+        assert not imported
+        for name, (code, out, loaded) in zip(names, runs):
+            assert code == EXIT_OK and not loaded
+            assert out == (corpus_dir / f"{name}.expected.json").read_text()
+
+    def test_one_class_sweep_past_the_cutoff_loads_numpy(self, corpus_dir, tmp_path):
+        """The product of pappus_a1's lines, given as one factor, is not an
+        arrangement to the Strand, so it sweeps, and it has one class: its
+        J_16 is one block past `PLAIN_CELLS`, and the sweep runs on numpy."""
+        spec = json.loads((corpus_dir / "pappus_a1.curve").read_text())
+        product = write_spec(tmp_path, "pappus_product", {"factors": ["*".join(f"({t})" for t in spec["factors"])]})
+        imported, [(code, out, loaded)] = probe_lazy(corpus_dir.parent, [["hilbert", str(product), "--format", "json"]])
         assert not imported and code == EXIT_OK and loaded
-        assert out == (corpus_dir / "lines9.expected.json").read_text()
+        want = json.loads((corpus_dir / "pappus_a1.expected.json").read_text())["hilbert"]
+        assert {key: json.loads(out)[key] for key in want} == want
 
     def test_missing_numpy_fails_the_import(self, corpus_dir):
         """Hidden by a meta-path finder, numpy is missing when planecurves is

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planecurves.gradedmaps import (
+    Grading,
     cross_matrix,
     gradient_column_matrix,
     integer_scaled,
+    jacobian_blocks,
     jacobian_matrix,
     jacobian_partials,
 )
@@ -139,3 +143,65 @@ def test_strand_is_an_integer_complex(spec):
         for outer, inner in ((jacobian_matrix, cross_matrix), (cross_matrix, gradient_column_matrix)):
             product = outer(f, m).array.astype(object) @ inner(f, m - N + 1).array.astype(object)
             assert not product.any(), (outer.__name__, m)
+
+
+@st.composite
+def sparse_forms(draw):
+    """Forms of degree 2..6 with 1 to 4 terms: lattices of rank 0, 1 and 2."""
+    basis = monomial_basis(draw(st.integers(2, 6)))
+    monomials = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=4, unique=True))
+    return Polynomial({mono: Fraction(draw(st.sampled_from((-2, -1, 1, 3)))) for mono in monomials})
+
+
+class TestGrading:
+    @given(st.one_of(st.just(parse_polynomial("x^3-y^3")), sparse_forms()), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_entries_lie_in_one_class(self, f, m):
+        """Every nonzero entry of J_m lies in a row and a column of the same
+        class, and the blocks hold J_m, each row and column in one block.
+        x^3-y^3 has f_z = 0, so zero columns, some in classes with no row."""
+        grading, matrix = Grading(f), jacobian_matrix(f, m)
+        rows, basis = monomial_basis(m + f.degree() - 1), monomial_basis(m)
+        for i, row in enumerate(matrix.rows):
+            for j, v in enumerate(row):
+                if v:
+                    _, b, c = basis[j % len(basis)]
+                    assert grading(*rows[i][1:]) == grading.column(j // len(basis), b, c)
+        rebuilt = [[0] * matrix.ncols for _ in range(matrix.nrows)]
+        blocks = jacobian_blocks(f, m)
+        for block in blocks:
+            for i, row in zip(block.rows, block.matrix.rows):
+                for j, v in zip(block.columns, row):
+                    rebuilt[i][j] = v
+        assert rebuilt == matrix.rows
+        assert sorted(i for block in blocks for i in block.rows) == list(range(matrix.nrows))
+        assert sorted(j for block in blocks for j in block.columns) == list(range(matrix.ncols))
+
+    PAPPUS = "x*y*z*(x-y)*(y-z)*(x-y-z)*(2x+y+z)*(2x+y-z)*(-2x+5y-z)"
+
+    @pytest.mark.parametrize(
+        "text, classes",
+        [
+            ("(x^3-y^3)(y^3-z^3)(x^3-z^3)", 9),
+            ("(x^3+y^3+z^3)^3+(x^3+2y^3+3z^3)^3", 9),
+            ("(x^4-y^4)(y^4-z^4)(x^4-z^4)", 16),
+            ("x^3+y^3+z^3+5xyz", 3),
+            ("x^9+y^9+z^9", 81),
+            (PAPPUS, 1),
+        ],
+    )
+    def test_class_counts(self, text, classes):
+        """The classes number p r, and J_{2N-2} has a block for each."""
+        f = parse_polynomial(text)
+        p, _, r = Grading(f).lattice
+        assert p * r == classes == len(jacobian_blocks(f, 2 * f.degree() - 2))
+
+    def test_a_lattice_of_rank_one(self):
+        """x^3-y^3 differs from itself only by (3, 0) in (b, c): z^c is a
+        class of its own for every c, so J_4 has 21 blocks: 3 hold columns of
+        zeros (u f_z, u free of z) and no row, 4 rows and no column."""
+        f = parse_polynomial("x^3-y^3")
+        assert Grading(f).lattice == (3, 0, 0)
+        blocks = jacobian_blocks(f, 4)
+        assert len(blocks) == 21
+        assert sum(not block.rows for block in blocks) == 3 and sum(not block.columns for block in blocks) == 4

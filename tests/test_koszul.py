@@ -20,9 +20,9 @@ from planecurves import (
     trivial_syzygy_dim,
 )
 from planecurves import koszul, milnor
-from planecurves.gradedmaps import jacobian_partials, s_dim
+from planecurves.gradedmaps import jacobian_blocks, jacobian_matrix, jacobian_partials, s_dim
 from planecurves.koszul import omega_dim
-from planecurves.linalg import EchelonAccumulator, KernelLift
+from planecurves.linalg import EchelonAccumulator, KernelLift, certified_kernel
 from planecurves.milnor import jacobian_rank
 from planecurves.polynomials import monomial_basis
 from tests.conftest import CORPUS, CURVE_TEXTS
@@ -194,6 +194,32 @@ class TestPinnedClasses:
 
 
 class TestSyzygyBasis:
+    @pytest.mark.parametrize(
+        "text, degrees",
+        [
+            ("(x^3-y^3)(y^3-z^3)(x^3-z^3)", range(4, 8)),
+            (CURVE_TEXTS["degree9"], range(4, 8)),
+            ("x^3-y^3", range(0, 4)),
+            (CURVE_TEXTS["generic4"], range(0, 3)),
+        ],
+    )
+    def test_block_kernels_are_the_kernel(self, text, degrees):
+        """Put back in place and taken by free column, the kernels of the
+        blocks of J_m are the RREF kernel of J_m, vector for vector; the third
+        curve has blocks of zero columns with no row, the fourth one block."""
+        f = parse_polynomial(text)
+        for m in degrees:
+            assert koszul.jacobian_kernel(jacobian_blocks(f, m)) == certified_kernel(jacobian_matrix(f, m)).vectors()
+
+    @pytest.mark.parametrize("text, whole", [(CURVE_TEXTS["generic4"], []), ("(x^3-y^3)(y^3-z^3)(x^3-z^3)", [5])])
+    def test_builds_the_jacobian_map_once(self, monkeypatch, text, whole):
+        """A curve of one class checks J_m V = 0 on its one block, which is
+        J_m; a graded curve builds the whole J_m once, for the check."""
+        built, real = [], koszul.jacobian_matrix
+        monkeypatch.setattr(koszul, "jacobian_matrix", lambda f, m: built.append(m) or real(f, m))
+        assert syzygy_basis(parse_polynomial(text), 5)
+        assert built == whole
+
     def test_corrupted_kernel_fails_the_product_check(self, curves, monkeypatch):
         """A column that is not in the kernel is caught by J_m V = 0."""
         real = koszul.certified_kernel

@@ -21,7 +21,7 @@ from planecurves import (
     rank,
 )
 from planecurves import linalg
-from planecurves.gradedmaps import jacobian_matrix
+from planecurves.gradedmaps import Block, jacobian_matrix
 from planecurves.linalg import (
     PRIMES,
     EchelonAccumulator,
@@ -882,8 +882,9 @@ class TestPlainCertificate:
             return
         top, p = 2 * f.degree() - 2, PRIMES[0]
         matrix = jacobian_matrix(f, top)
-        ranks, e = jacobian_rank_profile(matrix, top, p)
-        assert ranks == jacobian_rank_profile(matrix.array, top, p)[0]
+        rows, columns = list(range(matrix.nrows)), list(range(matrix.ncols))
+        ranks, e = jacobian_rank_profile(Block(rows, columns, matrix), top, p)
+        assert ranks == jacobian_rank_profile(Block(rows, columns, matrix.array), top, p)[0]
         assert ranks == [linalg._rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
         assert linalg.lifted_rank(matrix.transpose(), e) == linalg.lifted_rank(matrix.transpose())
 

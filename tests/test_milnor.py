@@ -4,8 +4,10 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from planecurves import (
 )
 from planecurves import Polynomial, cli, linalg, milnor, monomial_basis
 from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
-from planecurves.gradedmaps import contractions, jacobian_matrix, s_dim
+from planecurves.gradedmaps import Block, contractions, jacobian_blocks, jacobian_matrix, s_dim
 from planecurves.linalg import PRIMES, LinalgError, _nonzero_entries, _rank_mod_p, lifted_rank, rank
 from planecurves.milnor import jacobian_rank, jacobian_rank_profile
 from tests.conftest import CORPUS, corpus_specs
@@ -239,11 +241,19 @@ def lifted_degrees(strand):
     return [m for _, m, how in strand.certified if how == "lift"]
 
 
+def whole(matrix):
+    """The matrix as one block."""
+    return Block(list(range(matrix.shape[0])), list(range(matrix.shape[1])), matrix)
+
+
 def assert_profile_is_every_rank(f):
-    """The rank profile of J_{2N-2} mod p is rank_p J_m for every m."""
+    """The rank profile of J_{2N-2} mod p, on numpy, is rank_p J_m for every
+    m, and so is the sum of the rank profiles of its blocks."""
     top, p = 2 * f.degree() - 2, PRIMES[0]
     ranks = [_rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
-    assert jacobian_rank_profile(jacobian_matrix(f, top).array, top, p)[0] == ranks
+    assert jacobian_rank_profile(whole(jacobian_matrix(f, top).array), top, p)[0] == ranks
+    profiles = [jacobian_rank_profile(block, top, p)[0] for block in jacobian_blocks(f, top)]
+    assert [sum(column) for column in zip(*profiles)] == ranks
 
 
 @st.composite
@@ -285,6 +295,20 @@ class TestPlainPath:
 
         assert outcome(1 << 62) == outcome(0)
 
+    @pytest.mark.parametrize("name", ["lines9", "degree9_cubics"])
+    def test_blocks_on_both_engines(self, name, monkeypatch):
+        """With the cutoff at 1836 entries, the blocks of J_16 of 1260 to
+        1836 entries run in plain Python and the one of 2835 on numpy, and
+        the chain is carried as ndarrays: the same ranks and certificates as
+        with every block in plain Python."""
+
+        def outcome(cutoff):
+            monkeypatch.setattr(linalg, "PLAIN_CELLS", cutoff)
+            strand, ranks = swept(sweep_curve(name))
+            return ranks, strand.certified
+
+        assert outcome(1836) == outcome(1 << 62)
+
     @pytest.mark.parametrize("name", [name for name in SWEEP_CURVES if sweep_curve(name).degree() <= 9])
     def test_column_profile_of_either_form(self, name, monkeypatch):
         """`linalg.column_profile` of J_{2N-2} in the sweep's column order:
@@ -318,15 +342,72 @@ class TestSweep:
         assert len(computed(strand)) == len(ranks)
         assert lifted_degrees(strand)[0] == 2 * f.degree() - 2
 
+    # m at which the sweep of J_m as one block lifted, m = 2N-2 down to 0
+    LIFTED = {
+        "quartic_lines": [22],
+        "fourth_powers": [22, 10],
+        "x^9+y^9+z^9": [16, 13],
+        "x^3+y^3+z^3+5xyz": [4, 1],
+        "x^3-y^3": [4],
+    }
+
+    @pytest.mark.parametrize("name", LIFTED)
+    def test_blocks_certify_as_the_whole_matrix(self, name):
+        """On curves of 16, 9, 81, 3 and (a lattice of rank 1) 21 blocks, the
+        sweep lifts and contracts at the degrees where the sweep of the
+        whole J_m did; the ranks of the first two are checked against
+        `rank` in test_equals_the_rank_of_every_degree."""
+        f = sweep_curve(name) if name in SWEEP_CURVES else parse_polynomial(name)
+        strand, ranks = swept(f)
+        top = 2 * f.degree() - 2
+        if name not in SWEEP_CURVES:
+            assert ranks == [rank(jacobian_matrix(f, m)) for m in range(top + 1)]
+        want = [("jacobian_matrix", m, "lift" if m in self.LIFTED[name] else "contraction") for m in range(top, -1, -1)]
+        assert computed(strand) == want
+
     @pytest.mark.parametrize("name", ["triangle_cubic", "degree9_cubics"])
     def test_contractions_of_annihilators_annihilate(self, name):
+        """Of the whole ann(J_k), and block by block: the contractions of a
+        block's annihilators land on the blocks of one class below and kill
+        them."""
         f = sweep_curve(name)
         N = f.degree()
         for m in range(2 * N - 2, 0, -1):
+            k = m + N - 1
             _, lift = lifted_rank(jacobian_matrix(f, m).array.T)
-            below = contractions(lift.columns(), m + N - 1)
-            assert below.shape == (s_dim(m + N - 2), 3 * len(lift.free))
+            below = contractions([lift.vectors()], {i: (0, i) for i in range(s_dim(k))}, range(s_dim(k - 1)))
+            below = np.array(below, dtype=object).reshape(-1, s_dim(k - 1)).T
+            assert below.shape == (s_dim(k - 1), 3 * len(lift.free))
             assert not _nonzero_entries(jacobian_matrix(f, m - 1).array.T, below).any()
+            blocks = jacobian_blocks(f, m)
+            where = {row: (b, t) for b, block in enumerate(blocks) for t, row in enumerate(block.rows)}
+            chains = [block.rows and lifted_rank(block.matrix.transpose())[1].vectors() for block in blocks]
+            for block in jacobian_blocks(f, m - 1):
+                for phi in contractions(chains, where, block.rows):
+                    assert len(phi) == len(block.rows)
+                    assert not any(map(sum, (map(mul, phi, column) for column in zip(*block.matrix.rows))))
+
+    def test_lower_lifts_keep_the_profile_engine(self, monkeypatch):
+        """A curve of one class past `PLAIN_CELLS` (conics_cubics_3: J_12 has
+        51870 entries) lifts below the top on numpy, as its profile ran,
+        although J_5 and J_4 are within the cutoff."""
+
+        def refused(*args):
+            raise AssertionError("a plain lift in a sweep on numpy")
+
+        monkeypatch.setattr(linalg, "_plain_lift", refused)
+        strand, ranks = swept(sweep_curve("conics_cubics_3"))
+        assert lifted_degrees(strand) == [12, 5, 4]
+
+    @pytest.mark.parametrize("name, form", [("lines9", list), ("conics_cubics_3", np.ndarray)])
+    def test_chain_takes_the_form_of_the_profiles(self, monkeypatch, name, form):
+        """The chain is lists of residues in plain Python, and an ndarray
+        once a profile ran on numpy (conics_cubics_3: one block past the
+        cutoff)."""
+        forms, real = set(), milnor.contractions
+        monkeypatch.setattr(milnor, "contractions", lambda phis, *rest: forms.update(map(type, phis)) or real(phis, *rest))
+        swept(sweep_curve(name))
+        assert forms == {form}
 
     def test_corrupted_chain_residue_ends_in_a_lift(self, monkeypatch):
         f = sweep_curve("degree9_cubics")
@@ -334,12 +415,15 @@ class TestSweep:
         first = []
         real = milnor.contractions
 
-        def corrupting(phi, k):
+        def corrupting(phis, where, rows):
             if not first:
-                first.append(k)
-                phi = phi.copy()
-                phi[len(phi) // 2, 0] = (phi[len(phi) // 2, 0] + 1) % PRIMES[0]
-            return real(phi, k)
+                first.append(len(rows))
+                source = where[rows[0]][0]
+                phis = list(phis)
+                phis[source] = [list(phi) for phi in phis[source]]
+                phi = phis[source][0]
+                phi[len(phi) // 2] = (phi[len(phi) // 2] + 1) % PRIMES[0]
+            return real(phis, where, rows)
 
         monkeypatch.setattr(milnor, "contractions", corrupting)
         corrupted, same = swept(f)
@@ -361,12 +445,13 @@ class TestSweep:
         assert jacobian_matrix(f, 2 * f.degree() - 2).array.dtype == object
         assert_profile_is_every_rank(f)
 
-    @pytest.mark.parametrize("name, built", [("lines9", [16]), ("degree9_cubics", [16, 7])])
-    def test_report_builds_only_the_lifted_degrees(self, monkeypatch, report_strands, name, built):
-        """J is built at the top, for the profile and the top lift, and where
-        a degree is lifted; the profile is eliminated once per Strand."""
-        degrees, profiles = [], []
-        build, profile = milnor.jacobian_matrix, milnor.jacobian_rank_profile
+    @pytest.mark.parametrize("name, lifted", [("lines9", [16]), ("degree9_cubics", [16, 7])])
+    def test_report_builds_only_the_top_blocks(self, monkeypatch, report_strands, name, lifted):
+        """J is built once, as the 9 blocks of J_16, for the profiles and the
+        top lift; a lifted degree takes their corners, and no J_m is built
+        whole.  Each block's profile is eliminated once per Strand."""
+        degrees, profiles, full = [], [], []
+        build, profile, matrix = milnor.jacobian_blocks, milnor.jacobian_rank_profile, milnor.jacobian_matrix
 
         def recording_build(f, m):
             degrees.append(m)
@@ -376,12 +461,13 @@ class TestSweep:
             profiles.append(args[1])
             return profile(*args)
 
-        monkeypatch.setattr(milnor, "jacobian_matrix", recording_build)
+        monkeypatch.setattr(milnor, "jacobian_blocks", recording_build)
         monkeypatch.setattr(milnor, "jacobian_rank_profile", recording_profile)
+        monkeypatch.setattr(milnor, "jacobian_matrix", lambda f, m: full.append(m) or matrix(f, m))
         report_json_bytes(CORPUS / f"{name}.curve")
         (strand,) = report_strands
-        assert degrees == built == lifted_degrees(strand)
-        assert profiles == [16]
+        assert degrees == [16] and lifted_degrees(strand) == lifted
+        assert profiles == [16] * 9 and not full
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_wrong_profile_value_ends_in_a_lift(self, monkeypatch, delta):
