@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the mod-p PLU kernel `linalg._eliminate` on the matrices that
+"""Time the mod-p PLU kernel `linalg_numpy._eliminate` on the matrices that
 `hilbert_series` eliminates for two one-class curves of degree 9, whose
 J_16 (149175 entries) is one block past `linalg.PLAIN_CELLS`: the product of
 pappus_a1's lines taken as one factor, and a Fermat-pencil curve perturbed
@@ -24,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from planecurves import Strand, hilbert_series, linalg, parse_polynomial
+from planecurves import Strand, hilbert_series, linalg_numpy, parse_polynomial
 
 CURVES = {
     "pappus_product": "x*y*z*(x-y)*(y-z)*(x-y-z)*(2x+y+z)*(2x+y-z)*(-2x+5y-z)",
@@ -52,19 +52,19 @@ def capture() -> tuple[list[tuple[np.ndarray, int]], Counter]:
     """(input, p) for every `_eliminate` call of `hilbert_series` on the
     curves, and their count per (curve, role)."""
     calls, roles = [], Counter()
-    eliminate = linalg._eliminate
+    eliminate = linalg_numpy._eliminate
 
     def spy(a, p):
         calls.append((a.copy(), p))
         roles[name, role()] += 1
         return eliminate(a, p)
 
-    linalg._eliminate = spy
+    linalg_numpy._eliminate = spy
     try:
         for name, text in CURVES.items():
             hilbert_series(Strand(parse_polynomial(text)))
     finally:
-        linalg._eliminate = eliminate
+        linalg_numpy._eliminate = eliminate
     return calls, roles
 
 
@@ -74,7 +74,7 @@ def run(calls) -> tuple[float, list]:
     for a, p in calls:
         work = a.copy()
         t0 = time.perf_counter()
-        pivots, order = linalg._eliminate(work, p)
+        pivots, order = linalg_numpy._eliminate(work, p)
         total += time.perf_counter() - t0
         outputs.append((pivots, order, work))
     return total, outputs

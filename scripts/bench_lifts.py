@@ -3,7 +3,7 @@
 
 Usage: PYTHONPATH=src python scripts/bench_lifts.py [--reps N] [--names NAME ...] [--base FILE]
 
-The lifts are every `linalg._plain_lift` and `linalg.lift_kernel` call that
+The lifts are every `linalg._plain_lift` and `linalg_numpy.lift_kernel` call that
 `report` (`cli.report_json_bytes`) and `koszul.syzygy_basis` make on the
 corpus curves, the latter for m from mdr to N-2 as in the benchmark's
 syzygy workload, and every lift of `hilbert_series` on curves that take
@@ -17,11 +17,12 @@ Each call is recorded with its arguments and replayed `--reps` times; the
 script prints one JSON list with, per lift, its source and input, engine,
 shape, prime, rank, kernel dimension, the number of p-adic digits it
 solved, the minimum time in ms and a digest of its result.  With `--base
-FILE`, another version of `linalg.py` (it imports nothing from the package)
-replays the same calls, its runs alternated with this version's, so that a
-drifting host load falls on both alike; each lift then has both figures,
-and the script exits 1 when the two results differ.  It is a measuring
-tool, not a test.
+FILE`, another version of `linalg.py` replays the same calls: one file that
+holds both engines, as before the numpy engine moved to `linalg_numpy.py`,
+and imports nothing from the package.  Its runs are alternated with this
+version's, so that a drifting host load falls on both alike; each lift then
+has both figures, and the script exits 1 when the two results differ.  It
+is a measuring tool, not a test.
 """
 
 import argparse
@@ -33,7 +34,7 @@ import sys
 import time
 from pathlib import Path
 
-from planecurves import Strand, hilbert_series, koszul, linalg, parse_polynomial
+from planecurves import Strand, hilbert_series, koszul, linalg, linalg_numpy, parse_polynomial
 from planecurves.cli import report_json_bytes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,7 +82,7 @@ def corpus_syzygies():
 def capture(names) -> list[dict]:
     """Every lift call of the inputs, with its arguments, in call order."""
     calls, label = [], {}
-    real = {"plain": linalg._plain_lift, "numpy": linalg.lift_kernel}
+    real = {"plain": linalg._plain_lift, "numpy": linalg_numpy.lift_kernel}
 
     def spy(engine):
         def lift(*args):
@@ -89,7 +90,7 @@ def capture(names) -> list[dict]:
             return real[engine](*args)
         return lift
 
-    linalg._plain_lift, linalg.lift_kernel = spy("plain"), spy("numpy")
+    linalg._plain_lift, linalg_numpy.lift_kernel = spy("plain"), spy("numpy")
     try:
         for path in sorted((ROOT / "corpus").glob("*.curve")):
             if not names or path.stem in names:
@@ -105,13 +106,14 @@ def capture(names) -> list[dict]:
                 label.update(source="sweep", input=name)
                 hilbert_series(Strand(f))
     finally:
-        linalg._plain_lift, linalg.lift_kernel = real["plain"], real["numpy"]
+        linalg._plain_lift, linalg_numpy.lift_kernel = real["plain"], real["numpy"]
     return calls
 
 
-def counted_solvers(module, counter: list[int]) -> None:
-    """Wrap both engines' solver factories so that each solve adds 1 to counter[0]."""
-    for name in ("_lu_solver", "_echelon_solver"):
+def counted_solvers(engines: tuple, counter: list[int]) -> None:
+    """Wrap both engines' solver factories, in their (plain, numpy) modules,
+    so that each solve adds 1 to counter[0]."""
+    for module, name in zip(engines, ("_echelon_solver", "_lu_solver")):
         factory = getattr(module, name)
 
         def wrapped(*args, factory=factory):
@@ -126,7 +128,7 @@ def counted_solvers(module, counter: list[int]) -> None:
 
 
 def load(path: str):
-    """The `linalg` module at path, as a module of its own."""
+    """The single-file `linalg` module at path, as a module of its own."""
     spec = importlib.util.spec_from_file_location("base_linalg", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -134,7 +136,8 @@ def load(path: str):
 
 
 def measure(call: dict, modules: dict, reps: int, counter: list[int]) -> dict:
-    """The call's row: its input and, per module, digits, best ms and result digest."""
+    """The call's row: its input and, per version (its plain and numpy
+    modules), digits, best ms and result digest."""
     args = call["args"]
     plain = call["engine"] == "plain"
     row = {
@@ -144,9 +147,9 @@ def measure(call: dict, modules: dict, reps: int, counter: list[int]) -> dict:
     }
     best = dict.fromkeys(modules, float("inf"))
     for _ in range(reps):
-        for name, module in modules.items():
+        for name, (plain_engine, numpy_engine) in modules.items():
             counter[0] = 0
-            fn = module._plain_lift if plain else module.lift_kernel
+            fn = plain_engine._plain_lift if plain else numpy_engine.lift_kernel
             start = time.perf_counter()
             lift = fn(*args)
             best[name] = min(best[name], time.perf_counter() - start)
@@ -167,10 +170,13 @@ def main(argv=None) -> int:
     parser.add_argument("--base", help="another linalg.py to time on the same calls")
     args = parser.parse_args(argv)
     calls = capture(set(args.names or ()))
-    modules = {"": linalg} if args.base is None else {"_base": load(args.base), "": linalg}
+    modules = {"": (linalg, linalg_numpy)}
+    if args.base is not None:
+        base = load(args.base)
+        modules = {"_base": (base, base), **modules}
     counter = [0]
-    for module in modules.values():
-        counted_solvers(module, counter)
+    for engines in modules.values():
+        counted_solvers(engines, counter)
     rows = [measure(call, modules, args.reps, counter) for call in calls]
     print(json.dumps(rows, indent=1))
     return 1 if args.base and any(row["result_base"] != row["result"] for row in rows) else 0

@@ -28,7 +28,8 @@ from pathlib import Path
 
 from planecurves import Strand, parse_polynomial
 from planecurves.gradedmaps import s_dim
-from planecurves.linalg import PLAIN_CELLS, PRIMES, _rank_mod_p, echelon, np
+from planecurves.linalg import PLAIN_CELLS, PRIMES, echelon, np
+from planecurves.linalg_numpy import _rank_mod_p
 from planecurves.polynomials import MAX_DEGREE
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -60,7 +60,9 @@ class ProfileMismatch(RuntimeError):
 def load_spec(path: Path) -> dict:
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers a file that is not UTF-8, malformed JSON and an
+    # integer past int()'s digit limit; RecursionError, nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecFileError(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("factors"), list):
         raise SpecFileError(f"{path}: spec must be an object with a 'factors' list")

@@ -103,7 +103,6 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .gradedmaps import Block, contractions, jacobian_blocks, jacobian_matrix, s_dim
 from .linalg import (
-    PLU,
     PRIMES,
     Echelon,
     ExactMatrix,
@@ -122,6 +121,7 @@ from .tjurina import TjurinaDual
 
 if TYPE_CHECKING:
     from .geometry import SingularityProfile
+    from .linalg import PLU
 
 
 class NonStabilizationError(RuntimeError):

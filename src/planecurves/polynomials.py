@@ -322,11 +322,20 @@ class _Parser:
             self._check_degree(p.degree() + q.degree(), tok[2])
             p = p * q
 
+    @staticmethod
+    def _int(tok: tuple[str, str, int]) -> int:
+        """The value of a number token; past int()'s digit limit
+        (`sys.get_int_max_str_digits`), a ParseError at the token."""
+        try:
+            return int(tok[1])
+        except ValueError:
+            raise ParseError(f"number of {len(tok[1])} digits is too long", tok[2]) from None
+
     def _parse_uint(self) -> int:
         tok = self._next()
         if tok[0] != "num":
             raise ParseError("expected a non-negative integer exponent", tok[2])
-        return int(tok[1])
+        return self._int(tok)
 
     @staticmethod
     def _check_degree(degree: int, position: int) -> None:
@@ -346,7 +355,7 @@ class _Parser:
     def parse_factor(self) -> Polynomial:
         tok = self._next()
         if tok[0] == "num":
-            num = int(tok[1])
+            num = self._int(tok)
             nxt = self._peek()
             if nxt is not None and nxt[0] == "op" and nxt[1] == "/":
                 self.i += 1

@@ -38,6 +38,10 @@ from planecurves.polynomials import MAX_K_MAX, Polynomial
 from tests.conftest import CORPUS, hilbert_lines_family, line_poly, random_arrangement
 
 
+# past int()'s default limit of 4300 digits (`sys.get_int_max_str_digits`)
+LONG_DIGITS = b"7" * 4400
+
+
 def write_spec(tmp_path, name, payload):
     path = tmp_path / f"{name}.curve"
     path.write_text(json.dumps(payload))
@@ -302,6 +306,29 @@ class TestExitCodes:
         assert err.startswith("error: parentheses nested deeper") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe{", "can't decode byte 0xff"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+            (b'{"factors": ["x", "y", "z", "x+y+z"], "options": {"k_max": %s}}' % LONG_DIGITS, "Exceeds the limit"),
+            (b'{"factors": ["x", "y", "z", "x+y+z"], "profile": {"n": %s}}' % LONG_DIGITS, "Exceeds the limit"),
+            (b'{"factors": ["%sx+y", "y", "z"]}' % LONG_DIGITS, "digits is too long (at position 0)"),
+            (b'{"factors": ["x^%s", "y", "z"]}' % LONG_DIGITS, "digits is too long (at position 2)"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "long-k-max", "long-profile-count", "long-coefficient", "long-exponent"],
+    )
+    @pytest.mark.parametrize("command", ["hilbert", "report"])
+    def test_unreadable_spec_exits_2(self, tmp_path, capsys, command, content, message):
+        """A spec that is not UTF-8, JSON nested past the recursion limit and
+        a number past int()'s digit limit, in the JSON or in a factor, each
+        exit 2 with one error line instead of a traceback."""
+        spec = tmp_path / "bad.curve"
+        spec.write_bytes(content)
+        assert main([command, str(spec)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "factors",
         [["(x+y+z)^100", "y", "z"], ["x^30*y^31", "z", "x+y"], ["(x+y+z)^40"] * 2],
         ids=["power", "product", "curve"],
@@ -541,19 +568,21 @@ def test_module_entry_point_prints_the_fixture(corpus_dir):
     assert out.stdout == (corpus_dir / "lines6.expected.json").read_bytes()
 
 
-# numpy loads on first use.  Probed in fresh interpreters, because pytest
-# and hypothesis may import numpy first.
+# numpy, and with it linalg's numpy engine, loads on first use.  Probed in
+# fresh interpreters, because pytest and hypothesis may import numpy first.
 LAZY_PROBE = """\
 import contextlib, io, json, sys
 from planecurves import cli
-runs = [["import", "numpy.linalg" in sys.modules]]
+watched = json.loads(sys.argv[2])
+runs = [["import", [name for name in watched if name in sys.modules]]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    runs.append([code, out.getvalue(), "numpy.linalg" in sys.modules])
+    runs.append([code, out.getvalue(), [name for name in watched if name in sys.modules]])
 print(json.dumps(runs))
 """
+ENGINE_MODULES = ["numpy.linalg", "planecurves.linalg_numpy"]
 
 
 HIDDEN_NUMPY = """\
@@ -612,11 +641,12 @@ for rows in json.loads(sys.argv[1]):
 """
 
 
-def probe_lazy(root, argvs):
-    """Whether numpy is loaded after `import planecurves.cli`, then (exit
-    code, output, numpy loaded) after each command, in one fresh interpreter."""
+def probe_lazy(root, argvs, watched=("numpy.linalg",)):
+    """The watched modules loaded after `import planecurves.cli`, then (exit
+    code, output, watched modules loaded) after each command, in one fresh
+    interpreter."""
     out = subprocess.run(
-        [sys.executable, "-c", LAZY_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", LAZY_PROBE, json.dumps(argvs), json.dumps(list(watched))],
         cwd=root, env=src_env(root), capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
@@ -706,14 +736,31 @@ class TestLazyNumpy:
             assert code == EXIT_OK and not loaded
             assert out == (corpus_dir / f"{name}.expected.json").read_text()
 
+    def test_plain_runs_never_import_the_numpy_engine(self, corpus_dir, tmp_path):
+        """`report` on every corpus curve and `hilbert` on the hilbert-lines
+        draws of 7 and 8 lines stay on the plain engine, so neither numpy
+        nor `linalg_numpy` is ever imported; the reports are the fixtures."""
+        names = [p.stem for p in sorted(corpus_dir.glob("*.curve"))]
+        draws = [write_spec(tmp_path, name, {"factors": [str(line_poly(*v)) for v in vectors]})
+                 for name, vectors in hilbert_lines_family().items()]
+        argvs = [["report", f"corpus/{name}.curve", "--format", "json"] for name in names]
+        argvs += [["hilbert", str(spec), "--format", "json"] for spec in draws]
+        imported, runs = probe_lazy(corpus_dir.parent, argvs, ENGINE_MODULES)
+        assert imported == [] and len(names) == 10
+        assert [(code, loaded) for code, _, loaded in runs] == [(EXIT_OK, [])] * len(argvs)
+        for name, (_, out, _) in zip(names, runs):
+            assert out == (corpus_dir / f"{name}.expected.json").read_text()
+
     def test_one_class_sweep_past_the_cutoff_loads_numpy(self, corpus_dir, tmp_path):
         """The product of pappus_a1's lines, given as one factor, is not an
         arrangement to the Strand, so it sweeps, and it has one class: its
-        J_16 is one block past `PLAIN_CELLS`, and the sweep runs on numpy."""
+        J_16 is one block past `PLAIN_CELLS`, and the sweep runs on numpy,
+        which imports `linalg_numpy` with it."""
         spec = json.loads((corpus_dir / "pappus_a1.curve").read_text())
         product = write_spec(tmp_path, "pappus_product", {"factors": ["*".join(f"({t})" for t in spec["factors"])]})
-        imported, [(code, out, loaded)] = probe_lazy(corpus_dir.parent, [["hilbert", str(product), "--format", "json"]])
-        assert not imported and code == EXIT_OK and loaded
+        imported, [(code, out, loaded)] = probe_lazy(
+            corpus_dir.parent, [["hilbert", str(product), "--format", "json"]], ENGINE_MODULES)
+        assert imported == [] and code == EXIT_OK and loaded == ENGINE_MODULES
         want = json.loads((corpus_dir / "pappus_a1.expected.json").read_text())["hilbert"]
         assert {key: json.loads(out)[key] for key in want} == want
 

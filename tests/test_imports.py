@@ -79,9 +79,12 @@ def f(x: "Profile") -> Optional[int]:
 
 
 # The eliminations of `linalg` and the readings of them (rank profiles,
-# kernels) stay in `linalg`: another module asks `linalg` for a rank, a
-# profile or a kernel and never runs an elimination itself.
+# kernels) stay in `linalg` and in its numpy half, `linalg_numpy`, which
+# only `linalg` imports: another module asks `linalg` for a rank, a profile
+# or a kernel and never runs an elimination itself.
 ELIMINATIONS = {"echelon", "factor", "_eliminate", "_mod", "rref_fraction"}
+LINALG = {"linalg.py", "linalg_numpy.py"}
+ENGINE = "linalg_numpy"
 
 
 def elimination_calls(source: str) -> list[str]:
@@ -99,9 +102,44 @@ def elimination_calls(source: str) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in LINALG], ids=lambda p: p.name)
 def test_only_linalg_eliminates(path):
     assert elimination_calls(path.read_text()) == []
+
+
+def engine_imports(source: str) -> list[int]:
+    """The lines that import `linalg_numpy`, at any depth: as a module, from
+    its package, or names from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(m.rpartition(".")[2] == ENGINE for m in modules):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "linalg.py"), ids=lambda p: p.name)
+def test_only_linalg_imports_its_numpy_engine(path):
+    assert engine_imports(path.read_text()) == []
+
+
+def test_the_engine_check_sees_each_kind_of_import():
+    source = '''
+from .linalg_numpy import PLU
+from . import linalg_numpy
+import planecurves.linalg_numpy as engine
+from planecurves.linalg_numpy import factor
+def f():
+    from .linalg_numpy import lift_kernel
+from .linalg import rank, numpy_rank
+import numpy
+'''
+    assert engine_imports(source) == [2, 3, 4, 5, 7]
 
 
 def test_the_elimination_check_sees_each_kind_of_call():

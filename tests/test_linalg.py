@@ -20,17 +20,16 @@ from planecurves import (
     monomial_basis,
     rank,
 )
-from planecurves import linalg
+from planecurves import linalg, linalg_numpy
 from planecurves.gradedmaps import Block, jacobian_matrix
 from planecurves.linalg import (
     PRIMES,
     EchelonAccumulator,
-    _nonzero_entries,
     _rank_integer,
     certified_kernel,
-    lift_kernel,
     rref_fraction,
 )
+from planecurves.linalg_numpy import _nonzero_entries, lift_kernel
 from planecurves.milnor import jacobian_rank_profile
 
 P1 = 1060937
@@ -349,7 +348,7 @@ class TestCertifiedEngine:
         assert rank(m) == expected
         short = m.array if m.ncols <= m.nrows else m.array.T
         lift = lift_kernel(short, PRIMES[0])
-        lucky = linalg._rank_mod_p(short, PRIMES[0]) == expected
+        lucky = linalg_numpy._rank_mod_p(short, PRIMES[0]) == expected
         assert (lift is not None) == lucky and (lift is None or lift.rank == expected)
 
     @given(st.one_of(structured_rows(), structured_rows(entries=HUGE, max_dim=6)))
@@ -473,7 +472,7 @@ def reference_eliminate(a, p):
     nrows, ncols = a.shape
     order = np.arange(nrows)
     pivots = []
-    budget = left = linalg._lazy_budget(p)
+    budget = left = linalg_numpy._lazy_budget(p)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -492,9 +491,9 @@ def reference_eliminate(a, p):
         if below.size:
             mult = a[below, c] * pow(int(a[r, c]), -1, p) % p
             a[below, c] = mult
-            for lo in range(0, below.size, linalg._CHUNK):
-                rows = below[lo:lo + linalg._CHUNK]
-                a[rows, c + 1:] -= np.outer(mult[lo:lo + linalg._CHUNK], a[r, c + 1:])
+            for lo in range(0, below.size, linalg_numpy._CHUNK):
+                rows = below[lo:lo + linalg_numpy._CHUNK]
+                a[rows, c + 1:] -= np.outer(mult[lo:lo + linalg_numpy._CHUNK], a[r, c + 1:])
         pivots.append(c)
         r += 1
         left -= 1
@@ -515,7 +514,7 @@ def residue_matrices(draw):
     _CHUNK rows fall below a pivot) or wide, sparse or dense, with some zero
     columns and some rows that repeat earlier ones (rank-deficient)."""
     p = draw(KERNEL_PRIMES)
-    big = 2 * linalg._CHUNK + 20
+    big = 2 * linalg_numpy._CHUNK + 20
     nrows = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([8, big]))))
     ncols = draw(st.integers(min_value=1, max_value=draw(st.sampled_from([8, 40]))))
     if draw(st.booleans()):
@@ -538,7 +537,7 @@ class TestPivotKernel:
         rows [:rank] mod p."""
         a, p = case
         got, want = a.copy(), a.copy()
-        pivots, order = linalg._eliminate(got, p)
+        pivots, order = linalg_numpy._eliminate(got, p)
         ref_pivots, ref_order = reference_eliminate(want, p)
         assert pivots == ref_pivots
         assert np.array_equal(order, ref_order)
@@ -549,23 +548,23 @@ class TestPivotKernel:
         """A full first column puts every other row below the first pivot."""
         p = 2147483647
         rng = np.random.default_rng(3)
-        a = rng.integers(0, p, size=(3 * linalg._CHUNK, 5), dtype=np.int64)
+        a = rng.integers(0, p, size=(3 * linalg_numpy._CHUNK, 5), dtype=np.int64)
         a[0, 0] = 0
         got, want = a.copy(), a.copy()
-        assert linalg._eliminate(got, p)[0] == reference_eliminate(want, p)[0] == [0, 1, 2, 3, 4]
+        assert linalg_numpy._eliminate(got, p)[0] == reference_eliminate(want, p)[0] == [0, 1, 2, 3, 4]
         assert np.array_equal(got[:5] % p, want[:5] % p)
 
     @given(residue_matrices())
     @settings(max_examples=60, deadline=None)
     def test_rank_mod_p_is_transpose_invariant(self, case):
         a, p = case
-        assert linalg._rank_mod_p(a, p) == linalg._rank_mod_p(a.T, p)
+        assert linalg_numpy._rank_mod_p(a, p) == linalg_numpy._rank_mod_p(a.T, p)
 
     def test_pivot_columns_keep_orientation(self):
         """`_rank_mod_p` takes the short side; `pivot_columns` does not."""
         a = np.array([[0, 0, 5, 1, 0]])
         assert linalg.pivot_columns(a, PRIMES[0]) == [2]
-        assert linalg._rank_mod_p(a, PRIMES[0]) == 1
+        assert linalg_numpy._rank_mod_p(a, PRIMES[0]) == 1
 
 
 def reference_triangular_inverse(t, p, lower):
@@ -591,8 +590,8 @@ class TestTriangularInverse:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         lu = rng.integers(0, p, size=(r, r), dtype=np.int64)
         np.fill_diagonal(lu, rng.integers(1, p, size=r))
-        spans = [(j0, min(j0 + linalg._STEP, r)) for j0 in range(0, r, linalg._STEP)]
-        linv, uinv = linalg._diagonal_block_inverses(lu, spans, p)
+        spans = [(j0, min(j0 + linalg_numpy._STEP, r)) for j0 in range(0, r, linalg_numpy._STEP)]
+        linv, uinv = linalg_numpy._diagonal_block_inverses(lu, spans, p)
         assert len(linv) == len(uinv) == len(spans)
         for (j0, j1), lower, upper in zip(spans, linv, uinv):
             block = lu[j0:j1, j0:j1]
@@ -602,8 +601,8 @@ class TestTriangularInverse:
     def test_extreme_residues(self):
         """Entries p - 1 everywhere: every partial sum at its bound."""
         p = PRIMES[0]
-        lu = np.full((linalg._STEP, linalg._STEP), p - 1, dtype=np.int64)
-        (lower,), (upper,) = linalg._diagonal_block_inverses(lu, [(0, linalg._STEP)], p)
+        lu = np.full((linalg_numpy._STEP, linalg_numpy._STEP), p - 1, dtype=np.int64)
+        (lower,), (upper,) = linalg_numpy._diagonal_block_inverses(lu, [(0, linalg_numpy._STEP)], p)
         assert np.array_equal(lower, reference_triangular_inverse(lu, p, True))
         assert np.array_equal(upper, reference_triangular_inverse(lu, p, False))
 
@@ -614,7 +613,7 @@ class TestFactorization:
     def test_transpose_factors_the_transpose(self, case):
         """B[Q, P] = L U read as an elimination of B^T: B^T[P, Q] = L' U'."""
         a, p = case
-        t = linalg.factor(a.copy(), p).transpose(p)
+        t = linalg_numpy.factor(a.copy(), p).transpose(p)
         lower = (np.tril(t.lu, -1) + np.eye(len(t.rows), dtype=np.int64)).astype(object)
         upper = np.triu(t.lu).astype(object)
         assert np.array_equal(lower.dot(upper) % p, a.T[np.ix_(t.rows, t.pivots)] % p)
@@ -626,7 +625,7 @@ class TestFactorization:
         gives the same certified rank and a kernel that b annihilates."""
         b = ExactMatrix(rows).array
         p = PRIMES[0]
-        lift = lift_kernel(b, p, linalg.factor(linalg._mod(b.T, p), p).transpose(p))
+        lift = lift_kernel(b, p, linalg_numpy.factor(linalg_numpy._mod(b.T, p), p).transpose(p))
         assert lift is not None and lift.rank == _rank_integer(rows, b.shape[1])
         assert not _nonzero_entries(b, lift.columns()).any()
 
@@ -673,7 +672,7 @@ class TestPlainRankModP:
     def test_matches_numpy(self, kind, p):
         for seed in range(40):
             rows = seeded_rows(seed, kind, p)
-            assert echelon_rank(rows, p) == linalg._rank_mod_p(np.array(rows, dtype=object), p), (
+            assert echelon_rank(rows, p) == linalg_numpy._rank_mod_p(np.array(rows, dtype=object), p), (
                 kind, seed)
 
     def test_largest_residues(self):
@@ -682,7 +681,7 @@ class TestPlainRankModP:
         p = PRIMES[0]
         rng = random.Random(5)
         rows = [[p - rng.randint(1, 2) for _ in range(40)] for _ in range(60)]
-        assert echelon_rank(rows, p) == linalg._rank_mod_p(np.array(rows), p) == 40
+        assert echelon_rank(rows, p) == linalg_numpy._rank_mod_p(np.array(rows), p) == 40
 
     def test_empty_and_zero(self):
         assert echelon_rank([], PRIMES[0]) == 0
@@ -730,16 +729,16 @@ def sparse_rows(draw, max_dim=12):
 @contextmanager
 def plain_only():
     """The numpy lift refused: an ExactMatrix within the cutoff never reaches it."""
-    real = linalg.lift_kernel
+    real = linalg_numpy.lift_kernel
 
     def refused(*args):
         raise AssertionError("a plain matrix reached the numpy lift")
 
-    linalg.lift_kernel = refused
+    linalg_numpy.lift_kernel = refused
     try:
         yield
     finally:
-        linalg.lift_kernel = real
+        linalg_numpy.lift_kernel = real
 
 
 def primes_used(rows):
@@ -885,7 +884,7 @@ class TestPlainCertificate:
         rows, columns = list(range(matrix.nrows)), list(range(matrix.ncols))
         ranks, e = jacobian_rank_profile(Block(rows, columns, matrix), top, p)
         assert ranks == jacobian_rank_profile(Block(rows, columns, matrix.array), top, p)[0]
-        assert ranks == [linalg._rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
+        assert ranks == [linalg_numpy._rank_mod_p(jacobian_matrix(f, m).array, p) for m in range(top + 1)]
         assert linalg.lifted_rank(matrix.transpose(), e) == linalg.lifted_rank(matrix.transpose())
 
     def test_an_exact_matrix_past_the_cutoff_goes_to_numpy(self, monkeypatch):
@@ -909,7 +908,7 @@ class TestPlainCertificate:
         assert [rank(ExactMatrix(rows)) for rows in cases] == [r for r, _ in want]
         for rows in cases:
             positions, plu = linalg.column_profile(ExactMatrix(rows), list(range(len(rows[0]))), PRIMES[0])
-            assert isinstance(plu, linalg.PLU)
+            assert isinstance(plu, linalg_numpy.PLU)
             assert positions == linalg.pivot_columns(np.array(rows), PRIMES[0])
 
     def test_exact_check_sees_every_vector(self):

@@ -23,10 +23,11 @@ from planecurves import (
     syzygy_basis,
     tau,
 )
-from planecurves import Polynomial, cli, linalg, milnor, monomial_basis
+from planecurves import Polynomial, cli, linalg, linalg_numpy, milnor, monomial_basis
 from planecurves.cli import build_from_spec, report_json_bytes, resolve_strand
 from planecurves.gradedmaps import Block, contractions, jacobian_blocks, jacobian_matrix, s_dim
-from planecurves.linalg import PRIMES, LinalgError, _nonzero_entries, _rank_mod_p, lifted_rank, rank
+from planecurves.linalg import PRIMES, LinalgError, lifted_rank, rank
+from planecurves.linalg_numpy import _nonzero_entries, _rank_mod_p
 from planecurves.milnor import jacobian_rank, jacobian_rank_profile
 from tests.conftest import CORPUS, corpus_specs
 
@@ -323,7 +324,7 @@ class TestPlainPath:
         order = [s * width + i for i in range(width) for s in range(3)]
         positions, echelon = linalg.column_profile(matrix, order, p)
         same, plu = linalg.column_profile(matrix.array, order, p)
-        assert isinstance(echelon, linalg.Echelon) and isinstance(plu, linalg.PLU)
+        assert isinstance(echelon, linalg.Echelon) and isinstance(plu, linalg_numpy.PLU)
         assert positions == same
         assert lifted_rank(matrix.transpose(), echelon)[0] == lifted_rank(matrix.array.T, plu)[0]
 

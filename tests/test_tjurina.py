@@ -15,10 +15,11 @@ from math import comb, gcd
 import pytest
 
 from planecurves import Strand, analyze_arrangement, hilbert_series, milnor_dim, parse_polynomial, tau
-from planecurves import linalg, milnor, tjurina
+from planecurves import linalg, linalg_numpy, milnor, tjurina
 from planecurves.cli import main
 from planecurves.gradedmaps import _integer_partials, integer_scaled, s_dim
-from planecurves.linalg import PRIMES, _rank_mod_p, echelon, np, rref_fraction
+from planecurves.linalg import PRIMES, echelon, np, rref_fraction
+from planecurves.linalg_numpy import _rank_mod_p
 from planecurves.milnor import jacobian_rank
 from planecurves.polynomials import monomial_basis
 from planecurves.tjurina import Functional, TjurinaDual
@@ -323,7 +324,7 @@ def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
     (49 x 45 = 2205 entries, injective) and W_9 (49 x 55 = 2695); with the
     cutoff at W_8's size, W_8 goes to plain Python and W_9 to numpy."""
     cells = {"plain": [], "numpy": []}
-    plain, fast = linalg.echelon, linalg._rank_mod_p
+    plain, fast = linalg.echelon, linalg_numpy._rank_mod_p
 
     def logged_plain(rows, p, width=None):
         cells["plain"].append(len(rows) * width)
@@ -334,7 +335,7 @@ def test_w_above_the_cutoff_takes_the_numpy_path(monkeypatch):
         return fast(a, p)
 
     monkeypatch.setattr(linalg, "echelon", logged_plain)
-    monkeypatch.setattr(linalg, "_rank_mod_p", logged_numpy)
+    monkeypatch.setattr(linalg_numpy, "_rank_mod_p", logged_numpy)
     monkeypatch.setattr(linalg, "PLAIN_CELLS", 49 * 45)
     lines, _ = random_arrangement(random.Random(10), 10)
     strand = Strand(lines)
